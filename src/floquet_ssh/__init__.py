@@ -10,7 +10,6 @@ from .analysis import (
     edge_weight,
     find_zero_modes,
     gamma_pt_threshold,
-    static_spectrum,
 )
 from .effective import (
     EffectiveComparison,
@@ -32,6 +31,7 @@ from .floquet import (
     FloquetSpectrum,
     Method,
     build_floquet_matrix,
+    compute_spectrum,
     converge_nf,
     fold_real,
     matched_distance,
@@ -39,6 +39,7 @@ from .floquet import (
     quasi_energies_extended,
     quasi_energies_propagator,
     spectral_distance,
+    static_spectrum,
 )
 from .linalg import Spectrum, eig_dense, expm, logm_eig
 from .model import (
@@ -49,7 +50,7 @@ from .model import (
     drive_value,
     hamiltonian_at,
 )
-from .sweep import SweepSpec, compute_spectrum, run_phase_diagram, run_sweep
+from .sweep import SweepSpec, run_phase_diagram, run_sweep
 
 __version__ = "0.1.0"
 

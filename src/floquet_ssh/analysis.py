@@ -20,15 +20,14 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import ParameterError
-from .floquet import (
+from .floquet import (  # static_spectrum is re-exported
     FloquetSpectrum,
     Method,
+    compute_spectrum,
     converge_nf,
-    quasi_energies_extended,
-    quasi_energies_propagator,
+    static_spectrum,
 )
-from .linalg import eig_dense
-from .model import ModelParams, build_static_hamiltonian, hamiltonian_at
+from .model import ModelParams, hamiltonian_at
 
 #: Max |Im eps| below which a spectrum counts as PT-unbroken.
 TOL_IM = 1e-8
@@ -98,26 +97,13 @@ def classify_pt(spectrum: FloquetSpectrum, tol_im: float = TOL_IM,
                 zero_tol: float | None = None,
                 edge_fraction: float = EDGE_FRACTION) -> PhasePoint:
     """Unbroken iff max |Im eps| < tol_im; zero modes listed alongside."""
+    if not tol_im > 0:
+        raise ParameterError(f"tol_im must be positive, got {tol_im}")
     max_im = spectrum.max_imag
     phase = Phase.UNBROKEN if max_im < tol_im else Phase.BROKEN
     modes = tuple(find_zero_modes(spectrum, zero_tol, edge_fraction))
     return PhasePoint(max_im=max_im, phase=phase, zero_modes=modes,
                       params_echo=spectrum.params)
-
-
-def static_spectrum(params: ModelParams) -> FloquetSpectrum:
-    """Spectrum of the undriven chain, packaged like a Floquet result (no folding)."""
-    sp = eig_dense(build_static_hamiltonian(params))
-    weights = (np.abs(sp.eigenvectors) ** 2).T
-    weights = weights / weights.sum(axis=1, keepdims=True)
-    return FloquetSpectrum(
-        quasi_energies=sp.eigenvalues,
-        mode_weights=weights,
-        method=Method.STATIC,
-        n_floquet=0,
-        omega=0.0,
-        params=params,
-    )
 
 
 @dataclass(frozen=True)
@@ -151,16 +137,9 @@ def gamma_pt_threshold(params: ModelParams, gamma_max: float,
         n_floquet = converge_nf(replace(params, gamma=gamma_max), tol=1e-8)
 
     def is_broken(gamma: float) -> bool:
-        p = replace(params, gamma=gamma)
-        if method is Method.STATIC:
-            spectrum = static_spectrum(p)
-        elif method is Method.EXTENDED:
-            spectrum = quasi_energies_extended(p, n_floquet)
-        elif method is Method.PROPAGATOR:
-            spectrum = quasi_energies_propagator(p, n_steps)
-        else:
-            raise ParameterError(f"unsupported threshold method {method}")
-        return spectrum.max_imag >= tol_im
+        spectrum = compute_spectrum(replace(params, gamma=gamma), method,
+                                    n_floquet=n_floquet, n_steps=n_steps)
+        return classify_pt(spectrum, tol_im).phase is Phase.BROKEN
 
     if is_broken(0.0):
         raise ParameterError("spectrum is already broken at gamma=0; "

@@ -22,22 +22,20 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .analysis import TOL_IM, ZERO_TOL_FACTOR, classify_pt, edge_weight, gamma_pt_threshold
+from .analysis import EDGE_FRACTION, TOL_IM, ZERO_TOL_FACTOR, classify_pt, gamma_pt_threshold
 from .effective import compare_floquet_effective
 from .errors import ParameterError, SolverError
-from .floquet import Method, converge_nf
+from .floquet import Method, compute_spectrum, converge_nf
 from .model import ModelParams
 from .svgplot import spectrum_svg
-from .sweep import (
-    SpectrumRow,
-    SweepSpec,
-    compute_spectrum,
-    run_phase_diagram,
-    run_sweep,
-)
+from .sweep import SweepSpec, run_phase_diagram, run_sweep, spectrum_rows
 
-SPECTRUM_HEADER = "phi,omega,gamma,kappa,mode,re_eps,im_eps,edge_weight,phase,method,n_floquet"
-PHASE_HEADER = "phi,omega,gamma,kappa,max_im,zero_mode_count,phase,method,n_floquet"
+_SPECTRUM_FIELDS = ("phi", "omega", "gamma", "kappa", "mode", "re_eps",
+                    "im_eps", "edge_weight", "phase", "method", "n_floquet")
+_PHASE_FIELDS = ("phi", "omega", "gamma", "kappa", "max_im",
+                 "zero_mode_count", "phase", "method", "n_floquet")
+SPECTRUM_HEADER = ",".join(_SPECTRUM_FIELDS)
+PHASE_HEADER = ",".join(_PHASE_FIELDS)
 
 _FIG1_BASE = {
     "n_sites": 40, "tunneling": 1.0, "lambda": 0.4,
@@ -100,6 +98,11 @@ def parse_grid(text: str) -> np.ndarray:
 def fmt(value: float) -> str:
     """Serialize a float with 17 significant digits (bit round-trips)."""
     return f"{value:.17g}"
+
+
+def _cell(value) -> str:
+    """CSV form of one field: floats through fmt, ints and labels as str."""
+    return fmt(value) if isinstance(value, float) else str(value)
 
 
 @dataclass
@@ -233,25 +236,9 @@ def _write_text(path: str, text: str):
         fh.write(text)
 
 
-def spectrum_rows_csv(rows) -> str:
-    lines = [SPECTRUM_HEADER]
-    for r in rows:
-        lines.append(",".join((
-            fmt(r.phi), fmt(r.omega), fmt(r.gamma), fmt(r.kappa), str(r.mode),
-            fmt(r.re_eps), fmt(r.im_eps), fmt(r.edge_weight), r.phase,
-            r.method, str(r.n_floquet),
-        )))
-    return "\n".join(lines) + "\n"
-
-
-def phase_rows_csv(rows) -> str:
-    lines = [PHASE_HEADER]
-    for r in rows:
-        lines.append(",".join((
-            fmt(r.phi), fmt(r.omega), fmt(r.gamma), fmt(r.kappa),
-            fmt(r.max_im), str(r.zero_mode_count), r.phase, r.method,
-            str(r.n_floquet),
-        )))
+def rows_csv(rows, fields) -> str:
+    lines = [",".join(fields)]
+    lines.extend(",".join(_cell(getattr(r, name)) for name in fields) for r in rows)
     return "\n".join(lines) + "\n"
 
 
@@ -260,31 +247,39 @@ def rows_json(rows, fields) -> str:
     return json.dumps(payload, indent=1) + "\n"
 
 
-_SPECTRUM_FIELDS = ("phi", "omega", "gamma", "kappa", "mode", "re_eps",
-                    "im_eps", "edge_weight", "phase", "method", "n_floquet")
-_PHASE_FIELDS = ("phi", "omega", "gamma", "kappa", "max_im",
-                 "zero_mode_count", "phase", "method", "n_floquet")
+def _write_rows(args, rows, fields):
+    _write_text(args.output, rows_csv(rows, fields))
+    if args.json:
+        _write_text(args.json, rows_json(rows, fields))
 
 
-def _resolve_n_floquet(config: RunConfig) -> int | None:
-    if config.method is not Method.EXTENDED:
-        return config.n_floquet
-    if config.n_floquet is not None:
-        return config.n_floquet
-    return converge_nf(config.params, config.nf_tol)
+def _sweep_spec(config: RunConfig, axes) -> SweepSpec:
+    return SweepSpec(
+        base=config.params,
+        axes=tuple((name, tuple(float(v) for v in grid)) for name, grid in axes),
+        method=config.method,
+        kappa_omega=config.kappa_omega,
+        n_floquet=config.n_floquet,
+        nf_tol=config.nf_tol,
+        n_steps=config.n_steps,
+        tol_im=config.tol_im,
+    )
+
+
+def _report_failures(result):
+    for failure in result.failures:
+        print(f"  failed point {failure.point}: [{failure.code}] {failure.message}",
+              file=sys.stderr)
 
 
 def cmd_spectrum(args) -> int:
     config = _merge_layers(args)
-    nf = _resolve_n_floquet(config)
     spectrum = compute_spectrum(config.params, config.method,
-                                n_floquet=nf, n_steps=config.n_steps,
+                                n_floquet=config.n_floquet, n_steps=config.n_steps,
                                 nf_tol=config.nf_tol)
     point = classify_pt(spectrum, config.tol_im)
-    rows = _spectrum_to_rows(spectrum, config.params, point.phase.value)
-    _write_text(args.output, spectrum_rows_csv(rows))
-    if args.json:
-        _write_text(args.json, rows_json(rows, _SPECTRUM_FIELDS))
+    rows = spectrum_rows(spectrum, config.params, point.phase, 0, EDGE_FRACTION)
+    _write_rows(args, rows, _SPECTRUM_FIELDS)
     print(f"phase: {point.phase.value} (max|Im eps| = {point.max_im:.6g})")
     print(f"zero modes: {len(point.zero_modes)}")
     for zm in point.zero_modes:
@@ -294,38 +289,11 @@ def cmd_spectrum(args) -> int:
     return 0
 
 
-def _spectrum_to_rows(spectrum, params: ModelParams, phase: str) -> list[SpectrumRow]:
-    rows = []
-    for k in range(spectrum.n_modes):
-        eps = spectrum.quasi_energies[k]
-        rows.append(SpectrumRow(
-            grid_index=0, phi=params.phi_dim, omega=params.omega,
-            gamma=params.gamma, kappa=params.kappa, mode=k,
-            re_eps=float(eps.real), im_eps=float(eps.imag),
-            edge_weight=edge_weight(spectrum.mode_weights[k]),
-            phase=phase, method=spectrum.method.value,
-            n_floquet=spectrum.n_floquet,
-        ))
-    return rows
-
-
 def cmd_sweep_phi(args) -> int:
     config = _merge_layers(args)
-    grid = parse_grid(args.phi_grid)
-    spec = SweepSpec(
-        base=config.params,
-        axes=(("phi_dim", tuple(float(v) for v in grid)),),
-        method=config.method,
-        kappa_omega=config.kappa_omega,
-        n_floquet=config.n_floquet,
-        nf_tol=config.nf_tol,
-        n_steps=config.n_steps,
-        tol_im=config.tol_im,
-    )
+    spec = _sweep_spec(config, (("phi_dim", parse_grid(args.phi_grid)),))
     result = run_sweep(spec, threads=config.threads)
-    _write_text(args.output, spectrum_rows_csv(result.rows))
-    if args.json:
-        _write_text(args.json, rows_json(result.rows, _SPECTRUM_FIELDS))
+    _write_rows(args, result.rows, _SPECTRUM_FIELDS)
     if args.plot:
         _write_text(args.plot, _sweep_svg(result, config))
         print(f"wrote {args.plot}")
@@ -333,9 +301,7 @@ def cmd_sweep_phi(args) -> int:
         // max(config.params.n_sites, 1)
     print(f"wrote {args.output} ({len(result.rows)} rows, "
           f"{len(result.failures)} failed points, ~{n_broken} broken points)")
-    for failure in result.failures:
-        print(f"  failed point {failure.point}: [{failure.code}] {failure.message}",
-              file=sys.stderr)
+    _report_failures(result)
     return 0
 
 
@@ -363,26 +329,12 @@ def cmd_phase_diagram(args) -> int:
         raise ParameterError("omega grid values must be positive")
     if np.any(gamma_grid < 0):
         raise ParameterError("gamma grid values must be nonnegative")
-    spec = SweepSpec(
-        base=config.params,
-        axes=(("gamma", tuple(float(v) for v in gamma_grid)),
-              ("omega", tuple(float(v) for v in omega_grid))),
-        method=config.method,
-        kappa_omega=config.kappa_omega,
-        n_floquet=config.n_floquet,
-        nf_tol=config.nf_tol,
-        n_steps=config.n_steps,
-        tol_im=config.tol_im,
-    )
+    spec = _sweep_spec(config, (("gamma", gamma_grid), ("omega", omega_grid)))
     result = run_phase_diagram(spec, threads=config.threads)
-    _write_text(args.output, phase_rows_csv(result.rows))
-    if args.json:
-        _write_text(args.json, rows_json(result.rows, _PHASE_FIELDS))
+    _write_rows(args, result.rows, _PHASE_FIELDS)
     print(f"wrote {args.output} ({len(result.rows)} rows, "
           f"{len(result.failures)} failed points)")
-    for failure in result.failures:
-        print(f"  failed point {failure.point}: [{failure.code}] {failure.message}",
-              file=sys.stderr)
+    _report_failures(result)
     return 0
 
 
@@ -476,10 +428,7 @@ def cmd_validate(args) -> int:
                 diffs += 1
                 out_cells.append(cell)
                 continue
-            if isinstance(value, float):
-                out_cells.append(fmt(value))
-            else:
-                out_cells.append(str(value))
+            out_cells.append(_cell(value))
         rebuilt_line = ",".join(out_cells)
         if rebuilt_line != line:
             diffs += 1

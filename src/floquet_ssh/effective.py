@@ -107,13 +107,14 @@ class EffectiveComparison:
 
 
 def compare_floquet_effective(params: ModelParams, n_floquet: int) -> EffectiveComparison:
-    """Pair sorted quasi-energies against sorted effective eigenvalues.
+    """Pair quasi-energies with effective eigenvalues under the optimal matching.
 
-    Requires omega/2 to exceed the spectral radius of the effective chain
-    so that zone folding cannot alias the comparison; raises AliasingError
-    otherwise.
+    ``per_mode_deviation[k]`` belongs to quasi-energy k in the sorted
+    Floquet order.  Requires omega/2 to exceed the spectral radius of the
+    effective chain so that zone folding cannot alias the comparison;
+    raises AliasingError otherwise.
     """
-    from .floquet import quasi_energies_extended
+    from .floquet import _matched_deviations, quasi_energies_extended
 
     eff_spectrum = eig_dense(effective_hamiltonian(params))
     reach = float(np.abs(eff_spectrum.eigenvalues.real).max())
@@ -123,7 +124,8 @@ def compare_floquet_effective(params: ModelParams, n_floquet: int) -> EffectiveC
             f"spectral reach {reach:.4g}; folding would alias the comparison"
         )
     floquet_spectrum = quasi_energies_extended(params, n_floquet)
-    deviation = np.abs(floquet_spectrum.quasi_energies - eff_spectrum.eigenvalues)
+    deviation = _matched_deviations(floquet_spectrum.quasi_energies,
+                                    eff_spectrum.eigenvalues)
     return EffectiveComparison(
         t_eff=effective_tunneling(params),
         max_quasi_energy_deviation=float(deviation.max()),

@@ -9,6 +9,13 @@ into the one-period propagator U(Z_p) and takes eigenvalue logarithms.
 Both fold quasi-energy real parts into the first zone (-omega/2, omega/2]
 and select/weight the N physical modes; their agreement is the strongest
 correctness check in the package.
+
+``compute_spectrum`` dispatches between these routes and the undriven
+(static and Bessel-rescaled effective) chains.  Every route packages its
+result the same way: modes sorted by (Re, Im), site weights normalized
+to 1.  Spectra are compared by one distance, the largest pair distance
+under the optimal matching (``matched_distance``, exported also as
+``spectral_distance``).
 """
 
 from __future__ import annotations
@@ -19,6 +26,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .effective import effective_hamiltonian
 from .errors import ConvergenceCapError, DimensionCapError, ParameterError, SolverError
 from .linalg import Spectrum, eig_dense, expm, matrix_norm_1, principal_log_eigenvalues
 from .model import ModelParams, build_static_hamiltonian, drive_operator, hamiltonian_at
@@ -73,6 +81,57 @@ class FloquetSpectrum:
     @property
     def max_imag(self) -> float:
         return float(np.abs(self.quasi_energies.imag).max())
+
+
+def _package(eps: np.ndarray, probs: np.ndarray, method: Method,
+             params: ModelParams, omega: float = 0.0, n_floquet: int = 0,
+             flags: tuple[str, ...] = ()) -> FloquetSpectrum:
+    """Sort modes by (Re, Im) and normalize each row of ``probs`` (mode, site) to 1."""
+    totals = probs.sum(axis=1, keepdims=True)
+    if np.any(totals <= 0.0):
+        raise SolverError("selected mode has vanishing site weight")
+    order = np.lexsort((eps.imag, eps.real))
+    return FloquetSpectrum(
+        quasi_energies=eps[order],
+        mode_weights=(probs / totals)[order],
+        method=method,
+        n_floquet=n_floquet,
+        omega=omega,
+        params=params,
+        flags=flags,
+    )
+
+
+def _eig_spectrum(h: np.ndarray, method: Method, params: ModelParams) -> FloquetSpectrum:
+    """Spectrum of a time-independent Hamiltonian, packaged like a Floquet result."""
+    sp = eig_dense(h)
+    return _package(sp.eigenvalues, (np.abs(sp.eigenvectors) ** 2).T, method, params)
+
+
+def static_spectrum(params: ModelParams) -> FloquetSpectrum:
+    """Spectrum of the undriven chain, packaged like a Floquet result (no folding)."""
+    return _eig_spectrum(build_static_hamiltonian(params), Method.STATIC, params)
+
+
+def compute_spectrum(params: ModelParams, method: Method,
+                     n_floquet: int | None = None,
+                     n_steps: int | None = None,
+                     nf_tol: float = 1e-8) -> FloquetSpectrum:
+    """Dispatch a single spectrum computation by method.
+
+    On the extended route ``n_floquet`` None means converge_nf(params, nf_tol).
+    """
+    if method is Method.STATIC:
+        return static_spectrum(params)
+    if method is Method.STATIC_EFFECTIVE:
+        return _eig_spectrum(effective_hamiltonian(params), method, params)
+    if method is Method.PROPAGATOR:
+        return quasi_energies_propagator(params, n_steps)
+    if method is Method.EXTENDED:
+        if n_floquet is None:
+            n_floquet = converge_nf(params, nf_tol)
+        return quasi_energies_extended(params, n_floquet)
+    raise ParameterError(f"unknown method {method!r}")
 
 
 def fold_real(x, omega: float):
@@ -145,53 +204,41 @@ def _select_physical_modes(spectrum: Spectrum, params: ModelParams,
     probs = np.abs(spectrum.eigenvectors) ** 2
     site_weights_m0 = probs.reshape(n_blocks, n, dim)[n_floquet]  # (site, mode)
     w0 = site_weights_m0.sum(axis=0)
-    order = np.argsort(-w0, kind="stable")
     evals = spectrum.eigenvalues
+    vectors = spectrum.eigenvectors
     selected: list[int] = []
-    flags: list[str] = []
-    cursor = 0
-    for cursor, idx in enumerate(order):
-        if len(selected) == n:
-            break
-        is_replica = False
+
+    def is_replica(idx) -> bool:
         for s in selected:
             shift = int(round((evals[idx].real - evals[s].real) / params.omega))
-            if shift == 0:
-                continue
-            overlap = _block_shift_overlap(
-                spectrum.eigenvectors[:, idx], spectrum.eigenvectors[:, s],
-                shift, n, n_blocks)
-            if overlap > REPLICA_OVERLAP:
-                is_replica = True
-                break
-        if not is_replica:
+            if shift != 0 and _block_shift_overlap(
+                    vectors[:, idx], vectors[:, s], shift, n, n_blocks) > REPLICA_OVERLAP:
+                return True
+        return False
+
+    candidates = iter(np.argsort(-w0, kind="stable"))
+    for idx in candidates:
+        if not is_replica(idx):
             selected.append(int(idx))
-    else:
-        cursor = len(order)
+            if len(selected) == n:
+                break
     if len(selected) < n:
         raise SolverError(
             f"physical-mode selection found only {len(selected)} of {n} modes"
         )
     # Ambiguity diagnostic: a non-replica candidate nearly ties the weakest
     # selected mode.  Only candidates inside the weight gap can qualify.
+    flags: tuple[str, ...] = ()
     floor_w0 = w0[selected].min()
-    for idx in order[cursor:]:
+    for idx in candidates:
         if w0[idx] < floor_w0 - SELECTION_GAP:
             break
-        is_replica = any(
-            _block_shift_overlap(
-                spectrum.eigenvectors[:, idx], spectrum.eigenvectors[:, s],
-                int(round((evals[idx].real - evals[s].real) / params.omega)), n, n_blocks)
-            > REPLICA_OVERLAP
-            for s in selected
-            if int(round((evals[idx].real - evals[s].real) / params.omega)) != 0
-        )
-        if not is_replica:
-            flags.append("ambiguous_selection")
+        if not is_replica(idx):
+            flags = ("ambiguous_selection",)
             break
     sel = np.array(selected, dtype=int)
     site_marginals = site_weights_m0[:, sel].T  # (mode, site)
-    return sel, site_marginals, tuple(flags)
+    return sel, site_marginals, flags
 
 
 def quasi_energies_extended(params: ModelParams, n_floquet: int,
@@ -208,22 +255,10 @@ def quasi_energies_extended(params: ModelParams, n_floquet: int,
     hf = build_floquet_matrix(params, n_floquet, dim_cap=dim_cap)
     spectrum = eig_dense(hf)
     sel, marginals, flags = _select_physical_modes(spectrum, params, n_floquet)
-    totals = marginals.sum(axis=1, keepdims=True)
-    if np.any(totals <= 0.0):
-        raise SolverError("selected mode has vanishing m=0 weight")
-    weights = marginals / totals
     eps = fold_real(spectrum.eigenvalues[sel].real, params.omega) \
         + 1j * spectrum.eigenvalues[sel].imag
-    order = np.lexsort((eps.imag, eps.real))
-    return FloquetSpectrum(
-        quasi_energies=eps[order],
-        mode_weights=weights[order],
-        method=Method.EXTENDED,
-        n_floquet=n_floquet,
-        omega=params.omega,
-        params=params,
-        flags=flags,
-    )
+    return _package(eps, marginals, Method.EXTENDED, params, params.omega,
+                    n_floquet, flags)
 
 
 def default_n_steps(params: ModelParams, samples: int = 16) -> int:
@@ -289,17 +324,8 @@ def quasi_energies_propagator(params: ModelParams, n_steps: int | None = None,
         z_period = params.drive_period
         eps = 1j * logs / z_period
         eps = fold_real(eps.real, params.omega) + 1j * eps.imag
-        weights = (np.abs(spectrum.eigenvectors) ** 2).T
-        weights = weights / weights.sum(axis=1, keepdims=True)
-        order = np.lexsort((eps.imag, eps.real))
-        return FloquetSpectrum(
-            quasi_energies=eps[order],
-            mode_weights=weights[order],
-            method=Method.PROPAGATOR,
-            n_floquet=0,
-            omega=params.omega,
-            params=params,
-        )
+        return _package(eps, (np.abs(spectrum.eigenvectors) ** 2).T,
+                        Method.PROPAGATOR, params, params.omega)
 
     result = compute(n_steps)
     if converge_tol is None:
@@ -316,19 +342,6 @@ def quasi_energies_propagator(params: ModelParams, n_steps: int | None = None,
         result = refined
         if move < converge_tol:
             return result
-
-
-def spectral_distance(a: FloquetSpectrum, b: FloquetSpectrum) -> float:
-    """Max matched distance between two spectra under sorted (Re, Im) pairing.
-
-    This is the module-wide convention for comparing spectra across
-    methods.  It is cheap but can mispair modes whose real parts nearly
-    tie while their imaginary parts differ; use ``matched_distance`` when
-    that regime matters (it does inside the convergence searches).
-    """
-    if a.n_modes != b.n_modes:
-        raise ParameterError("spectra have different mode counts")
-    return float(np.abs(a.quasi_energies - b.quasi_energies).max())
 
 
 def _min_cost_assignment(cost: np.ndarray) -> np.ndarray:
@@ -377,18 +390,26 @@ def _min_cost_assignment(cost: np.ndarray) -> np.ndarray:
     return result
 
 
-def matched_distance(a: FloquetSpectrum, b: FloquetSpectrum) -> float:
-    """Max pair distance under the optimal (assignment) matching.
+def _matched_deviations(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """|a_k - b_j| for each k, with j from the assignment minimizing the total."""
+    cost = np.abs(a[:, None] - b[None, :])
+    return cost[np.arange(cost.shape[0]), _min_cost_assignment(cost)]
 
-    Robust replacement for sorted pairing when real parts nearly tie:
-    modes are matched by minimizing the total |eps_a - eps_b| cost, so
-    ordering noise between runs cannot fake a large spectral movement.
+
+def matched_distance(a: FloquetSpectrum, b: FloquetSpectrum) -> float:
+    """Max pair distance between two spectra under the optimal matching.
+
+    This is the package's one spectrum comparator, also exported as
+    ``spectral_distance``.  Modes are paired by minimizing the total
+    |eps_a - eps_b| cost, so modes whose real parts nearly tie, such as
+    the two members of a complex-conjugate pair, are never mispaired.
     """
     if a.n_modes != b.n_modes:
         raise ParameterError("spectra have different mode counts")
-    cost = np.abs(a.quasi_energies[:, None] - b.quasi_energies[None, :])
-    columns = _min_cost_assignment(cost)
-    return float(cost[np.arange(cost.shape[0]), columns].max())
+    return float(_matched_deviations(a.quasi_energies, b.quasi_energies).max())
+
+
+spectral_distance = matched_distance
 
 
 def converge_nf(params: ModelParams, tol: float,
@@ -399,7 +420,7 @@ def converge_nf(params: ModelParams, tol: float,
     selected quasi-energy multiset moves by less than ``tol`` under the
     optimal matching.  Raises ConvergenceCapError above ``nf_cap``.
     """
-    if tol <= 0:
+    if not tol > 0:
         raise ParameterError(f"tol must be positive, got {tol}")
     cache: dict[int, FloquetSpectrum] = {}
 

@@ -60,10 +60,6 @@ class Spectrum:
     eigenvectors: np.ndarray
     max_residual: float
 
-    @property
-    def dim(self) -> int:
-        return self.eigenvalues.shape[0]
-
 
 def _check_square(m: np.ndarray, allow_stack: bool = False) -> np.ndarray:
     m = np.asarray(m, dtype=np.complex128)

@@ -20,17 +20,15 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .analysis import EDGE_FRACTION, TOL_IM, classify_pt, edge_weight, static_spectrum
-from .effective import effective_hamiltonian
+from .analysis import EDGE_FRACTION, TOL_IM, Phase, PhasePoint, classify_pt, edge_weight
 from .errors import ParameterError, SolverError
-from .floquet import (
+from .floquet import (  # static_spectrum is re-exported
     FloquetSpectrum,
     Method,
+    compute_spectrum,
     converge_nf,
-    quasi_energies_extended,
-    quasi_energies_propagator,
+    static_spectrum,
 )
-from .linalg import eig_dense
 from .model import ModelParams
 
 _AXIS_FIELDS = {f.name for f in dataclasses.fields(ModelParams)} - {"n0_rule"}
@@ -64,8 +62,8 @@ class SweepSpec:
     must be ModelParams fields.  With ``kappa_omega`` set, kappa is
     re-derived as kappa_omega/omega at every grid point (drive specified
     by amplitude).  ``n_floquet`` None means auto: converge_nf once at
-    the smallest-omega grid corner, reused for the whole sweep unless
-    ``per_point_nf`` forces per-point convergence.
+    the smallest-omega grid corner, reused for the whole sweep.  The
+    tolerances ``nf_tol`` and ``tol_im`` must be positive.
     """
 
     base: ModelParams
@@ -74,7 +72,6 @@ class SweepSpec:
     kappa_omega: float | None = None
     n_floquet: int | None = None
     nf_tol: float = 1e-8
-    per_point_nf: bool = False
     n_steps: int | None = None
     tol_im: float = TOL_IM
     zero_tol: float | None = None
@@ -90,6 +87,9 @@ class SweepSpec:
                 raise ParameterError(f"axis {name!r} has an empty grid")
             if not np.all(np.isfinite(grid)):
                 raise ParameterError(f"axis {name!r} has non-finite grid values")
+        for name in ("nf_tol", "tol_im"):
+            if not getattr(self, name) > 0:
+                raise ParameterError(f"{name} must be positive, got {getattr(self, name)}")
 
     @property
     def grid_shape(self) -> tuple[int, ...]:
@@ -164,29 +164,6 @@ class SweepResult:
     wall_time: float
 
 
-def compute_spectrum(params: ModelParams, method: Method,
-                     n_floquet: int | None = None,
-                     n_steps: int | None = None,
-                     nf_tol: float = 1e-8) -> FloquetSpectrum:
-    """Dispatch a single spectrum computation by method."""
-    if method is Method.STATIC:
-        return static_spectrum(params)
-    if method is Method.STATIC_EFFECTIVE:
-        sp = eig_dense(effective_hamiltonian(params))
-        weights = (np.abs(sp.eigenvectors) ** 2).T
-        weights = weights / weights.sum(axis=1, keepdims=True)
-        return FloquetSpectrum(
-            quasi_energies=sp.eigenvalues, mode_weights=weights,
-            method=Method.STATIC_EFFECTIVE, n_floquet=0, omega=0.0, params=params)
-    if method is Method.PROPAGATOR:
-        return quasi_energies_propagator(params, n_steps)
-    if method is Method.EXTENDED:
-        if n_floquet is None:
-            n_floquet = converge_nf(params, nf_tol)
-        return quasi_energies_extended(params, n_floquet)
-    raise ParameterError(f"unknown method {method!r}")
-
-
 def _auto_n_floquet(spec: SweepSpec) -> int:
     """converge_nf at the smallest-omega grid corner (worst case)."""
     omega_axes = [grid for name, grid in spec.axes if name == "omega"]
@@ -197,38 +174,50 @@ def _auto_n_floquet(spec: SweepSpec) -> int:
     return converge_nf(params, spec.nf_tol)
 
 
-def _solve_point(spec: SweepSpec, index: int, point: dict[str, float],
-                 nf_shared: int) -> list[SpectrumRow]:
-    params = spec.params_at(point)
-    nf = None if spec.per_point_nf else nf_shared
-    spectrum = compute_spectrum(params, spec.method, n_floquet=nf,
-                                n_steps=spec.n_steps, nf_tol=spec.nf_tol)
-    point_phase = classify_pt(spectrum, spec.tol_im, spec.zero_tol,
-                              spec.edge_fraction)
-    rows = []
-    for k in range(spectrum.n_modes):
-        eps = spectrum.quasi_energies[k]
-        rows.append(SpectrumRow(
-            grid_index=index,
-            phi=params.phi_dim,
-            omega=params.omega,
-            gamma=params.gamma,
-            kappa=params.kappa,
-            mode=k,
-            re_eps=float(eps.real),
-            im_eps=float(eps.imag),
-            edge_weight=edge_weight(spectrum.mode_weights[k], spec.edge_fraction),
-            phase=point_phase.phase.value,
-            method=spectrum.method.value,
-            n_floquet=spectrum.n_floquet,
-        ))
-    return rows
+def spectrum_rows(spectrum: FloquetSpectrum, params: ModelParams, phase: Phase,
+                  index: int, edge_fraction: float) -> list[SpectrumRow]:
+    """One long-format row per mode of ``spectrum``, computed at ``params``."""
+    return [SpectrumRow(
+        grid_index=index,
+        phi=params.phi_dim,
+        omega=params.omega,
+        gamma=params.gamma,
+        kappa=params.kappa,
+        mode=k,
+        re_eps=float(eps.real),
+        im_eps=float(eps.imag),
+        edge_weight=edge_weight(spectrum.mode_weights[k], edge_fraction),
+        phase=phase.value,
+        method=spectrum.method.value,
+        n_floquet=spectrum.n_floquet,
+    ) for k, eps in enumerate(spectrum.quasi_energies)]
 
 
-def _run_grid(spec: SweepSpec, solver, threads: int | None):
+def _phase_rows(spectrum: FloquetSpectrum, params: ModelParams, point: PhasePoint,
+                index: int) -> list[PhaseRow]:
+    return [PhaseRow(
+        grid_index=index,
+        phi=params.phi_dim,
+        omega=params.omega,
+        gamma=params.gamma,
+        kappa=params.kappa,
+        max_im=point.max_im,
+        zero_mode_count=len(point.zero_modes),
+        phase=point.phase.value,
+        method=spectrum.method.value,
+        n_floquet=spectrum.n_floquet,
+    )]
+
+
+def _run_grid(spec: SweepSpec, rows_of, threads: int | None):
+    """Solve and classify every grid point, then build its rows in grid order.
+
+    ``rows_of(spectrum, params, point, index)`` turns one classified grid
+    point into its output rows.
+    """
     points = spec.grid_points()
     nf_shared = 0
-    if spec.method is Method.EXTENDED and not spec.per_point_nf:
+    if spec.method is Method.EXTENDED:
         nf_shared = spec.n_floquet if spec.n_floquet is not None else _auto_n_floquet(spec)
     start = time.perf_counter()
     outcomes: list = [None] * len(points)
@@ -236,7 +225,12 @@ def _run_grid(spec: SweepSpec, solver, threads: int | None):
     def task(item):
         index, point = item
         try:
-            return index, solver(spec, index, point, nf_shared), None
+            params = spec.params_at(point)
+            spectrum = compute_spectrum(params, spec.method, n_floquet=nf_shared,
+                                        n_steps=spec.n_steps, nf_tol=spec.nf_tol)
+            phase_point = classify_pt(spectrum, spec.tol_im, spec.zero_tol,
+                                      spec.edge_fraction)
+            return index, rows_of(spectrum, params, phase_point, index), None
         except (SolverError, ParameterError) as exc:
             return index, None, Failure(index, point, type(exc).__name__, str(exc))
 
@@ -271,29 +265,8 @@ def _run_grid(spec: SweepSpec, solver, threads: int | None):
 
 def run_sweep(spec: SweepSpec, threads: int | None = None) -> SweepResult:
     """Spectrum rows (one per mode per grid point), ordered by grid index."""
-    return _run_grid(spec, _solve_point, threads)
-
-
-def _solve_phase_point(spec: SweepSpec, index: int, point: dict[str, float],
-                       nf_shared: int) -> list[PhaseRow]:
-    params = spec.params_at(point)
-    nf = None if spec.per_point_nf else nf_shared
-    spectrum = compute_spectrum(params, spec.method, n_floquet=nf,
-                                n_steps=spec.n_steps, nf_tol=spec.nf_tol)
-    point_phase = classify_pt(spectrum, spec.tol_im, spec.zero_tol,
-                              spec.edge_fraction)
-    return [PhaseRow(
-        grid_index=index,
-        phi=params.phi_dim,
-        omega=params.omega,
-        gamma=params.gamma,
-        kappa=params.kappa,
-        max_im=point_phase.max_im,
-        zero_mode_count=len(point_phase.zero_modes),
-        phase=point_phase.phase.value,
-        method=spectrum.method.value,
-        n_floquet=spectrum.n_floquet,
-    )]
+    return _run_grid(spec, lambda spectrum, params, point, index: spectrum_rows(
+        spectrum, params, point.phase, index, spec.edge_fraction), threads)
 
 
 def run_phase_diagram(spec: SweepSpec, threads: int | None = None) -> SweepResult:
@@ -303,4 +276,4 @@ def run_phase_diagram(spec: SweepSpec, threads: int | None = None) -> SweepResul
         raise ParameterError(
             f"phase diagram requires exactly the axes gamma and omega, got {sorted(names)}"
         )
-    return _run_grid(spec, _solve_phase_point, threads)
+    return _run_grid(spec, _phase_rows, threads)

@@ -144,15 +144,35 @@ class TestSweepPhiCommand:
         assert svg_text.startswith("<svg")
         assert "polyline" in svg_text
 
-    def test_single_point_grid_matches_spectrum(self, tmp_path):
+    @pytest.mark.parametrize("method", ["static", "extended", "propagator"])
+    def test_single_point_grid_matches_spectrum(self, tmp_path, method):
         sweep_out = tmp_path / "sweep.csv"
         spec_out = tmp_path / "spec.csv"
         args = ["--n-sites", "6", "--lambda", "0.4", "--gamma", "0.1",
-                "--impurity-site", "2"]
+                "--impurity-site", "2", "--kappa", "0.3", "--omega", "2pi",
+                "--method", method]
         assert main(["sweep-phi", *args, "--phi", "0.7", "--phi-grid", "0.7",
                      "-o", str(sweep_out)]) == 0
         assert main(["spectrum", *args, "--phi", "0.7", "-o", str(spec_out)]) == 0
         assert sweep_out.read_text() == spec_out.read_text()
+
+
+class TestToleranceFlags:
+    @pytest.mark.parametrize("flag", ["--nf-tol", "--tol-im"])
+    @pytest.mark.parametrize("value", ["nan", "0", "-1e-8"])
+    @pytest.mark.parametrize("command", [
+        ["spectrum", "--gamma", "0.1", "--omega", "2pi"],
+        ["sweep-phi", "--gamma", "0.1", "--omega", "2pi", "--phi-grid", "0:pi:2"],
+        ["phase-diagram", "--gamma", "0:0.1:2", "--omega", "2pi:4pi:2"],
+    ])
+    def test_nan_or_nonpositive_tolerance_exit_2(self, tmp_path, capsys,
+                                                 command, flag, value):
+        out = tmp_path / "out.csv"
+        assert main([*command, "--n-sites", "6", "--lambda", "0.4",
+                     "--impurity-site", "2", "--kappa", "0.3",
+                     f"{flag}={value}", "-o", str(out)]) == 2
+        assert "configuration error" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestPhaseDiagramCommand:

@@ -24,8 +24,13 @@ from floquet_ssh import (
     spectral_distance,
     static_spectrum,
 )
-from floquet_ssh.floquet import _min_cost_assignment, drive_fourier_coefficients
-from floquet_ssh.linalg import expm
+from floquet_ssh.floquet import (
+    SELECTION_GAP,
+    _min_cost_assignment,
+    _select_physical_modes,
+    drive_fourier_coefficients,
+)
+from floquet_ssh.linalg import Spectrum, expm
 
 
 def fourier_component_quadrature(params, harmonic, nodes=20000):
@@ -157,6 +162,45 @@ class TestQuasiEnergiesExtended:
         assert spectral_distance(fs_even, fs_centered) < 1e-8
 
 
+class TestSelectPhysicalModes:
+    """Hand-built N=2, N_F=1 spectra (blocks m = -1, 0, 1; omega = 2)."""
+
+    @staticmethod
+    def _select(w0_genuine, w0_extra):
+        r = math.sqrt
+        modes = [
+            (0.1, {(-1, 0): r(0.4), (0, 0): r(0.6)}),    # 0: genuine, m=0 weight 0.6
+            (2.1, {(0, 0): r(0.4), (1, 0): r(0.6)}),     # 1: mode 0 one block up
+            (-0.5, {(0, 1): r(w0_genuine), (1, 1): r(1 - w0_genuine)}),  # 2: genuine
+            (0.9, {(0, 1): r(w0_extra), (-1, 1): r(1 - w0_extra)}),      # 3: no replica
+            (-1.5, {(-1, 0): 1.0}),
+            (1.5, {(-1, 1): 1.0}),
+        ]
+        vectors = np.zeros((6, len(modes)), dtype=complex)
+        for k, (_, amplitudes) in enumerate(modes):
+            for (m, site), amplitude in amplitudes.items():
+                vectors[(m + 1) * 2 + site, k] = amplitude
+        evals = np.array([e for e, _ in modes], dtype=complex)
+        return _select_physical_modes(Spectrum(evals, vectors, 0.0),
+                                      ModelParams(n_sites=2, omega=2.0), 1)
+
+    def test_replica_outranking_a_genuine_mode_is_skipped(self):
+        sel, marginals, flags = self._select(0.3, 0.0)
+        assert list(sel) == [0, 2]
+        assert_allclose(marginals, [[0.6, 0.0], [0.0, 0.3]], atol=1e-15)
+        assert flags == ()
+
+    def test_near_tie_flags_only_a_non_replica(self):
+        # mode 1 (a replica) ties the weakest selected weight: no flag
+        sel, _, flags = self._select(0.4 + SELECTION_GAP / 10, 0.0)
+        assert list(sel) == [0, 2]
+        assert flags == ()
+        # mode 3 (not a replica) ties it: flagged
+        sel, _, flags = self._select(0.3, 0.3 - SELECTION_GAP / 10)
+        assert list(sel) == [0, 2]
+        assert flags == ("ambiguous_selection",)
+
+
 class TestQuasiEnergiesPropagator:
     def test_undriven_equals_folded_static(self):
         p = ModelParams(n_sites=6, lam=0.4, phi_dim=0.7, gamma=0.1,
@@ -255,7 +299,7 @@ class TestMatchedDistance:
         from floquet_ssh import FloquetSpectrum
         fa = FloquetSpectrum(a[order_a], weights, Method.PROPAGATOR, 0, 2.0, base)
         fb = FloquetSpectrum(b[order_b], weights, Method.PROPAGATOR, 0, 2.0, base)
-        assert spectral_distance(fa, fb) > 0.1   # lexicographic mispairing
+        assert spectral_distance(fa, fb) < 1e-11
         assert matched_distance(fa, fb) < 1e-11
 
 
@@ -277,6 +321,12 @@ class TestConvergeNf:
         nf_low = converge_nf(ModelParams(**base, kappa=0.05 / low, omega=low), 1e-8)
         nf_high = converge_nf(ModelParams(**base, kappa=0.05 / high, omega=high), 1e-8)
         assert nf_low > nf_high
+
+    @pytest.mark.parametrize("tol", [math.nan, 0.0, -1e-8])
+    def test_rejects_nan_and_nonpositive_tol(self, tol):
+        p = ModelParams(n_sites=4, lam=0.4, kappa=0.1, omega=3.0)
+        with pytest.raises(ParameterError):
+            converge_nf(p, tol)
 
     def test_cap(self):
         p = ModelParams(n_sites=8, lam=0.4, kappa=3.0, omega=0.05)

@@ -33,6 +33,12 @@ class TestSweepSpec:
         with pytest.raises(ParameterError):
             SweepSpec(base=_base(), axes=())
 
+    @pytest.mark.parametrize("field", ["nf_tol", "tol_im"])
+    @pytest.mark.parametrize("value", [math.nan, 0.0, -1e-8])
+    def test_tolerance_validation(self, field, value):
+        with pytest.raises(ParameterError):
+            SweepSpec(base=_base(), axes=(("gamma", (0.1,)),), **{field: value})
+
     def test_grid_points_row_major(self):
         spec = SweepSpec(base=_base(),
                          axes=(("gamma", (0.0, 0.1)), ("omega", (1.0, 2.0, 3.0))))
@@ -106,15 +112,6 @@ class TestRunSweep:
         result = run_sweep(spec)
         assert result.n_floquet_used >= 2
         assert all(r.n_floquet == result.n_floquet_used for r in result.rows)
-
-    def test_per_point_nf_reconverges(self):
-        omega = 8 * math.pi
-        base = _base(kappa=0.05 / omega, omega=omega)
-        spec = SweepSpec(base=base, axes=(("phi_dim", (0.0, 0.3)),),
-                         method=Method.EXTENDED, per_point_nf=True)
-        result = run_sweep(spec)
-        assert result.n_floquet_used == 0  # no shared value
-        assert all(r.n_floquet >= 2 for r in result.rows)
 
 
 class TestRunPhaseDiagram:
