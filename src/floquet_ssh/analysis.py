@@ -82,6 +82,8 @@ def find_zero_modes(spectrum: FloquetSpectrum, zero_tol: float | None = None,
     if zero_tol is None:
         scale = abs(spectrum.params.tunneling) if spectrum.params is not None else 1.0
         zero_tol = ZERO_TOL_FACTOR * scale
+    elif not zero_tol > 0:
+        raise ParameterError(f"zero_tol must be positive, got {zero_tol}")
     found = []
     for k in range(spectrum.n_modes):
         eps = spectrum.quasi_energies[k]
@@ -129,9 +131,9 @@ def gamma_pt_threshold(params: ModelParams, gamma_max: float,
     ``monotone`` (the bisection then brackets the first transition).
     The caller picks the spectrum route through ``method``.
     """
-    if gamma_max <= 0:
+    if not gamma_max > 0:
         raise ParameterError(f"gamma_max must be positive, got {gamma_max}")
-    if tol_gamma <= 0:
+    if not tol_gamma > 0:
         raise ParameterError(f"tol_gamma must be positive, got {tol_gamma}")
     if method is Method.EXTENDED and n_floquet is None:
         n_floquet = converge_nf(replace(params, gamma=gamma_max), tol=1e-8)

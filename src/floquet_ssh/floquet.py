@@ -4,10 +4,11 @@ Route one builds the truncated extended-zone (Fourier-block) matrix:
 blocks indexed by harmonics m, m' in [-N_F, N_F], diagonal blocks
 H_static + m*omega*I, first off-diagonal blocks the Fourier components
 of the drive f(z) = kappa*omega*sin(omega*z + phase0) times the gradient
-operator D.  Route two multiplies midpoint-sampled exponential steps
-into the one-period propagator U(Z_p) and takes eigenvalue logarithms.
-Both fold quasi-energy real parts into the first zone (-omega/2, omega/2]
-and select/weight the N physical modes; their agreement is the strongest
+operator D.  Route two builds the one-period propagator U(Z_p) in the
+lab frame by a Strang split step (one static exponential per period and
+exact diagonal drive phases) and takes eigenvalue logarithms.  Both
+fold quasi-energy real parts into the first zone (-omega/2, omega/2] and
+select/weight the N physical modes; their agreement is the strongest
 correctness check in the package.
 
 ``compute_spectrum`` dispatches between these routes and the undriven
@@ -269,36 +270,32 @@ def default_n_steps(params: ModelParams, samples: int = 16) -> int:
     return max(1024, int(math.ceil(64.0 * norm * z_period)))
 
 
-def one_period_propagator(params: ModelParams, n_steps: int,
-                          chunk: int = 2048) -> np.ndarray:
-    """U(Z_p) = product of expm(-i H(z_k) dz) over midpoint samples z_k."""
-    n = params.n_sites
+def one_period_propagator(params: ModelParams, n_steps: int) -> np.ndarray:
+    """U(Z_p) by a Strang split step with one static exponential per period.
+
+    The drive f(z)*D is diagonal, so each step splits exactly into
+    E = expm(-i*dz*H_static), computed once, and diagonal phases
+    P_k = exp(-i*(F(s_{k+1}) - F(s_k))*D), where
+    F(z) = kappa*(cos(phase0) - cos(omega*z + phase0)) is the closed-form
+    integral of f and s runs over 0, the n_steps midpoints and Z_p.  Then
+    U = P_n E ... E P_0, second order in dz.  Each P_k is applied as a
+    row scaling, so memory beyond O(n_steps) scalars is independent of
+    n_steps.  The propagator stays in the lab frame.
+    """
+    if n_steps < 1:
+        raise ParameterError(f"n_steps must be >= 1, got {n_steps}")
     z_period = params.drive_period
     dz = z_period / n_steps
-    h_static = build_static_hamiltonian(params)
+    step = expm(-1j * dz * build_static_hamiltonian(params))
     d_diag = np.diag(drive_operator(params))
-    u = np.eye(n, dtype=np.complex128)
-    amplitude = params.kappa * params.omega
-    for start in range(0, n_steps, chunk):
-        stop = min(start + chunk, n_steps)
-        z = (np.arange(start, stop) + 0.5) * dz
-        f = amplitude * np.sin(params.omega * z + params.phase0)
-        generators = np.broadcast_to(h_static, (stop - start, n, n)).copy()
-        generators[:, np.arange(n), np.arange(n)] += f[:, None] * d_diag
-        steps = expm(-1j * dz * generators)
-        u = _ordered_product(steps) @ u
+    s = np.concatenate(([0.0], (np.arange(n_steps) + 0.5) * dz, [z_period]))
+    drive_integral = params.kappa * (math.cos(params.phase0)
+                                     - np.cos(params.omega * s + params.phase0))
+    increments = np.diff(drive_integral)
+    u = np.diag(np.exp(-1j * increments[0] * d_diag))
+    for delta in increments[1:]:
+        u = np.exp(-1j * delta * d_diag)[:, None] * (step @ u)
     return u
-
-
-def _ordered_product(steps: np.ndarray) -> np.ndarray:
-    """Time-ordered product steps[-1] @ ... @ steps[0] by pairwise reduction."""
-    while steps.shape[0] > 1:
-        k = steps.shape[0]
-        paired = steps[1:k - k % 2:2] @ steps[0:k - k % 2:2]
-        if k % 2:
-            paired = np.concatenate([paired, steps[-1:]], axis=0)
-        steps = paired
-    return steps[0]
 
 
 def quasi_energies_propagator(params: ModelParams, n_steps: int | None = None,

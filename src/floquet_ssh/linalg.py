@@ -4,11 +4,11 @@
 the rest of the package relies on: a deterministic eigenvalue ordering
 (ascending real part, ties by ascending imaginary part), unit-norm right
 eigenvectors, and an enforced residual bound.  ``expm`` is a
-scaling-and-squaring Pade exponential that accepts stacked matrices
-(shape (..., n, n)), which is what makes the step-product propagator in
-:mod:`floquet_ssh.floquet` cheap.  ``logm_eig`` extracts principal
-eigenvalue logarithms with a fixed branch, Im(log) in (-pi, pi] and -pi
-mapped to +pi, so propagator quasi-energies are deterministic.
+single-matrix scaling-and-squaring Pade exponential; the split-step
+propagator in :mod:`floquet_ssh.floquet` calls it once per period.
+``logm_eig`` extracts principal eigenvalue logarithms with a fixed
+branch, Im(log) in (-pi, pi] and -pi mapped to +pi, so propagator
+quasi-energies are deterministic.
 """
 
 from __future__ import annotations
@@ -61,12 +61,10 @@ class Spectrum:
     max_residual: float
 
 
-def _check_square(m: np.ndarray, allow_stack: bool = False) -> np.ndarray:
+def _check_square(m: np.ndarray) -> np.ndarray:
     m = np.asarray(m, dtype=np.complex128)
-    if m.ndim < 2 or m.shape[-1] != m.shape[-2]:
-        raise ValueError(f"expected a square matrix, got shape {m.shape}")
-    if not allow_stack and m.ndim != 2:
-        raise ValueError(f"expected a single 2-D matrix, got shape {m.shape}")
+    if m.ndim != 2 or m.shape[0] != m.shape[1]:
+        raise ValueError(f"expected a single square 2-D matrix, got shape {m.shape}")
     if not np.all(np.isfinite(m)):
         raise ValueError("matrix contains NaN or Inf entries")
     return m
@@ -107,7 +105,7 @@ def eig_dense(m: np.ndarray) -> Spectrum:
 
 def _pade_uv(a: np.ndarray, degree: int) -> tuple[np.ndarray, np.ndarray]:
     b = _PADE_COEFFS[degree]
-    eye = np.broadcast_to(np.eye(a.shape[-1], dtype=a.dtype), a.shape)
+    eye = np.eye(a.shape[0], dtype=a.dtype)
     a2 = a @ a
     if degree == 13:
         a4 = a2 @ a2
@@ -126,16 +124,14 @@ def _pade_uv(a: np.ndarray, degree: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def expm(m: np.ndarray) -> np.ndarray:
-    """Matrix exponential by scaling-and-squaring with Pade kernels.
+    """Matrix exponential of one square matrix by scaling-and-squaring with Pade kernels.
 
-    Accepts stacked input of shape (..., n, n) and exponentiates each
-    matrix.  The scaling/degree choice follows the usual double-precision
-    norm thresholds, applied to the largest 1-norm in the stack.  Raises
+    The scaling/degree choice follows the usual double-precision 1-norm
+    thresholds.  Raises ValueError for non-square or stacked input, and
     SolverError on overflow (non-finite result) or an absurd norm.
     """
-    a = _check_square(m, allow_stack=True)
-    norms = np.atleast_1d(matrix_norm_1(a))
-    mu = float(norms.max())
+    a = _check_square(m)
+    mu = float(matrix_norm_1(a))
     squarings = 0
     if mu <= _PADE_THETA[3]:
         degree = 3

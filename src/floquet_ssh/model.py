@@ -20,7 +20,6 @@ operator).
 from __future__ import annotations
 
 import enum
-import json
 import math
 from dataclasses import dataclass
 
@@ -37,7 +36,7 @@ class N0Rule(enum.Enum):
     CENTERED = "centered"  # n0 = (N+1)/2 exactly (chain midpoint, any N)
 
 
-# JSON/config keys, in serialization order.
+# Keys accepted by ModelParams.from_dict.
 _PARAM_KEYS = (
     "n_sites", "tunneling", "lambda", "phi_dim", "gamma",
     "impurity_site", "kappa", "omega", "phase0", "n0_rule",
@@ -48,8 +47,8 @@ _PARAM_KEYS = (
 class ModelParams:
     """Full parameter set of the driven chain.
 
-    ``lam`` is the dimerization strength (serialized under the key
-    ``lambda``), ``phi_dim`` the modulation phase Phi, ``phase0`` the
+    ``lam`` is the dimerization strength (key ``lambda`` in
+    ``from_dict``), ``phi_dim`` the modulation phase Phi, ``phase0`` the
     initial drive phase.  ``kappa`` is the dimensionless drive strength;
     the physical drive amplitude is ``kappa * omega``.  ``n0_rule``
     defaults to the parity-matched integer rule.
@@ -109,20 +108,6 @@ class ModelParams:
         """Z_p = 2*pi/omega."""
         return 2.0 * math.pi / self.omega
 
-    def to_dict(self) -> dict:
-        return {
-            "n_sites": self.n_sites,
-            "tunneling": self.tunneling,
-            "lambda": self.lam,
-            "phi_dim": self.phi_dim,
-            "gamma": self.gamma,
-            "impurity_site": self.impurity_site,
-            "kappa": self.kappa,
-            "omega": self.omega,
-            "phase0": self.phase0,
-            "n0_rule": self.n0_rule.value,
-        }
-
     @classmethod
     def from_dict(cls, data: dict) -> "ModelParams":
         unknown = set(data) - set(_PARAM_KEYS)
@@ -142,19 +127,6 @@ class ModelParams:
         if "impurity_site" in data:
             kwargs["impurity_site"] = int(data["impurity_site"])
         return cls(**kwargs)
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2, sort_keys=False)
-
-    @classmethod
-    def from_json(cls, text: str) -> "ModelParams":
-        try:
-            data = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise ParameterError(f"invalid JSON: {exc}") from exc
-        if not isinstance(data, dict):
-            raise ParameterError("parameter JSON must be an object")
-        return cls.from_dict(data)
 
 
 def hopping_amplitudes(params: ModelParams) -> np.ndarray:
@@ -208,8 +180,3 @@ def hamiltonian_at(z: float, params: ModelParams) -> np.ndarray:
     if f != 0.0:
         h[np.diag_indices_from(h)] += f * np.diag(drive_operator(params))
     return h
-
-
-def reversal_permutation(n: int) -> np.ndarray:
-    """Site-reversal permutation matrix P: site n <-> N+1-n."""
-    return np.eye(n)[::-1].copy()

@@ -63,7 +63,8 @@ class SweepSpec:
     re-derived as kappa_omega/omega at every grid point (drive specified
     by amplitude).  ``n_floquet`` None means auto: converge_nf once at
     the smallest-omega grid corner, reused for the whole sweep.  The
-    tolerances ``nf_tol`` and ``tol_im`` must be positive.
+    tolerances ``nf_tol`` and ``tol_im``, and ``zero_tol`` when set, must
+    be positive.
     """
 
     base: ModelParams
@@ -90,6 +91,8 @@ class SweepSpec:
         for name in ("nf_tol", "tol_im"):
             if not getattr(self, name) > 0:
                 raise ParameterError(f"{name} must be positive, got {getattr(self, name)}")
+        if self.zero_tol is not None and not self.zero_tol > 0:
+            raise ParameterError(f"zero_tol must be positive, got {self.zero_tol}")
 
     @property
     def grid_shape(self) -> tuple[int, ...]:

@@ -59,6 +59,14 @@ class TestClassifyPt:
         with pytest.raises(ParameterError):
             classify_pt(spectrum, tol_im=tol_im)
 
+    @pytest.mark.parametrize("zero_tol", [math.nan, 0.0, -1e-3])
+    def test_rejects_nan_and_nonpositive_zero_tol(self, zero_tol):
+        spectrum = static_spectrum(ModelParams(n_sites=8, lam=0.4))
+        with pytest.raises(ParameterError):
+            classify_pt(spectrum, zero_tol=zero_tol)
+        with pytest.raises(ParameterError):
+            find_zero_modes(spectrum, zero_tol=zero_tol)
+
 
 class TestFindZeroModes:
     def test_topological_window_hosts_two_edge_modes(self):
@@ -153,6 +161,10 @@ class TestGammaPtThreshold:
             gamma_pt_threshold(p, gamma_max=0.0)
         with pytest.raises(ParameterError):
             gamma_pt_threshold(p, gamma_max=0.5, tol_gamma=0.0)
+        with pytest.raises(ParameterError):
+            gamma_pt_threshold(p, gamma_max=math.nan)
+        with pytest.raises(ParameterError):
+            gamma_pt_threshold(p, gamma_max=0.5, tol_gamma=math.nan)
 
 
 class TestCheckPtSymmetry:

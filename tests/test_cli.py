@@ -174,6 +174,14 @@ class TestToleranceFlags:
         assert "configuration error" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("value", ["nan", "0", "-1e-4"])
+    def test_nan_or_nonpositive_tol_gamma_exit_2(self, capsys, value):
+        assert main(["pt-threshold", "--preset", "fig1-static", "--phi", "0.3",
+                     f"--tol-gamma={value}"]) == 2
+        captured = capsys.readouterr()
+        assert "configuration error" in captured.err
+        assert "gamma_pt" not in captured.out
+
 
 class TestPhaseDiagramCommand:
     def test_grid_row_count(self, tmp_path):

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 from numpy.testing import assert_allclose
 
 from floquet_ssh import (
@@ -30,7 +31,7 @@ from floquet_ssh.floquet import (
     _select_physical_modes,
     drive_fourier_coefficients,
 )
-from floquet_ssh.linalg import Spectrum, expm
+from floquet_ssh.linalg import Spectrum
 
 
 def fourier_component_quadrature(params, harmonic, nodes=20000):
@@ -261,17 +262,30 @@ class TestQuasiEnergiesPropagator:
         p = ModelParams(n_sites=4, kappa=0.1, omega=2.0)
         with pytest.raises(ParameterError):
             quasi_energies_propagator(p, 50)
+        for n_steps in (0, -5):
+            with pytest.raises(ParameterError):
+                one_period_propagator(p, n_steps)
 
-    def test_ordered_product_matches_sequential(self):
-        rng = np.random.default_rng(2)
-        stack = 0.05 * (rng.standard_normal((7, 4, 4))
-                        + 1j * rng.standard_normal((7, 4, 4)))
-        steps = expm(stack)
-        sequential = np.eye(4, dtype=complex)
-        for k in range(7):
-            sequential = steps[k] @ sequential
-        from floquet_ssh.floquet import _ordered_product
-        assert np.abs(_ordered_product(steps) - sequential).max() < 1e-13
+    def test_split_step_is_second_order_against_midpoint_product(self):
+        # oracle: time-ordered product of scipy.linalg.expm steps sampled at
+        # the step midpoints, fine enough that its own error is negligible
+        p = ModelParams(n_sites=6, tunneling=1.0, lam=0.3, phi_dim=2.0,
+                        gamma=0.15, impurity_site=2, kappa=0.5, omega=1.5,
+                        phase0=0.7)
+        ref_steps = 1 << 14
+        dz = p.drive_period / ref_steps
+        z = (np.arange(ref_steps) + 0.5) * dz
+        generators = np.repeat(build_static_hamiltonian(p)[None], ref_steps, axis=0)
+        generators[:, np.arange(6), np.arange(6)] += (
+            p.kappa * p.omega * np.sin(p.omega * z + p.phase0))[:, None] \
+            * np.diag(drive_operator(p))
+        reference = np.eye(6, dtype=complex)
+        for step in scipy.linalg.expm(-1j * dz * generators):
+            reference = step @ reference
+        errors = [np.abs(one_period_propagator(p, n) - reference).max()
+                  for n in (64, 128, 256)]
+        for coarse, fine in zip(errors, errors[1:]):
+            assert 3.0 <= coarse / fine <= 5.0
 
 
 class TestMatchedDistance:

@@ -1,4 +1,3 @@
-import json
 import math
 
 import numpy as np
@@ -14,7 +13,7 @@ from floquet_ssh import (
     drive_value,
     hamiltonian_at,
 )
-from floquet_ssh.model import hopping_amplitudes, reversal_permutation
+from floquet_ssh.model import hopping_amplitudes
 
 
 def test_two_site_uniform_chain():
@@ -148,30 +147,18 @@ def test_static_parity_relation_even_n():
     # P H P equals entrywise conjugate of H for even N
     p = ModelParams(n_sites=10, lam=0.4, phi_dim=0.7, gamma=0.3, impurity_site=2)
     h = build_static_hamiltonian(p)
-    rev = reversal_permutation(10)
+    rev = np.eye(10)[::-1]
     assert np.abs(rev @ h @ rev - h.conj()).max() == 0.0
 
 
 def test_gradient_antisymmetry():
     centered = ModelParams(n_sites=8, n0_rule=N0Rule.CENTERED)
     d = drive_operator(centered)
-    rev = reversal_permutation(8)
+    rev = np.eye(8)[::-1]
     assert np.abs(rev @ d @ rev + d).max() == 0.0
     integer_rule = ModelParams(n_sites=8)  # even rule: P D P = -D + I
     dp = drive_operator(integer_rule)
     assert np.abs(rev @ dp @ rev + dp - np.eye(8)).max() == 0.0
-
-
-def test_params_json_round_trip(tmp_path):
-    p = ModelParams(n_sites=40, tunneling=1.0, lam=0.4, phi_dim=0.3, gamma=0.2,
-                    impurity_site=2, kappa=0.05, omega=0.2 * math.pi, phase0=0.0)
-    path = tmp_path / "params.json"
-    path.write_text(p.to_json())
-    loaded = ModelParams.from_json(path.read_text())
-    assert loaded == p
-    keys = list(json.loads(p.to_json()))
-    assert keys == ["n_sites", "tunneling", "lambda", "phi_dim", "gamma",
-                    "impurity_site", "kappa", "omega", "phase0", "n0_rule"]
 
 
 def test_from_dict_rejects_unknown_keys():

@@ -33,7 +33,7 @@ class TestSweepSpec:
         with pytest.raises(ParameterError):
             SweepSpec(base=_base(), axes=())
 
-    @pytest.mark.parametrize("field", ["nf_tol", "tol_im"])
+    @pytest.mark.parametrize("field", ["nf_tol", "tol_im", "zero_tol"])
     @pytest.mark.parametrize("value", [math.nan, 0.0, -1e-8])
     def test_tolerance_validation(self, field, value):
         with pytest.raises(ParameterError):
