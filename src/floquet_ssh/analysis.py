@@ -123,20 +123,23 @@ def gamma_pt_threshold(params: ModelParams, gamma_max: float,
                        method: Method = Method.STATIC,
                        n_floquet: int | None = None,
                        n_steps: int | None = None,
-                       tol_im: float = TOL_IM) -> GammaThreshold:
+                       tol_im: float = TOL_IM,
+                       nf_tol: float = 1e-8) -> GammaThreshold:
     """Bisect the unbroken-to-broken transition in gamma on [0, gamma_max].
 
     Monotonicity of the broken phase in gamma is an assumption; a
     PRESCAN_POINTS-point scan detects violations and reports them via
     ``monotone`` (the bisection then brackets the first transition).
-    The caller picks the spectrum route through ``method``.
+    The caller picks the spectrum route through ``method``; on the
+    extended route without ``n_floquet``, N_F is converged to ``nf_tol``
+    at gamma_max.
     """
     if not gamma_max > 0:
         raise ParameterError(f"gamma_max must be positive, got {gamma_max}")
     if not tol_gamma > 0:
         raise ParameterError(f"tol_gamma must be positive, got {tol_gamma}")
     if method is Method.EXTENDED and n_floquet is None:
-        n_floquet = converge_nf(replace(params, gamma=gamma_max), tol=1e-8)
+        n_floquet = converge_nf(replace(params, gamma=gamma_max), tol=nf_tol)
 
     def is_broken(gamma: float) -> bool:
         spectrum = compute_spectrum(replace(params, gamma=gamma), method,

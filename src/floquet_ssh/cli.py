@@ -9,7 +9,8 @@ sweep), ``phase-diagram`` (gamma-omega grid), ``effective-compare``
 Angle-valued flags accept ``pi`` literals (``0.8pi``, ``45pi``); grid
 flags use ``start:stop:count``.  Values merge in the order defaults <
 preset < config file < flags.  Exit codes: 0 success, 1 solver failure,
-2 configuration error.
+2 configuration error; a sweep setting that no grid point could use is a
+configuration error, found before any point is solved.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .analysis import EDGE_FRACTION, TOL_IM, ZERO_TOL_FACTOR, classify_pt, gamma_pt_threshold
+from .analysis import TOL_IM, ZERO_TOL_FACTOR, classify_pt, gamma_pt_threshold
 from .effective import compare_floquet_effective
 from .errors import ParameterError, SolverError
 from .floquet import Method, compute_spectrum, converge_nf
@@ -56,7 +57,7 @@ PRESETS = {
 _MODEL_KEYS = ("n_sites", "tunneling", "lambda", "phi_dim", "gamma",
                "impurity_site", "omega", "phase0", "n0_rule")
 _CONFIG_KEYS = _MODEL_KEYS + ("kappa", "kappa_omega", "method", "n_floquet",
-                              "n_steps", "threads")
+                              "n_steps")
 
 
 def parse_angle(text: str) -> float:
@@ -115,7 +116,6 @@ class RunConfig:
     n_floquet: int | None
     nf_tol: float
     n_steps: int | None
-    threads: int | None
     tol_im: float
 
 
@@ -124,7 +124,6 @@ def _merge_layers(args) -> RunConfig:
         "n_sites": 40, "tunneling": 1.0, "lambda": 0.0, "phi_dim": 0.0,
         "gamma": 0.0, "impurity_site": 1, "omega": 1.0, "phase0": 0.0,
         "n0_rule": None, "method": None, "n_floquet": None, "n_steps": None,
-        "threads": None,
     }
     drive: tuple[str, float] = ("kappa", 0.0)
 
@@ -182,7 +181,6 @@ def _merge_layers(args) -> RunConfig:
         "method": getattr(args, "method", None),
         "n_floquet": getattr(args, "n_floquet", None),
         "n_steps": getattr(args, "n_steps", None),
-        "threads": getattr(args, "threads", None),
     }
     absorb(flag_layer)
 
@@ -222,7 +220,6 @@ def _merge_layers(args) -> RunConfig:
         n_floquet=values["n_floquet"],
         nf_tol=float(getattr(args, "nf_tol", 1e-8)),
         n_steps=values["n_steps"],
-        threads=values["threads"],
         tol_im=float(getattr(args, "tol_im", TOL_IM)),
     )
 
@@ -278,7 +275,7 @@ def cmd_spectrum(args) -> int:
                                 n_floquet=config.n_floquet, n_steps=config.n_steps,
                                 nf_tol=config.nf_tol)
     point = classify_pt(spectrum, config.tol_im)
-    rows = spectrum_rows(spectrum, config.params, point.phase, 0, EDGE_FRACTION)
+    rows = spectrum_rows(spectrum, config.params, point.phase, 0)
     _write_rows(args, rows, _SPECTRUM_FIELDS)
     print(f"phase: {point.phase.value} (max|Im eps| = {point.max_im:.6g})")
     print(f"zero modes: {len(point.zero_modes)}")
@@ -292,7 +289,7 @@ def cmd_spectrum(args) -> int:
 def cmd_sweep_phi(args) -> int:
     config = _merge_layers(args)
     spec = _sweep_spec(config, (("phi_dim", parse_grid(args.phi_grid)),))
-    result = run_sweep(spec, threads=config.threads)
+    result = run_sweep(spec)
     _write_rows(args, result.rows, _SPECTRUM_FIELDS)
     if args.plot:
         _write_text(args.plot, _sweep_svg(result, config))
@@ -330,7 +327,7 @@ def cmd_phase_diagram(args) -> int:
     if np.any(gamma_grid < 0):
         raise ParameterError("gamma grid values must be nonnegative")
     spec = _sweep_spec(config, (("gamma", gamma_grid), ("omega", omega_grid)))
-    result = run_phase_diagram(spec, threads=config.threads)
+    result = run_phase_diagram(spec)
     _write_rows(args, result.rows, _PHASE_FIELDS)
     print(f"wrote {args.output} ({len(result.rows)} rows, "
           f"{len(result.failures)} failed points)")
@@ -366,7 +363,7 @@ def cmd_pt_threshold(args) -> int:
     result = gamma_pt_threshold(
         config.params, gamma_max=args.gamma_max, tol_gamma=args.tol_gamma,
         method=method, n_floquet=config.n_floquet, n_steps=config.n_steps,
-        tol_im=config.tol_im)
+        tol_im=config.tol_im, nf_tol=config.nf_tol)
     print(f"gamma_pt = {result.value:.12g}")
     print(f"status: {result.status}")
     if not result.monotone:
@@ -475,7 +472,6 @@ def _add_model_arguments(parser: argparse.ArgumentParser, grid_axes: tuple = ())
     solver.add_argument("--nf-tol", dest="nf_tol", type=float, default=1e-8)
     solver.add_argument("--n-steps", dest="n_steps", type=int)
     solver.add_argument("--tol-im", dest="tol_im", type=float, default=TOL_IM)
-    solver.add_argument("--threads", type=int)
 
 
 def build_parser() -> argparse.ArgumentParser:

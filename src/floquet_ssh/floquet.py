@@ -38,6 +38,8 @@ DEFAULT_DIM_CAP = 20000
 NF_CAP = 512
 #: Cap for propagator step doubling.
 MAX_PROPAGATOR_STEPS = 1 << 21
+#: Fewest propagator steps per period a caller may request.
+MIN_PROPAGATOR_STEPS = 100
 #: Eigenvector overlap above which two extended-matrix modes count as
 #: folded replicas of each other.
 REPLICA_OVERLAP = 0.99
@@ -311,8 +313,8 @@ def quasi_energies_propagator(params: ModelParams, n_steps: int | None = None,
     """
     if n_steps is None:
         n_steps = default_n_steps(params)
-    elif n_steps < 100:
-        raise ParameterError(f"n_steps must be >= 100, got {n_steps}")
+    elif n_steps < MIN_PROPAGATOR_STEPS:
+        raise ParameterError(f"n_steps must be >= {MIN_PROPAGATOR_STEPS}, got {n_steps}")
 
     def compute(steps: int) -> FloquetSpectrum:
         u = one_period_propagator(params, steps)

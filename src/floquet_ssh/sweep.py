@@ -1,11 +1,9 @@
 """Deterministic parameter-grid execution over spectra and phase labels.
 
-Grid points are independent tasks run on a bounded thread pool (LAPACK
-releases the GIL, so threads parallelize the eigensolves).  Results are
-reassembled in grid order, so the output is a pure function of the sweep
-specification no matter how many workers ran it; the pool size comes
-from the FLOQUET_SSH_THREADS environment variable unless given
-explicitly.  Per-point failures become failure records carrying a
+Grid points are solved and classified one after another, in grid order,
+on the calling thread; the eigensolves use the cores through LAPACK's
+threaded BLAS.  The output is therefore a pure function of the sweep
+specification.  Per-point failures become failure records carrying a
 machine-readable code instead of aborting the sweep.
 """
 
@@ -13,16 +11,15 @@ from __future__ import annotations
 
 import dataclasses
 import itertools
-import os
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .analysis import EDGE_FRACTION, TOL_IM, Phase, PhasePoint, classify_pt, edge_weight
+from .analysis import TOL_IM, Phase, PhasePoint, classify_pt, edge_weight
 from .errors import ParameterError, SolverError
 from .floquet import (  # static_spectrum is re-exported
+    MIN_PROPAGATOR_STEPS,
     FloquetSpectrum,
     Method,
     compute_spectrum,
@@ -33,25 +30,10 @@ from .model import ModelParams
 
 _AXIS_FIELDS = {f.name for f in dataclasses.fields(ModelParams)} - {"n0_rule"}
 
-#: Environment variable capping the worker pool.
-THREADS_ENV = "FLOQUET_SSH_THREADS"
 
-
-def resolve_threads(explicit: int | None = None) -> int:
-    if explicit is not None:
-        if explicit < 1:
-            raise ParameterError(f"thread count must be >= 1, got {explicit}")
-        return explicit
-    env = os.environ.get(THREADS_ENV)
-    if env:
-        try:
-            value = int(env)
-        except ValueError:
-            raise ParameterError(f"{THREADS_ENV} must be an integer, got {env!r}") from None
-        if value < 1:
-            raise ParameterError(f"{THREADS_ENV} must be >= 1, got {value}")
-        return value
-    return os.cpu_count() or 1
+def resolve_threads() -> int:
+    """Sweep worker count, always 1; perfbench's environment probe records it."""
+    return 1
 
 
 @dataclass(frozen=True)
@@ -63,8 +45,10 @@ class SweepSpec:
     re-derived as kappa_omega/omega at every grid point (drive specified
     by amplitude).  ``n_floquet`` None means auto: converge_nf once at
     the smallest-omega grid corner, reused for the whole sweep.  The
-    tolerances ``nf_tol`` and ``tol_im``, and ``zero_tol`` when set, must
-    be positive.
+    tolerances ``nf_tol`` and ``tol_im`` must be positive.  The solver
+    sizes are checked only for the method that uses them: ``n_floquet``
+    must be >= 1 on the extended route, and ``n_steps`` must be
+    >= MIN_PROPAGATOR_STEPS on the propagator route.
     """
 
     base: ModelParams
@@ -75,8 +59,6 @@ class SweepSpec:
     nf_tol: float = 1e-8
     n_steps: int | None = None
     tol_im: float = TOL_IM
-    zero_tol: float | None = None
-    edge_fraction: float = EDGE_FRACTION
 
     def __post_init__(self):
         if not 1 <= len(self.axes) <= 2:
@@ -91,8 +73,13 @@ class SweepSpec:
         for name in ("nf_tol", "tol_im"):
             if not getattr(self, name) > 0:
                 raise ParameterError(f"{name} must be positive, got {getattr(self, name)}")
-        if self.zero_tol is not None and not self.zero_tol > 0:
-            raise ParameterError(f"zero_tol must be positive, got {self.zero_tol}")
+        if (self.method is Method.EXTENDED and self.n_floquet is not None
+                and self.n_floquet < 1):
+            raise ParameterError(f"n_floquet must be >= 1, got {self.n_floquet}")
+        if (self.method is Method.PROPAGATOR and self.n_steps is not None
+                and self.n_steps < MIN_PROPAGATOR_STEPS):
+            raise ParameterError(
+                f"n_steps must be >= {MIN_PROPAGATOR_STEPS}, got {self.n_steps}")
 
     @property
     def grid_shape(self) -> tuple[int, ...]:
@@ -178,7 +165,7 @@ def _auto_n_floquet(spec: SweepSpec) -> int:
 
 
 def spectrum_rows(spectrum: FloquetSpectrum, params: ModelParams, phase: Phase,
-                  index: int, edge_fraction: float) -> list[SpectrumRow]:
+                  index: int) -> list[SpectrumRow]:
     """One long-format row per mode of ``spectrum``, computed at ``params``."""
     return [SpectrumRow(
         grid_index=index,
@@ -189,7 +176,7 @@ def spectrum_rows(spectrum: FloquetSpectrum, params: ModelParams, phase: Phase,
         mode=k,
         re_eps=float(eps.real),
         im_eps=float(eps.imag),
-        edge_weight=edge_weight(spectrum.mode_weights[k], edge_fraction),
+        edge_weight=edge_weight(spectrum.mode_weights[k]),
         phase=phase.value,
         method=spectrum.method.value,
         n_floquet=spectrum.n_floquet,
@@ -212,8 +199,8 @@ def _phase_rows(spectrum: FloquetSpectrum, params: ModelParams, point: PhasePoin
     )]
 
 
-def _run_grid(spec: SweepSpec, rows_of, threads: int | None):
-    """Solve and classify every grid point, then build its rows in grid order.
+def _run_grid(spec: SweepSpec, rows_of) -> SweepResult:
+    """Solve and classify every grid point in grid order, building its rows.
 
     ``rows_of(spectrum, params, point, index)`` turns one classified grid
     point into its output rows.
@@ -223,36 +210,17 @@ def _run_grid(spec: SweepSpec, rows_of, threads: int | None):
     if spec.method is Method.EXTENDED:
         nf_shared = spec.n_floquet if spec.n_floquet is not None else _auto_n_floquet(spec)
     start = time.perf_counter()
-    outcomes: list = [None] * len(points)
-
-    def task(item):
-        index, point = item
+    all_rows: list = []
+    failures: list[Failure] = []
+    for index, point in enumerate(points):
         try:
             params = spec.params_at(point)
             spectrum = compute_spectrum(params, spec.method, n_floquet=nf_shared,
                                         n_steps=spec.n_steps, nf_tol=spec.nf_tol)
-            phase_point = classify_pt(spectrum, spec.tol_im, spec.zero_tol,
-                                      spec.edge_fraction)
-            return index, rows_of(spectrum, params, phase_point, index), None
+            phase_point = classify_pt(spectrum, spec.tol_im)
+            all_rows.extend(rows_of(spectrum, params, phase_point, index))
         except (SolverError, ParameterError) as exc:
-            return index, None, Failure(index, point, type(exc).__name__, str(exc))
-
-    n_workers = min(resolve_threads(threads), len(points))
-    if n_workers == 1:
-        results = map(task, enumerate(points))
-    else:
-        with ThreadPoolExecutor(max_workers=n_workers) as pool:
-            results = list(pool.map(task, enumerate(points)))
-    for index, rows, failure in results:
-        outcomes[index] = (rows, failure)
-
-    all_rows: list = []
-    failures: list[Failure] = []
-    for rows, failure in outcomes:
-        if failure is not None:
-            failures.append(failure)
-        else:
-            all_rows.extend(rows)
+            failures.append(Failure(index, point, type(exc).__name__, str(exc)))
     if points and len(failures) == len(points):
         raise SolverError(
             f"all {len(points)} grid points failed; first: {failures[0].message}"
@@ -266,17 +234,17 @@ def _run_grid(spec: SweepSpec, rows_of, threads: int | None):
     )
 
 
-def run_sweep(spec: SweepSpec, threads: int | None = None) -> SweepResult:
+def run_sweep(spec: SweepSpec) -> SweepResult:
     """Spectrum rows (one per mode per grid point), ordered by grid index."""
     return _run_grid(spec, lambda spectrum, params, point, index: spectrum_rows(
-        spectrum, params, point.phase, index, spec.edge_fraction), threads)
+        spectrum, params, point.phase, index))
 
 
-def run_phase_diagram(spec: SweepSpec, threads: int | None = None) -> SweepResult:
+def run_phase_diagram(spec: SweepSpec) -> SweepResult:
     """One phase row per grid point of a (gamma, omega) grid."""
     names = {name for name, _ in spec.axes}
     if len(spec.axes) != 2 or names != {"gamma", "omega"}:
         raise ParameterError(
             f"phase diagram requires exactly the axes gamma and omega, got {sorted(names)}"
         )
-    return _run_grid(spec, _phase_rows, threads)
+    return _run_grid(spec, _phase_rows)

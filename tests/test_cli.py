@@ -164,6 +164,7 @@ class TestToleranceFlags:
         ["spectrum", "--gamma", "0.1", "--omega", "2pi"],
         ["sweep-phi", "--gamma", "0.1", "--omega", "2pi", "--phi-grid", "0:pi:2"],
         ["phase-diagram", "--gamma", "0:0.1:2", "--omega", "2pi:4pi:2"],
+        ["pt-threshold", "--threshold-method", "extended", "--omega", "2pi"],
     ])
     def test_nan_or_nonpositive_tolerance_exit_2(self, tmp_path, capsys,
                                                  command, flag, value):
@@ -181,6 +182,36 @@ class TestToleranceFlags:
         captured = capsys.readouterr()
         assert "configuration error" in captured.err
         assert "gamma_pt" not in captured.out
+
+
+class TestSweepConfigErrors:
+    @pytest.mark.parametrize("command", [
+        ["sweep-phi", "--preset", "fig1-highfreq", "--n-floquet", "0",
+         "--phi-grid", "0:pi:2"],
+        ["phase-diagram", "--n-sites", "6", "--lambda", "0.4", "--impurity-site", "2",
+         "--kappa-omega", "0.05", "--gamma", "0:0.1:2", "--omega", "4pi:8pi:2",
+         "--n-floquet", "-1"],
+        ["sweep-phi", "--preset", "fig1-lowfreq", "--method", "propagator",
+         "--n-steps", "50", "--phi-grid", "0:pi:2"],
+    ])
+    def test_unusable_solver_size_exit_2(self, tmp_path, capsys, command):
+        out = tmp_path / "out.csv"
+        assert main([*command, "-o", str(out)]) == 2
+        assert "configuration error" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_threads_flag_rejected(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["sweep-phi", "--n-sites", "6", "--phi-grid", "0:pi:2",
+                  "--threads", "2", "-o", str(tmp_path / "x.csv")])
+        assert excinfo.value.code == 2
+
+    def test_threads_config_key_exit_2(self, tmp_path, capsys):
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({"n_sites": 6, "threads": 2}))
+        assert main(["sweep-phi", "--config", str(cfg), "--phi-grid", "0:pi:2",
+                     "-o", str(tmp_path / "x.csv")]) == 2
+        assert "unknown config keys: ['threads']" in capsys.readouterr().err
 
 
 class TestPhaseDiagramCommand:

@@ -1,4 +1,5 @@
 import math
+import threading
 
 import numpy as np
 import pytest
@@ -14,7 +15,6 @@ from floquet_ssh import (
     run_phase_diagram,
     run_sweep,
 )
-from floquet_ssh.sweep import resolve_threads
 
 
 def _base(**overrides):
@@ -33,11 +33,31 @@ class TestSweepSpec:
         with pytest.raises(ParameterError):
             SweepSpec(base=_base(), axes=())
 
-    @pytest.mark.parametrize("field", ["nf_tol", "tol_im", "zero_tol"])
+    @pytest.mark.parametrize("field", ["nf_tol", "tol_im"])
     @pytest.mark.parametrize("value", [math.nan, 0.0, -1e-8])
     def test_tolerance_validation(self, field, value):
         with pytest.raises(ParameterError):
             SweepSpec(base=_base(), axes=(("gamma", (0.1,)),), **{field: value})
+
+    @pytest.mark.parametrize("n_floquet", [0, -1])
+    def test_extended_n_floquet_validation(self, n_floquet):
+        with pytest.raises(ParameterError):
+            SweepSpec(base=_base(), axes=(("gamma", (0.1,)),),
+                      method=Method.EXTENDED, n_floquet=n_floquet)
+        # only the extended route uses n_floquet
+        SweepSpec(base=_base(), axes=(("gamma", (0.1,)),),
+                  method=Method.PROPAGATOR, n_floquet=n_floquet)
+
+    @pytest.mark.parametrize("n_steps", [50, 99])
+    def test_propagator_n_steps_validation(self, n_steps):
+        with pytest.raises(ParameterError):
+            SweepSpec(base=_base(), axes=(("gamma", (0.1,)),),
+                      method=Method.PROPAGATOR, n_steps=n_steps)
+        # only the propagator route uses n_steps
+        SweepSpec(base=_base(), axes=(("gamma", (0.1,)),),
+                  method=Method.EXTENDED, n_steps=n_steps)
+        SweepSpec(base=_base(), axes=(("gamma", (0.1,)),),
+                  method=Method.PROPAGATOR, n_steps=100)
 
     def test_grid_points_row_major(self):
         spec = SweepSpec(base=_base(),
@@ -77,13 +97,23 @@ class TestRunSweep:
         modes = [r.mode for r in result.rows[:10]]
         assert modes == list(range(10))
 
-    def test_deterministic_across_thread_counts(self):
+    def test_points_solved_in_grid_order_on_calling_thread(self, monkeypatch):
+        import floquet_ssh.sweep as sweep
+
+        calls = []
+        solve = sweep.compute_spectrum
+
+        def recording(params, *args, **kwargs):
+            calls.append((threading.get_ident(), params.phi_dim))
+            return solve(params, *args, **kwargs)
+
+        monkeypatch.setattr(sweep, "compute_spectrum", recording)
         grid = tuple(np.linspace(0, 2 * math.pi, 9))
         spec = SweepSpec(base=_base(), axes=(("phi_dim", grid),),
                          method=Method.STATIC)
-        one = run_sweep(spec, threads=1)
-        four = run_sweep(spec, threads=4)
-        assert one.rows == four.rows
+        run_sweep(spec)
+        assert {ident for ident, _ in calls} == {threading.get_ident()}
+        assert [phi for _, phi in calls] == list(grid)
 
     def test_per_point_failures_recorded(self):
         # gamma != 0 with centered impurity on odd chain fails per point
@@ -145,20 +175,3 @@ class TestRunPhaseDiagram:
         assert phases[0.2 * math.pi] == "broken"
         assert phases[45 * math.pi] == "unbroken"
 
-
-class TestResolveThreads:
-    def test_explicit_wins(self, monkeypatch):
-        monkeypatch.setenv("FLOQUET_SSH_THREADS", "7")
-        assert resolve_threads(3) == 3
-
-    def test_env_used(self, monkeypatch):
-        monkeypatch.setenv("FLOQUET_SSH_THREADS", "5")
-        assert resolve_threads() == 5
-
-    def test_env_validation(self, monkeypatch):
-        monkeypatch.setenv("FLOQUET_SSH_THREADS", "zero")
-        with pytest.raises(ParameterError):
-            resolve_threads()
-        monkeypatch.setenv("FLOQUET_SSH_THREADS", "0")
-        with pytest.raises(ParameterError):
-            resolve_threads()
