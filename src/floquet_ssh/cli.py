@@ -6,10 +6,20 @@ sweep), ``phase-diagram`` (gamma-omega grid), ``effective-compare``
 ``pt-threshold`` (gain/loss threshold bisection) and ``validate``
 (round-trip check of emitted CSV files).
 
-Angle-valued flags accept ``pi`` literals (``0.8pi``, ``45pi``); grid
-flags use ``start:stop:count``.  Values merge in the order defaults <
-preset < config file < flags.  Exit codes: 0 success, 1 solver failure,
-2 configuration error; a sweep setting that no grid point could use is a
+``_SETTINGS`` is the one list of settings: each config-file key with its
+flag and its parser.  A subcommand registers only the flags it reads:
+``sweep-phi`` has no ``--phi`` (its grid replaces it), ``pt-threshold``
+no ``--gamma`` (the bisection replaces it) and no ``--method`` (its route
+is ``--threshold-method``), and ``effective-compare`` no ``--method``,
+``--n-steps`` or ``--tol-im``.  Flags are never abbreviated, so an
+unread or abbreviated flag is a usage error (exit 2).
+
+Values merge in the order defaults < preset < config file < flags, and
+every layer's values go through the same parsers, so a config value
+means what the same text means as a flag.  Angle-valued settings accept
+``pi`` literals (``0.8pi``, ``45pi``); grid flags use
+``start:stop:count``.  Exit codes: 0 success, 1 solver failure, 2
+configuration error; a sweep setting that no grid point could use is a
 configuration error, found before any point is solved.
 """
 
@@ -20,6 +30,7 @@ import json
 import math
 import sys
 from dataclasses import dataclass
+from typing import get_type_hints
 
 import numpy as np
 
@@ -27,14 +38,17 @@ from .analysis import TOL_IM, ZERO_TOL_FACTOR, classify_pt, gamma_pt_threshold
 from .effective import compare_floquet_effective
 from .errors import ParameterError, SolverError
 from .floquet import Method, compute_spectrum, converge_nf
-from .model import ModelParams
+from .model import ModelParams, N0Rule
 from .svgplot import spectrum_svg
-from .sweep import SweepSpec, run_phase_diagram, run_sweep, spectrum_rows
+from .sweep import (PhaseRow, SpectrumRow, SweepSpec, run_phase_diagram, run_sweep,
+                    spectrum_rows)
 
-_SPECTRUM_FIELDS = ("phi", "omega", "gamma", "kappa", "mode", "re_eps",
-                    "im_eps", "edge_weight", "phase", "method", "n_floquet")
-_PHASE_FIELDS = ("phi", "omega", "gamma", "kappa", "max_im",
-                 "zero_mode_count", "phase", "method", "n_floquet")
+# CSV columns are the row fields minus grid_index; validate parses them
+# back with the field types.
+_FIELD_TYPES = {**get_type_hints(SpectrumRow), **get_type_hints(PhaseRow)}
+_SPECTRUM_FIELDS, _PHASE_FIELDS = (
+    tuple(name for name in get_type_hints(row) if name != "grid_index")
+    for row in (SpectrumRow, PhaseRow))
 SPECTRUM_HEADER = ",".join(_SPECTRUM_FIELDS)
 PHASE_HEADER = ",".join(_PHASE_FIELDS)
 
@@ -54,11 +68,6 @@ PRESETS = {
                           "method": "extended"},
 }
 
-_MODEL_KEYS = ("n_sites", "tunneling", "lambda", "phi_dim", "gamma",
-               "impurity_site", "omega", "phase0", "n0_rule")
-_CONFIG_KEYS = _MODEL_KEYS + ("kappa", "kappa_omega", "method", "n_floquet",
-                              "n_steps")
-
 
 def parse_angle(text: str) -> float:
     """Parse a float or a pi-suffixed literal like '0.8pi' or '-pi'."""
@@ -76,6 +85,40 @@ def parse_angle(text: str) -> float:
         return float(s)
     except ValueError:
         raise ParameterError(f"cannot parse angle value {text!r}") from None
+
+
+def _parse_float(value) -> float:
+    if isinstance(value, bool):
+        raise ValueError("a boolean is not a number")
+    return float(value)
+
+
+def _parse_int(value) -> int:
+    """Parse 6, 6.0 or '6'; fractions, '6.0' and booleans are rejected."""
+    if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
+        raise ValueError("not an integer")
+    return int(value)
+
+
+# Config-file key -> (flag, parser, help).  The flag's argparse dest is the
+# key, and every layer's value goes through the parser.
+_SETTINGS = {
+    "n_sites": ("--n-sites", _parse_int, "number of sites N"),
+    "tunneling": ("--tunneling", _parse_float, "tunneling T"),
+    "lambda": ("--lambda", parse_angle, "dimerization strength"),
+    "phi_dim": ("--phi", parse_angle, "modulation phase Phi (pi literals ok)"),
+    "gamma": ("--gamma", _parse_float, "gain/loss strength"),
+    "impurity_site": ("--impurity-site", _parse_int, "gain site j (loss at N-j+1)"),
+    "kappa": ("--kappa", _parse_float, "dimensionless drive strength"),
+    "kappa_omega": ("--kappa-omega", _parse_float,
+                    "drive amplitude kappa*omega (kappa is derived)"),
+    "omega": ("--omega", parse_angle, "drive frequency (pi literals ok)"),
+    "phase0": ("--phase0", parse_angle, "initial drive phase (pi literals ok)"),
+    "n0_rule": ("--n0-rule", N0Rule, "|".join(r.value for r in N0Rule)),
+    "method": ("--method", Method, "|".join(m.value for m in Method)),
+    "n_floquet": ("--n-floquet", _parse_int, "Floquet cutoff N_F (default: converged)"),
+    "n_steps": ("--n-steps", _parse_int, "propagator steps per period"),
+}
 
 
 def parse_grid(text: str) -> np.ndarray:
@@ -120,112 +163,61 @@ class RunConfig:
 
 
 def _merge_layers(args) -> RunConfig:
-    values: dict = {
-        "n_sites": 40, "tunneling": 1.0, "lambda": 0.0, "phi_dim": 0.0,
-        "gamma": 0.0, "impurity_site": 1, "omega": 1.0, "phase0": 0.0,
-        "n0_rule": None, "method": None, "n_floquet": None, "n_steps": None,
-    }
-    drive: tuple[str, float] = ("kappa", 0.0)
-
-    def absorb(layer: dict):
-        nonlocal drive
-        for key, val in layer.items():
-            if val is None:
-                continue
-            if key == "kappa":
-                drive = ("kappa", float(val))
-            elif key == "kappa_omega":
-                drive = ("kappa_omega", float(val))
-            else:
-                values[key] = val
-
-    preset_name = getattr(args, "preset", None)
-    if preset_name:
-        if preset_name not in PRESETS:
-            raise ParameterError(f"unknown preset {preset_name!r}; "
-                                 f"choices: {', '.join(sorted(PRESETS))}")
-        absorb(PRESETS[preset_name])
-    config_path = getattr(args, "config", None)
-    if config_path:
-        try:
-            with open(config_path, encoding="utf-8") as fh:
-                file_values = json.load(fh)
-        except OSError as exc:
-            raise ParameterError(f"cannot read config file: {exc}") from exc
-        except json.JSONDecodeError as exc:
-            raise ParameterError(f"config file is not valid JSON: {exc}") from exc
-        if not isinstance(file_values, dict):
-            raise ParameterError("config file must hold a JSON object")
-        unknown = set(file_values) - set(_CONFIG_KEYS)
-        if unknown:
-            raise ParameterError(f"unknown config keys: {sorted(unknown)}")
-        if "kappa" in file_values and "kappa_omega" in file_values:
-            file_values = dict(file_values)
-            file_values.pop("kappa_omega")  # direct kappa wins
-        absorb(file_values)
-
-    if getattr(args, "kappa", None) is not None and getattr(args, "kappa_omega", None) is not None:
+    """Merge defaults < preset < config file < flags through each key's parser."""
+    flags = {key: getattr(args, key, None) for key in _SETTINGS}
+    if flags["kappa"] is not None and flags["kappa_omega"] is not None:
         raise ParameterError("set at most one of --kappa and --kappa-omega")
-    flag_layer = {
-        "n_sites": getattr(args, "n_sites", None),
-        "tunneling": getattr(args, "tunneling", None),
-        "lambda": _maybe_angle(getattr(args, "lam", None)),
-        "phi_dim": _maybe_angle(getattr(args, "phi", None)),
-        "gamma": getattr(args, "gamma", None),
-        "impurity_site": getattr(args, "impurity_site", None),
-        "omega": _maybe_angle(getattr(args, "omega", None)),
-        "phase0": _maybe_angle(getattr(args, "phase0", None)),
-        "n0_rule": getattr(args, "n0_rule", None),
-        "kappa": getattr(args, "kappa", None),
-        "kappa_omega": getattr(args, "kappa_omega", None),
-        "method": getattr(args, "method", None),
-        "n_floquet": getattr(args, "n_floquet", None),
-        "n_steps": getattr(args, "n_steps", None),
-    }
-    absorb(flag_layer)
+    values: dict = {"n_sites": 40}
+    for layer in (_preset_layer(args.preset), _file_layer(args.config), flags):
+        layer = {key: value for key, value in layer.items() if value is not None}
+        if layer.keys() & {"kappa", "kappa_omega"}:  # a layer's drive replaces earlier ones
+            values.pop("kappa", None)
+            values.pop("kappa_omega", None)
+            if "kappa" in layer:
+                layer.pop("kappa_omega", None)  # a direct kappa wins
+        for key, value in layer.items():
+            flag, parse, _ = _SETTINGS[key]
+            try:
+                values[key] = parse(value)
+            except (TypeError, ValueError):
+                raise ParameterError(f"bad value {value!r} for {key} ({flag})") from None
+    method = values.pop("method", None)
+    n_floquet = values.pop("n_floquet", None)
+    n_steps = values.pop("n_steps", None)
+    kappa_omega = values.pop("kappa_omega", None)
+    if kappa_omega is not None:
+        values["kappa"] = kappa_omega / values.get("omega", 1.0)
+    params = ModelParams.from_dict(values)
+    if method is None:
+        method = Method.STATIC if params.kappa == 0.0 else Method.EXTENDED
+    return RunConfig(params=params, kappa_omega=kappa_omega, method=method,
+                     n_floquet=n_floquet, nf_tol=float(args.nf_tol), n_steps=n_steps,
+                     tol_im=float(getattr(args, "tol_im", TOL_IM)))
 
-    omega = float(values["omega"])
-    if drive[0] == "kappa_omega":
-        kappa_omega: float | None = drive[1]
-        kappa = drive[1] / omega
-    else:
-        kappa_omega = None
-        kappa = drive[1]
-    rule = values["n0_rule"]
-    if isinstance(rule, str):
-        rule = rule.replace("-", "_")
-    params = ModelParams.from_dict({
-        "n_sites": values["n_sites"],
-        "tunneling": float(values["tunneling"]),
-        "lambda": float(values["lambda"]),
-        "phi_dim": float(values["phi_dim"]),
-        "gamma": float(values["gamma"]),
-        "impurity_site": values["impurity_site"],
-        "kappa": kappa,
-        "omega": omega,
-        "phase0": float(values["phase0"]),
-        "n0_rule": rule,
-    })
-    method_name = values["method"]
-    if method_name is None:
-        method_name = "static" if params.kappa == 0.0 else "extended"
+
+def _preset_layer(name) -> dict:
+    if name and name not in PRESETS:
+        raise ParameterError(f"unknown preset {name!r}; "
+                             f"choices: {', '.join(sorted(PRESETS))}")
+    return PRESETS[name] if name else {}
+
+
+def _file_layer(path) -> dict:
+    if not path:
+        return {}
     try:
-        method = Method(method_name)
-    except ValueError:
-        raise ParameterError(f"unknown method {method_name!r}") from None
-    return RunConfig(
-        params=params,
-        kappa_omega=kappa_omega,
-        method=method,
-        n_floquet=values["n_floquet"],
-        nf_tol=float(getattr(args, "nf_tol", 1e-8)),
-        n_steps=values["n_steps"],
-        tol_im=float(getattr(args, "tol_im", TOL_IM)),
-    )
-
-
-def _maybe_angle(value):
-    return None if value is None else parse_angle(value)
+        with open(path, encoding="utf-8") as fh:
+            values = json.load(fh)
+    except OSError as exc:
+        raise ParameterError(f"cannot read config file: {exc}") from exc
+    except json.JSONDecodeError as exc:
+        raise ParameterError(f"config file is not valid JSON: {exc}") from exc
+    if not isinstance(values, dict):
+        raise ParameterError("config file must hold a JSON object")
+    unknown = set(values) - set(_SETTINGS)
+    if unknown:
+        raise ParameterError(f"unknown config keys: {sorted(unknown)}")
+    return values
 
 
 def _write_text(path: str, text: str):
@@ -239,9 +231,12 @@ def rows_csv(rows, fields) -> str:
     return "\n".join(lines) + "\n"
 
 
-def rows_json(rows, fields) -> str:
-    payload = [{name: getattr(r, name) for name in fields} for r in rows]
+def _json_text(payload) -> str:
     return json.dumps(payload, indent=1) + "\n"
+
+
+def rows_json(rows, fields) -> str:
+    return _json_text([{name: getattr(r, name) for name in fields} for r in rows])
 
 
 def _write_rows(args, rows, fields):
@@ -352,7 +347,7 @@ def cmd_effective_compare(args) -> int:
             "omega": comparison.omega,
             "n_floquet": nf,
         }
-        _write_text(args.output, json.dumps(payload, indent=1) + "\n")
+        _write_text(args.output, _json_text(payload))
         print(f"wrote {args.output}")
     return 0
 
@@ -376,17 +371,9 @@ def cmd_pt_threshold(args) -> int:
             "monotone": result.monotone,
             "scan": [{"gamma": g, "broken": b} for g, b in result.scan],
         }
-        _write_text(args.output, json.dumps(payload, indent=1) + "\n")
+        _write_text(args.output, _json_text(payload))
         print(f"wrote {args.output}")
     return 0
-
-
-def _parse_csv_field(header_name: str, text: str):
-    if header_name in ("mode", "n_floquet", "zero_mode_count"):
-        return int(text)
-    if header_name in ("phase", "method"):
-        return text
-    return float(text)
 
 
 def cmd_validate(args) -> int:
@@ -418,7 +405,7 @@ def cmd_validate(args) -> int:
         out_cells = []
         for name, cell in zip(fields, cells):
             try:
-                value = _parse_csv_field(name, cell)
+                value = _FIELD_TYPES[name](cell)
             except ValueError:
                 print(f"line {lineno}: field {name} unparseable: {cell!r}",
                       file=sys.stderr)
@@ -437,90 +424,71 @@ def cmd_validate(args) -> int:
     return 0 if diffs == 0 else 1
 
 
-def _add_model_arguments(parser: argparse.ArgumentParser, grid_axes: tuple = ()):
-    """Shared model/solver flags; names in grid_axes become grid-typed."""
-    group = parser.add_argument_group("model parameters")
+def _add_model_arguments(parser: argparse.ArgumentParser, omit=(), grid_axes=()):
+    """The settings flags a subcommand reads: _SETTINGS plus --nf-tol and
+    --tol-im, minus the dests in omit.  A key in grid_axes becomes a
+    required start:stop:count flag with dest KEY_grid."""
+    group = parser.add_argument_group("model and solver settings")
     group.add_argument("--preset", help="named parameter preset "
                        f"({', '.join(sorted(PRESETS))})")
     group.add_argument("--config", help="JSON config file (flags override it)")
-    group.add_argument("--n-sites", dest="n_sites", type=int)
-    group.add_argument("--tunneling", type=float)
-    group.add_argument("--lambda", dest="lam", metavar="LAMBDA",
-                       help="dimerization strength")
-    group.add_argument("--phi", dest="phi", help="modulation phase Phi (pi literals ok)")
-    if "gamma" in grid_axes:
-        group.add_argument("--gamma", dest="gamma_grid", required=True,
-                           metavar="START:STOP:COUNT", help="gain/loss grid")
-    else:
-        group.add_argument("--gamma", type=float, help="gain/loss strength")
-    group.add_argument("--impurity-site", dest="impurity_site", type=int)
-    group.add_argument("--kappa", type=float, help="dimensionless drive strength")
-    group.add_argument("--kappa-omega", dest="kappa_omega", type=float,
-                       help="drive amplitude kappa*omega (kappa is derived)")
-    if "omega" in grid_axes:
-        group.add_argument("--omega", dest="omega_grid", required=True,
-                           metavar="START:STOP:COUNT",
-                           help="frequency grid (pi literals ok)")
-    else:
-        group.add_argument("--omega", help="drive frequency (pi literals ok)")
-    group.add_argument("--phase0", help="initial drive phase (pi literals ok)")
-    group.add_argument("--n0-rule", dest="n0_rule",
-                       choices=["even", "odd", "centered"])
-    solver = parser.add_argument_group("solver")
-    solver.add_argument("--method", choices=[m.value for m in Method])
-    solver.add_argument("--n-floquet", dest="n_floquet", type=int)
-    solver.add_argument("--nf-tol", dest="nf_tol", type=float, default=1e-8)
-    solver.add_argument("--n-steps", dest="n_steps", type=int)
-    solver.add_argument("--tol-im", dest="tol_im", type=float, default=TOL_IM)
+    for key, (flag, _, help_text) in _SETTINGS.items():
+        if key in grid_axes:
+            group.add_argument(flag, dest=f"{key}_grid", required=True,
+                               metavar="START:STOP:COUNT", help=f"{help_text}, grid")
+        elif key not in omit:
+            group.add_argument(flag, dest=key, help=help_text)
+    group.add_argument("--nf-tol", dest="nf_tol", type=float, default=1e-8)
+    if "tol_im" not in omit:
+        group.add_argument("--tol-im", dest="tol_im", type=float, default=TOL_IM)
 
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
-        prog="floquet-ssh",
+        prog="floquet-ssh", allow_abbrev=False,
         description="Quasi-energy spectra and PT-phase maps of a driven "
                     "gain/loss SSH chain.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_spec = sub.add_parser("spectrum", help="compute one spectrum")
+    def command(name, func, help_text):
+        p = sub.add_parser(name, help=help_text, allow_abbrev=False)
+        p.set_defaults(func=func)
+        return p
+
+    p_spec = command("spectrum", cmd_spectrum, "compute one spectrum")
     _add_model_arguments(p_spec)
     p_spec.add_argument("--output", "-o", default="spectrum.csv")
     p_spec.add_argument("--json", help="also write rows as JSON")
-    p_spec.set_defaults(func=cmd_spectrum)
 
-    p_phi = sub.add_parser("sweep-phi", help="sweep the modulation phase")
-    _add_model_arguments(p_phi)
+    p_phi = command("sweep-phi", cmd_sweep_phi, "sweep the modulation phase")
+    _add_model_arguments(p_phi, omit=("phi_dim",))
     p_phi.add_argument("--phi-grid", dest="phi_grid", default="0:2pi:201",
                        help="start:stop:count (default 0:2pi:201)")
     p_phi.add_argument("--output", "-o", default="sweep_phi.csv")
     p_phi.add_argument("--json", help="also write rows as JSON")
     p_phi.add_argument("--plot", help="write an SVG of Re eps vs Phi")
-    p_phi.set_defaults(func=cmd_sweep_phi)
 
-    p_pd = sub.add_parser("phase-diagram", help="gamma-omega phase map")
+    p_pd = command("phase-diagram", cmd_phase_diagram, "gamma-omega phase map")
     _add_model_arguments(p_pd, grid_axes=("gamma", "omega"))
     p_pd.add_argument("--output", "-o", default="phase_diagram.csv")
     p_pd.add_argument("--json", help="also write rows as JSON")
-    p_pd.set_defaults(func=cmd_phase_diagram)
 
-    p_eff = sub.add_parser("effective-compare",
-                           help="compare quasi-energies to the effective chain")
-    _add_model_arguments(p_eff)
+    p_eff = command("effective-compare", cmd_effective_compare,
+                    "compare quasi-energies to the effective chain")
+    _add_model_arguments(p_eff, omit=("method", "n_steps", "tol_im"))
     p_eff.add_argument("--output", "-o", help="write comparison JSON")
-    p_eff.set_defaults(func=cmd_effective_compare)
 
-    p_thr = sub.add_parser("pt-threshold", help="bisect the PT threshold in gamma")
-    _add_model_arguments(p_thr)
+    p_thr = command("pt-threshold", cmd_pt_threshold, "bisect the PT threshold in gamma")
+    _add_model_arguments(p_thr, omit=("method", "gamma"))
     p_thr.add_argument("--gamma-max", dest="gamma_max", type=float, default=1.0)
     p_thr.add_argument("--tol-gamma", dest="tol_gamma", type=float, default=1e-4)
     p_thr.add_argument("--threshold-method", dest="threshold_method",
                        choices=["static", "extended", "propagator"],
                        default="static")
     p_thr.add_argument("--output", "-o", help="write threshold JSON")
-    p_thr.set_defaults(func=cmd_pt_threshold)
 
-    p_val = sub.add_parser("validate", help="round-trip check a CSV written by this CLI")
+    p_val = command("validate", cmd_validate, "round-trip check a CSV written by this CLI")
     p_val.add_argument("--from-csv", dest="from_csv", required=True)
-    p_val.set_defaults(func=cmd_validate)
     return parser
 
 

@@ -151,7 +151,7 @@ class TestSweepPhiCommand:
         args = ["--n-sites", "6", "--lambda", "0.4", "--gamma", "0.1",
                 "--impurity-site", "2", "--kappa", "0.3", "--omega", "2pi",
                 "--method", method]
-        assert main(["sweep-phi", *args, "--phi", "0.7", "--phi-grid", "0.7",
+        assert main(["sweep-phi", *args, "--phi-grid", "0.7",
                      "-o", str(sweep_out)]) == 0
         assert main(["spectrum", *args, "--phi", "0.7", "-o", str(spec_out)]) == 0
         assert sweep_out.read_text() == spec_out.read_text()
@@ -214,6 +214,118 @@ class TestSweepConfigErrors:
         assert "unknown config keys: ['threads']" in capsys.readouterr().err
 
 
+# Config-file key -> flag, written out here so that a wrong flag name in
+# the CLI's table shows up as a mismatch.
+_FLAGS = {
+    "n_sites": "--n-sites", "tunneling": "--tunneling", "lambda": "--lambda",
+    "phi_dim": "--phi", "gamma": "--gamma", "impurity_site": "--impurity-site",
+    "kappa": "--kappa", "kappa_omega": "--kappa-omega", "omega": "--omega",
+    "phase0": "--phase0", "n0_rule": "--n0-rule", "method": "--method",
+    "n_floquet": "--n-floquet", "n_steps": "--n-steps",
+}
+_DRIVEN_CHAIN = {"n_sites": 6, "lambda": 0.4, "gamma": 0.1, "impurity_site": 2,
+                 "kappa": 0.3, "omega": 2 * math.pi}
+
+
+def _as_flags(settings: dict) -> list[str]:
+    return [arg for key, value in settings.items() for arg in (_FLAGS[key], str(value))]
+
+
+def _spectrum_csv(tmp_path, name: str, argv: list[str], config: dict | None = None) -> str:
+    out = tmp_path / f"{name}.csv"
+    if config is not None:
+        cfg = tmp_path / f"{name}.json"
+        cfg.write_text(json.dumps(config))
+        argv = ["--config", str(cfg), *argv]
+    assert main(["spectrum", *argv, "-o", str(out)]) == 0
+    return out.read_text()
+
+
+class TestSettingsTable:
+    @pytest.mark.parametrize("argv", [
+        ["effective-compare", "--method", "propagator"],
+        ["effective-compare", "--n-steps", "400"],
+        ["effective-compare", "--tol-im", "1e-6"],
+        ["pt-threshold", "--method", "propagator"],
+        ["pt-threshold", "--gamma", "0.3"],  # would abbreviate --gamma-max
+        ["sweep-phi", "--phi", "0.7"],  # would abbreviate --phi-grid
+        ["spectrum", "--n-sit", "6"],
+    ])
+    def test_unread_or_abbreviated_flag_exit_2(self, tmp_path, capsys, argv):
+        out = tmp_path / "out"
+        with pytest.raises(SystemExit) as excinfo:
+            main([*argv, "--n-sites", "6", "--lambda", "0.4", "-o", str(out)])
+        assert excinfo.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("method, size", [("extended", ("n_floquet", 4)),
+                                              ("propagator", ("n_steps", 400))])
+    def test_config_with_every_key_matches_flags(self, tmp_path, method, size):
+        settings = {"n_sites": 6, "tunneling": 1.1, "lambda": 0.4, "phi_dim": "0.3pi",
+                    "gamma": 0.05, "impurity_site": 2, "kappa": 0.3, "omega": "2pi",
+                    "phase0": "0.1pi", "n0_rule": "centered", "method": method,
+                    "n_floquet": 4, "n_steps": 400}
+        assert set(settings) | {"kappa_omega"} == set(_FLAGS)
+        from_flags = _spectrum_csv(tmp_path, "flags", _as_flags(settings))
+        # the file also holds kappa_omega, which its direct kappa beats
+        from_file = _spectrum_csv(tmp_path, "file", [],
+                                  {**settings, "kappa_omega": 5.0})
+        assert from_file == from_flags
+        assert f",{method}," in from_flags
+
+    def test_flag_beats_config_beats_preset(self, tmp_path):
+        layered = _spectrum_csv(tmp_path, "layered",
+                                ["--preset", "fig1-static", "--gamma", "0.05"],
+                                {"n_sites": 6, "gamma": 0.1, "phi_dim": 0.3})
+        explicit = _spectrum_csv(tmp_path, "explicit", [
+            "--n-sites", "6", "--tunneling", "1", "--lambda", "0.4", "--phi", "0.3",
+            "--gamma", "0.05", "--impurity-site", "2", "--kappa", "0",
+            "--omega", "1", "--method", "static"])
+        assert layered == explicit
+
+    def test_config_kappa_beats_config_kappa_omega(self, tmp_path):
+        from_file = _spectrum_csv(tmp_path, "file", [],
+                                  {**_DRIVEN_CHAIN, "kappa_omega": 5.0})
+        assert from_file == _spectrum_csv(tmp_path, "flags", _as_flags(_DRIVEN_CHAIN))
+
+    def test_kappa_flag_overrides_preset_kappa_omega(self, tmp_path):
+        layered = _spectrum_csv(tmp_path, "layered", [
+            "--preset", "fig1-highfreq", "--n-sites", "6", "--kappa", "0.01",
+            "--n-floquet", "2"])
+        explicit = _spectrum_csv(tmp_path, "explicit", [
+            "--n-sites", "6", "--lambda", "0.4", "--gamma", "0.2", "--impurity-site", "2",
+            "--kappa", "0.01", "--omega", "45pi", "--method", "extended",
+            "--n-floquet", "2"])
+        assert layered == explicit
+        assert ",0.01,0," in layered  # the kappa column holds the flag's value
+
+
+class TestConfigValues:
+    @pytest.mark.parametrize("config", [{"gamma": "abc"}, {"n_sites": "x"},
+                                        {"n_floquet": 2.5}, {"n_sites": 6.7},
+                                        {"n_sites": True}, {"impurity_site": True}])
+    def test_bad_value_exit_2(self, tmp_path, capsys, config):
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps(config))
+        out = tmp_path / "out.csv"
+        assert main(["spectrum", "--config", str(cfg), "-o", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "configuration error" in err
+        assert next(iter(config)) in err  # the message names the key
+        assert not out.exists()
+
+    @pytest.mark.parametrize("value, flag_value", [
+        ({"omega": "0.8pi"}, {"omega": "0.8pi"}),
+        ({"n_floquet": "3"}, {"n_floquet": 3}),
+        ({"n_sites": 6.0}, {"n_sites": 6}),  # an integral JSON number
+    ])
+    def test_value_parses_like_its_flag(self, tmp_path, value, flag_value):
+        from_file = _spectrum_csv(tmp_path, "file", [], {**_DRIVEN_CHAIN, **value})
+        flags = _as_flags({**_DRIVEN_CHAIN, **flag_value})
+        assert from_file == _spectrum_csv(tmp_path, "flags", flags)
+
+
 class TestPhaseDiagramCommand:
     def test_grid_row_count(self, tmp_path):
         out = tmp_path / "pd.csv"
@@ -245,7 +357,7 @@ class TestEffectiveCompareCommand:
 class TestPtThresholdCommand:
     def test_edge_impurity_reports_zero(self, capsys):
         code = main(["pt-threshold", "--preset", "fig1-static", "--phi", "0.3",
-                     "--impurity-site", "1", "--gamma", "0", "--gamma-max", "0.5"])
+                     "--impurity-site", "1", "--gamma-max", "0.5"])
         assert code == 0
         captured = capsys.readouterr()
         assert "gamma_pt = 0" in captured.out
