@@ -5,8 +5,9 @@ blocks indexed by harmonics m, m' in [-N_F, N_F], diagonal blocks
 H_static + m*omega*I, first off-diagonal blocks the Fourier components
 of the drive f(z) = kappa*omega*sin(omega*z + phase0) times the gradient
 operator D.  Route two builds the one-period propagator U(Z_p) in the
-lab frame by a Strang split step (one static exponential per period and
-exact diagonal drive phases) and takes eigenvalue logarithms.  Both
+lab frame by a fourth-order (Yoshida triple-jump) composition of Strang
+split steps, with two static exponentials per period and exact diagonal
+drive phases, and takes eigenvalue logarithms.  Both
 fold quasi-energy real parts into the first zone (-omega/2, omega/2] and
 select/weight the N physical modes; their agreement is the strongest
 correctness check in the package.
@@ -22,6 +23,7 @@ under the optimal matching (``matched_distance``, exported also as
 from __future__ import annotations
 
 import enum
+import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -46,6 +48,9 @@ REPLICA_OVERLAP = 0.99
 #: m=0 weight gap below which two candidates competing for a slot are
 #: flagged as an ambiguous selection.
 SELECTION_GAP = 1e-6
+#: Triple-jump weights of the fourth-order propagator composition.
+_YOSHIDA_W1 = 1.0 / (2.0 - 2.0 ** (1.0 / 3.0))
+_YOSHIDA_W0 = 1.0 - 2.0 * _YOSHIDA_W1
 
 
 class Method(enum.Enum):
@@ -122,7 +127,8 @@ def compute_spectrum(params: ModelParams, method: Method,
                      nf_tol: float = 1e-8) -> FloquetSpectrum:
     """Dispatch a single spectrum computation by method.
 
-    On the extended route ``n_floquet`` None means converge_nf(params, nf_tol).
+    On the extended route ``n_floquet`` None means converge_nf(params, nf_tol);
+    the spectrum that search solved at the converged N_F is returned as is.
     """
     if method is Method.STATIC:
         return static_spectrum(params)
@@ -131,9 +137,10 @@ def compute_spectrum(params: ModelParams, method: Method,
     if method is Method.PROPAGATOR:
         return quasi_energies_propagator(params, n_steps)
     if method is Method.EXTENDED:
-        if n_floquet is None:
-            n_floquet = converge_nf(params, nf_tol)
-        return quasi_energies_extended(params, n_floquet)
+        if n_floquet is not None:
+            return quasi_energies_extended(params, n_floquet)
+        solved: dict[int, FloquetSpectrum] = {}
+        return solved[converge_nf(params, nf_tol, spectra=solved)]
     raise ParameterError(f"unknown method {method!r}")
 
 
@@ -265,22 +272,30 @@ def quasi_energies_extended(params: ModelParams, n_floquet: int,
 
 
 def default_n_steps(params: ModelParams, samples: int = 16) -> int:
-    """max(1024, ceil(64 * ||H|| * Z_p)) with ||H|| sampled over one period."""
+    """max(MIN_PROPAGATOR_STEPS, ceil(4.5 * ||H|| * Z_p)), ||H|| sampled over a period.
+
+    The count is of fourth-order composition steps (three Strang sub-steps
+    each, see ``one_period_propagator``).
+    """
     z_period = params.drive_period
     grid = (np.arange(samples) + 0.5) * (z_period / samples)
     norm = max(float(matrix_norm_1(hamiltonian_at(z, params))) for z in grid)
-    return max(1024, int(math.ceil(64.0 * norm * z_period)))
+    return max(MIN_PROPAGATOR_STEPS, int(math.ceil(4.5 * norm * z_period)))
 
 
 def one_period_propagator(params: ModelParams, n_steps: int) -> np.ndarray:
-    """U(Z_p) by a Strang split step with one static exponential per period.
+    """U(Z_p) by a fourth-order composition of Strang split steps.
 
-    The drive f(z)*D is diagonal, so each step splits exactly into
-    E = expm(-i*dz*H_static), computed once, and diagonal phases
-    P_k = exp(-i*(F(s_{k+1}) - F(s_k))*D), where
+    The drive f(z)*D is diagonal, so a Strang step S(h) splits exactly
+    into the static exponential expm(-i*h*H_static) between diagonal
+    phases exp(-i*(F(b) - F(a))*D), where
     F(z) = kappa*(cos(phase0) - cos(omega*z + phase0)) is the closed-form
-    integral of f and s runs over 0, the n_steps midpoints and Z_p.  Then
-    U = P_n E ... E P_0, second order in dz.  Each P_k is applied as a
+    integral of f.  S is symmetric and second order, so each of the
+    ``n_steps`` steps dz is the triple jump S(w1*dz) S(w0*dz) S(w1*dz)
+    with w1 = 1/(2 - 2^(1/3)), w0 = 1 - 2*w1 (Yoshida, Phys. Lett. A 150,
+    262 (1990)), which is fourth order in dz.  The two static
+    exponentials are computed once per call; F is sampled at 0, the
+    3*n_steps sub-step midpoints and Z_p.  Each phase is applied as a
     row scaling, so memory beyond O(n_steps) scalars is independent of
     n_steps.  The propagator stays in the lab frame.
     """
@@ -288,14 +303,17 @@ def one_period_propagator(params: ModelParams, n_steps: int) -> np.ndarray:
         raise ParameterError(f"n_steps must be >= 1, got {n_steps}")
     z_period = params.drive_period
     dz = z_period / n_steps
-    step = expm(-1j * dz * build_static_hamiltonian(params))
+    h_static = build_static_hamiltonian(params)
+    outer, inner = (expm(-1j * w * dz * h_static) for w in (_YOSHIDA_W1, _YOSHIDA_W0))
     d_diag = np.diag(drive_operator(params))
-    s = np.concatenate(([0.0], (np.arange(n_steps) + 0.5) * dz, [z_period]))
+    midpoints = np.array([_YOSHIDA_W1 / 2, 0.5, 1.0 - _YOSHIDA_W1 / 2])
+    s = np.concatenate(([0.0], ((np.arange(n_steps)[:, None] + midpoints) * dz).ravel(),
+                        [z_period]))
     drive_integral = params.kappa * (math.cos(params.phase0)
                                      - np.cos(params.omega * s + params.phase0))
     increments = np.diff(drive_integral)
     u = np.diag(np.exp(-1j * increments[0] * d_diag))
-    for delta in increments[1:]:
+    for step, delta in zip(itertools.cycle((outer, inner, outer)), increments[1:]):
         u = np.exp(-1j * delta * d_diag)[:, None] * (step @ u)
     return u
 
@@ -412,16 +430,19 @@ spectral_distance = matched_distance
 
 
 def converge_nf(params: ModelParams, tol: float,
-                nf_cap: int = NF_CAP, dim_cap: int = DEFAULT_DIM_CAP) -> int:
+                nf_cap: int = NF_CAP, dim_cap: int = DEFAULT_DIM_CAP,
+                spectra: dict[int, FloquetSpectrum] | None = None) -> int:
     """Smallest N_F at which the physical spectrum is stable under N_F -> N_F+2.
 
     Searches by doubling from 2, then bisects.  Stability means the
     selected quasi-energy multiset moves by less than ``tol`` under the
     optimal matching.  Raises ConvergenceCapError above ``nf_cap``.
+    Every spectrum solved on the way, the returned N_F's included, is
+    stored in ``spectra`` (keyed by N_F) when a dict is given.
     """
     if not tol > 0:
         raise ParameterError(f"tol must be positive, got {tol}")
-    cache: dict[int, FloquetSpectrum] = {}
+    cache = {} if spectra is None else spectra
 
     def spectrum(nf: int) -> FloquetSpectrum:
         if nf not in cache:

@@ -5,7 +5,7 @@ the rest of the package relies on: a deterministic eigenvalue ordering
 (ascending real part, ties by ascending imaginary part), unit-norm right
 eigenvectors, and an enforced residual bound.  ``expm`` is a
 single-matrix scaling-and-squaring Pade exponential; the split-step
-propagator in :mod:`floquet_ssh.floquet` calls it once per period.
+propagator in :mod:`floquet_ssh.floquet` calls it twice per period.
 ``logm_eig`` extracts principal eigenvalue logarithms with a fixed
 branch, Im(log) in (-pi, pi] and -pi mapped to +pi, so propagator
 quasi-energies are deterministic.

@@ -29,6 +29,8 @@ from floquet_ssh.floquet import (
     SELECTION_GAP,
     _min_cost_assignment,
     _select_physical_modes,
+    compute_spectrum,
+    default_n_steps,
     drive_fourier_coefficients,
 )
 from floquet_ssh.linalg import Spectrum
@@ -266,7 +268,7 @@ class TestQuasiEnergiesPropagator:
             with pytest.raises(ParameterError):
                 one_period_propagator(p, n_steps)
 
-    def test_split_step_is_second_order_against_midpoint_product(self):
+    def test_split_step_is_fourth_order_against_midpoint_product(self):
         # oracle: time-ordered product of scipy.linalg.expm steps sampled at
         # the step midpoints, fine enough that its own error is negligible
         p = ModelParams(n_sites=6, tunneling=1.0, lam=0.3, phi_dim=2.0,
@@ -283,9 +285,31 @@ class TestQuasiEnergiesPropagator:
         for step in scipy.linalg.expm(-1j * dz * generators):
             reference = step @ reference
         errors = [np.abs(one_period_propagator(p, n) - reference).max()
-                  for n in (64, 128, 256)]
+                  for n in (16, 32, 64)]
         for coarse, fine in zip(errors, errors[1:]):
-            assert 3.0 <= coarse / fine <= 5.0
+            assert 12.0 <= coarse / fine <= 20.0
+
+    # bounds: U errors of the former second-order split step at its own
+    # default of 64*||H||*Z_p steps, so the fourth-order default is never
+    # less accurate than the step count it replaced
+    @pytest.mark.parametrize("phi, omega, kappa, bound", [
+        (0.35, 0.2 * math.pi, 0.05 / (0.2 * math.pi), 5.3e-8),
+        (0.3, 0.8 * math.pi, 0.05 / (0.8 * math.pi), 3.5e-8),
+        (0.3, 3.0, 2.0, 1.3e-8),
+    ])
+    def test_default_step_count_accuracy(self, phi, omega, kappa, bound):
+        p = ModelParams(n_sites=40, tunneling=1.0, lam=0.4, phi_dim=phi,
+                        gamma=0.2, impurity_site=2, kappa=kappa, omega=omega)
+        steps = default_n_steps(p)
+        error = np.abs(one_period_propagator(p, steps)
+                       - one_period_propagator(p, 8 * steps)).max()
+        assert error <= bound
+
+    def test_default_step_count_at_low_frequency(self):
+        omega = 0.2 * math.pi
+        p = ModelParams(n_sites=40, tunneling=1.0, lam=0.4, phi_dim=0.35,
+                        gamma=0.2, impurity_site=2, kappa=0.05 / omega, omega=omega)
+        assert default_n_steps(p) <= 200
 
 
 class TestMatchedDistance:
@@ -346,3 +370,23 @@ class TestConvergeNf:
         p = ModelParams(n_sites=8, lam=0.4, kappa=3.0, omega=0.05)
         with pytest.raises((ConvergenceCapError, DimensionCapError)):
             converge_nf(p, 1e-12, nf_cap=8)
+
+    def test_compute_spectrum_solves_each_nf_once(self, monkeypatch):
+        import floquet_ssh.floquet as floquet
+        p = ModelParams(n_sites=8, lam=0.4, phi_dim=0.3, gamma=0.2, impurity_site=2,
+                        kappa=0.05 / (0.2 * math.pi), omega=0.2 * math.pi)
+        solved = []
+        original = floquet.quasi_energies_extended
+
+        def counting(params, n_floquet, **kwargs):
+            solved.append(n_floquet)
+            return original(params, n_floquet, **kwargs)
+
+        monkeypatch.setattr(floquet, "quasi_energies_extended", counting)
+        got = compute_spectrum(p, Method.EXTENDED)
+        assert len(solved) == len(set(solved))
+        monkeypatch.undo()
+        want = quasi_energies_extended(p, converge_nf(p, 1e-8))
+        assert got.n_floquet == want.n_floquet
+        assert np.array_equal(got.quasi_energies, want.quasi_energies)
+        assert np.array_equal(got.mode_weights, want.mode_weights)
