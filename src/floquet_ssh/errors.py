@@ -23,7 +23,7 @@ class PropagatorCollapseError(SolverError):
 
 
 class DimensionCapError(SolverError):
-    """Requested extended Floquet matrix exceeds the configured size cap."""
+    """Requested extended Floquet matrix exceeds the size cap ``floquet.DIM_CAP``."""
 
 
 class ConvergenceCapError(SolverError):

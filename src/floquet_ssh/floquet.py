@@ -34,8 +34,10 @@ from .errors import ConvergenceCapError, DimensionCapError, ParameterError, Solv
 from .linalg import Spectrum, eig_dense, expm, matrix_norm_1, principal_log_eigenvalues
 from .model import ModelParams, build_static_hamiltonian, drive_operator, hamiltonian_at
 
-#: Hard cap on the extended matrix dimension N*(2*N_F+1).
-DEFAULT_DIM_CAP = 20000
+#: Hard cap on the extended matrix dimension N*(2*N_F+1).  A solve peaks at
+#: about 68 B per dim^2 (+65 MiB at dim 1000, +141 MiB at 1480), so one at the
+#: cap stays near 3.8 GiB, inside a 7 GB machine.
+DIM_CAP = 7700
 #: Cap for the N_F convergence search.
 NF_CAP = 512
 #: Cap for propagator step doubling.
@@ -159,8 +161,7 @@ def drive_fourier_coefficients(params: ModelParams) -> tuple[complex, complex]:
     return complex(c_plus), complex(c_minus)
 
 
-def build_floquet_matrix(params: ModelParams, n_floquet: int,
-                         dim_cap: int = DEFAULT_DIM_CAP) -> np.ndarray:
+def build_floquet_matrix(params: ModelParams, n_floquet: int) -> np.ndarray:
     """Truncated extended-zone matrix of dimension N*(2*N_F+1).
 
     Block (m, m') is H_static + m*omega*I on the diagonal, c_plus*D for
@@ -172,10 +173,10 @@ def build_floquet_matrix(params: ModelParams, n_floquet: int,
     n = params.n_sites
     n_blocks = 2 * n_floquet + 1
     dim = n * n_blocks
-    if dim > dim_cap:
+    if dim > DIM_CAP:
         raise DimensionCapError(
             f"extended matrix dimension {dim} = {n}*(2*{n_floquet}+1) "
-            f"exceeds cap {dim_cap}"
+            f"exceeds cap {DIM_CAP}"
         )
     h_static = build_static_hamiltonian(params)
     d = drive_operator(params)
@@ -251,8 +252,7 @@ def _select_physical_modes(spectrum: Spectrum, params: ModelParams,
     return sel, site_marginals, flags
 
 
-def quasi_energies_extended(params: ModelParams, n_floquet: int,
-                            dim_cap: int = DEFAULT_DIM_CAP) -> FloquetSpectrum:
+def quasi_energies_extended(params: ModelParams, n_floquet: int) -> FloquetSpectrum:
     """Quasi-energies from the truncated extended-zone matrix.
 
     Diagonalizes the block matrix, folds real parts into the first zone,
@@ -262,7 +262,7 @@ def quasi_energies_extended(params: ModelParams, n_floquet: int,
     by more than REPLICA_OVERLAP).  Mode weights are the renormalized
     m=0 site marginals.
     """
-    hf = build_floquet_matrix(params, n_floquet, dim_cap=dim_cap)
+    hf = build_floquet_matrix(params, n_floquet)
     spectrum = eig_dense(hf)
     sel, marginals, flags = _select_physical_modes(spectrum, params, n_floquet)
     eps = fold_real(spectrum.eigenvalues[sel].real, params.omega) \
@@ -429,8 +429,7 @@ def matched_distance(a: FloquetSpectrum, b: FloquetSpectrum) -> float:
 spectral_distance = matched_distance
 
 
-def converge_nf(params: ModelParams, tol: float,
-                nf_cap: int = NF_CAP, dim_cap: int = DEFAULT_DIM_CAP,
+def converge_nf(params: ModelParams, tol: float, nf_cap: int = NF_CAP,
                 spectra: dict[int, FloquetSpectrum] | None = None) -> int:
     """Smallest N_F at which the physical spectrum is stable under N_F -> N_F+2.
 
@@ -446,7 +445,7 @@ def converge_nf(params: ModelParams, tol: float,
 
     def spectrum(nf: int) -> FloquetSpectrum:
         if nf not in cache:
-            cache[nf] = quasi_energies_extended(params, nf, dim_cap=dim_cap)
+            cache[nf] = quasi_energies_extended(params, nf)
         return cache[nf]
 
     def delta(nf: int) -> float:

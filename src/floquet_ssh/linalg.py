@@ -4,8 +4,9 @@
 the rest of the package relies on: a deterministic eigenvalue ordering
 (ascending real part, ties by ascending imaginary part), unit-norm right
 eigenvectors, and an enforced residual bound.  ``expm`` is a
-single-matrix scaling-and-squaring Pade exponential; the split-step
-propagator in :mod:`floquet_ssh.floquet` calls it twice per period.
+single-matrix scaling-and-squaring exponential with one Pade degree (13)
+at every norm; the split-step propagator in :mod:`floquet_ssh.floquet`
+calls it twice per period.
 ``logm_eig`` extracts principal eigenvalue logarithms with a fixed
 branch, Im(log) in (-pi, pi] and -pi mapped to +pi, so propagator
 quasi-energies are deterministic.
@@ -23,27 +24,13 @@ from .errors import EigenConvergenceError, PropagatorCollapseError, SolverError
 #: Relative residual bound enforced by eig_dense, scaled by the matrix 1-norm.
 TOL_EIG = 1e-10
 
-# Pade numerator coefficients and backward-error norm bounds for the
-# scaling-and-squaring exponential (double precision).
-_PADE_COEFFS = {
-    3: np.array([120.0, 60.0, 12.0, 1.0]),
-    5: np.array([30240.0, 15120.0, 3360.0, 420.0, 30.0, 1.0]),
-    7: np.array([17297280.0, 8648640.0, 1995840.0, 277200.0,
-                 25200.0, 1512.0, 56.0, 1.0]),
-    9: np.array([17643225600.0, 8821612800.0, 2075673600.0, 302702400.0,
-                 30270240.0, 2162160.0, 110880.0, 3960.0, 90.0, 1.0]),
-    13: np.array([64764752532480000.0, 32382376266240000.0, 7771770303897600.0,
-                  1187353796428800.0, 129060195264000.0, 10559470521600.0,
-                  670442572800.0, 33522128640.0, 1323241920.0, 40840800.0,
-                  960960.0, 16380.0, 182.0, 1.0]),
-}
-_PADE_THETA = {
-    3: 1.495585217958292e-2,
-    5: 2.539398330063230e-1,
-    7: 9.504178996162932e-1,
-    9: 2.097847961257068,
-    13: 5.371920351148152,
-}
+# Degree-13 Pade numerator coefficients and the 1-norm bound theta_13 up to
+# which that approximant meets double-precision backward error (Higham 2005).
+_PADE13 = np.array([64764752532480000.0, 32382376266240000.0, 7771770303897600.0,
+                    1187353796428800.0, 129060195264000.0, 10559470521600.0,
+                    670442572800.0, 33522128640.0, 1323241920.0, 40840800.0,
+                    960960.0, 16380.0, 182.0, 1.0])
+_THETA13 = 5.371920351148152
 _MAX_SQUARINGS = 100
 
 
@@ -103,57 +90,37 @@ def eig_dense(m: np.ndarray) -> Spectrum:
     return Spectrum(eigenvalues=w, eigenvectors=v, max_residual=residual)
 
 
-def _pade_uv(a: np.ndarray, degree: int) -> tuple[np.ndarray, np.ndarray]:
-    b = _PADE_COEFFS[degree]
+def _pade_uv(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    b = _PADE13
     eye = np.eye(a.shape[0], dtype=a.dtype)
     a2 = a @ a
-    if degree == 13:
-        a4 = a2 @ a2
-        a6 = a4 @ a2
-        u = a @ (a6 @ (b[13] * a6 + b[11] * a4 + b[9] * a2)
-                 + b[7] * a6 + b[5] * a4 + b[3] * a2 + b[1] * eye)
-        v = (a6 @ (b[12] * a6 + b[10] * a4 + b[8] * a2)
-             + b[6] * a6 + b[4] * a4 + b[2] * a2 + b[0] * eye)
-        return u, v
-    powers = [eye, a2]
-    while 2 * len(powers) < degree + 1:
-        powers.append(powers[-1] @ a2)
-    u_poly = sum(b[2 * k + 1] * powers[k] for k in range((degree + 1) // 2))
-    v = sum(b[2 * k] * powers[k] for k in range(degree // 2 + 1))
-    return a @ u_poly, v
+    a4 = a2 @ a2
+    a6 = a4 @ a2
+    u = a @ (a6 @ (b[13] * a6 + b[11] * a4 + b[9] * a2)
+             + b[7] * a6 + b[5] * a4 + b[3] * a2 + b[1] * eye)
+    v = (a6 @ (b[12] * a6 + b[10] * a4 + b[8] * a2)
+         + b[6] * a6 + b[4] * a4 + b[2] * a2 + b[0] * eye)
+    return u, v
 
 
 def expm(m: np.ndarray) -> np.ndarray:
-    """Matrix exponential of one square matrix by scaling-and-squaring with Pade kernels.
+    """Matrix exponential of one square matrix by degree-13 Pade scaling-and-squaring.
 
-    The scaling/degree choice follows the usual double-precision 1-norm
-    thresholds.  Raises ValueError for non-square or stacked input, and
-    SolverError on overflow (non-finite result) or an absurd norm.
+    The matrix is halved s times, s = ceil(log2(||m||_1 / theta_13)) when
+    ||m||_1 exceeds theta_13 and 0 otherwise; the approximant is then
+    squared s times.  Raises ValueError for non-square or stacked input,
+    and SolverError on overflow (non-finite result) or an absurd norm.
     """
     a = _check_square(m)
     mu = float(matrix_norm_1(a))
-    squarings = 0
-    if mu <= _PADE_THETA[3]:
-        degree = 3
-    elif mu <= _PADE_THETA[5]:
-        degree = 5
-    elif mu <= _PADE_THETA[7]:
-        degree = 7
-    elif mu <= _PADE_THETA[9]:
-        degree = 9
-    else:
-        degree = 13
-        if mu > _PADE_THETA[13]:
-            squarings = int(np.ceil(np.log2(mu / _PADE_THETA[13])))
-        if squarings > _MAX_SQUARINGS:
-            raise SolverError(
-                f"matrix norm {mu:.3e} too large for expm "
-                f"(needs {squarings} squarings)"
-            )
-        if squarings:
-            a = a / (2.0 ** squarings)
+    if not mu <= _THETA13 * 2.0 ** _MAX_SQUARINGS:
+        raise SolverError(
+            f"matrix norm {mu:.3e} too large for expm (over {_MAX_SQUARINGS} squarings)"
+        )
+    squarings = int(np.ceil(np.log2(mu / _THETA13))) if mu > _THETA13 else 0
+    a = a / (2.0 ** squarings)
     with np.errstate(over="ignore", invalid="ignore"):
-        u, v = _pade_uv(a, degree)
+        u, v = _pade_uv(a)
         result = np.linalg.solve(v - u, v + u)
         for _ in range(squarings):
             result = result @ result

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import dataclasses
 import itertools
-import time
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -151,17 +150,21 @@ class SweepResult:
     failures: tuple[Failure, ...]
     spec: SweepSpec
     n_floquet_used: int
-    wall_time: float
 
 
-def _auto_n_floquet(spec: SweepSpec) -> int:
-    """converge_nf at the smallest-omega grid corner (worst case)."""
+def _auto_n_floquet(spec: SweepSpec) -> tuple[int, dict[ModelParams, FloquetSpectrum]]:
+    """converge_nf at the smallest-omega grid corner (worst case).
+
+    Also returns the corner's spectrum at that N_F, keyed by its params.
+    """
     omega_axes = [grid for name, grid in spec.axes if name == "omega"]
     point: dict[str, float] = {}
     if omega_axes:
         point["omega"] = float(min(omega_axes[0]))
     params = spec.params_at({**spec.grid_points()[0], **point})
-    return converge_nf(params, spec.nf_tol)
+    solved: dict[int, FloquetSpectrum] = {}
+    nf = converge_nf(params, spec.nf_tol, spectra=solved)
+    return nf, {params: solved[nf]}
 
 
 def spectrum_rows(spectrum: FloquetSpectrum, params: ModelParams, phase: Phase,
@@ -206,17 +209,20 @@ def _run_grid(spec: SweepSpec, rows_of) -> SweepResult:
     point into its output rows.
     """
     points = spec.grid_points()
-    nf_shared = 0
-    if spec.method is Method.EXTENDED:
-        nf_shared = spec.n_floquet if spec.n_floquet is not None else _auto_n_floquet(spec)
-    start = time.perf_counter()
+    nf_shared, known = 0, {}
+    if spec.method is Method.EXTENDED and spec.n_floquet is not None:
+        nf_shared = spec.n_floquet
+    elif spec.method is Method.EXTENDED:
+        nf_shared, known = _auto_n_floquet(spec)
     all_rows: list = []
     failures: list[Failure] = []
     for index, point in enumerate(points):
         try:
             params = spec.params_at(point)
-            spectrum = compute_spectrum(params, spec.method, n_floquet=nf_shared,
-                                        n_steps=spec.n_steps, nf_tol=spec.nf_tol)
+            spectrum = known.get(params)
+            if spectrum is None:
+                spectrum = compute_spectrum(params, spec.method, n_floquet=nf_shared,
+                                            n_steps=spec.n_steps, nf_tol=spec.nf_tol)
             phase_point = classify_pt(spectrum, spec.tol_im)
             all_rows.extend(rows_of(spectrum, params, phase_point, index))
         except (SolverError, ParameterError) as exc:
@@ -230,7 +236,6 @@ def _run_grid(spec: SweepSpec, rows_of) -> SweepResult:
         failures=tuple(failures),
         spec=spec,
         n_floquet_used=nf_shared,
-        wall_time=time.perf_counter() - start,
     )
 
 

@@ -26,6 +26,7 @@ from floquet_ssh import (
     static_spectrum,
 )
 from floquet_ssh.floquet import (
+    DIM_CAP,
     SELECTION_GAP,
     _min_cost_assignment,
     _select_physical_modes,
@@ -110,6 +111,31 @@ class TestBuildFloquetMatrix:
             build_floquet_matrix(p, 300)
         with pytest.raises(ParameterError):
             build_floquet_matrix(p, 0)
+
+    def test_dimension_just_above_cap_raises_without_allocating(self, monkeypatch):
+        import tracemalloc
+
+        import floquet_ssh.floquet as floquet
+
+        def assemble(params):
+            raise AssertionError("assembly started above the dimension cap")
+
+        # a missing check fails here instead of starting a multi-GiB solve
+        monkeypatch.setattr(floquet, "build_static_hamiltonian", assemble)
+        # a solve peaks at about 68 B per dim^2: a capped one stays under 4 GiB
+        assert 68 * DIM_CAP ** 2 < 4 << 30
+        p = ModelParams(n_sites=40, kappa=0.1, omega=1.0)
+        n_floquet = (DIM_CAP // 40 - 1) // 2 + 1
+        assert 40 * (2 * n_floquet - 1) <= DIM_CAP < 40 * (2 * n_floquet + 1)
+        tracemalloc.start()
+        tracemalloc.reset_peak()
+        try:
+            with pytest.raises(DimensionCapError):
+                quasi_energies_extended(p, n_floquet)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
 
 
 class TestQuasiEnergiesExtended:

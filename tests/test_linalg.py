@@ -110,7 +110,7 @@ class TestExpm:
         expected = [[np.cos(theta), np.sin(theta)], [-np.sin(theta), np.cos(theta)]]
         assert_allclose(expm(m), expected, atol=1e-15)
 
-    @pytest.mark.parametrize("scale", [0.01, 0.2, 1.0, 4.0, 19.9])
+    @pytest.mark.parametrize("scale", [0.01, 0.2, 0.3, 0.5, 1.0, 4.0, 19.9])
     def test_against_scipy_across_norm_regimes(self, scale):
         rng = np.random.default_rng(int(scale * 100))
         m = _random_complex(rng, 12)

@@ -143,6 +143,27 @@ class TestRunSweep:
         assert result.n_floquet_used >= 2
         assert all(r.n_floquet == result.n_floquet_used for r in result.rows)
 
+    def test_auto_nf_sweep_solves_each_point_once(self, monkeypatch):
+        import floquet_ssh.floquet as floquet
+
+        solved = []
+        solve = floquet.quasi_energies_extended
+
+        def recording(params, n_floquet):
+            solved.append((params, n_floquet))
+            return solve(params, n_floquet)
+
+        monkeypatch.setattr(floquet, "quasi_energies_extended", recording)
+        spec = SweepSpec(
+            base=_base(), axes=(("gamma", (0.0, 0.1)), ("omega", (4 * math.pi, 8 * math.pi))),
+            method=Method.EXTENDED, kappa_omega=0.05)
+        result = run_phase_diagram(spec)
+        assert len(result.rows) == 4
+        assert len(solved) == len(set(solved))
+        grid_solves = {(spec.params_at(point), result.n_floquet_used)
+                       for point in spec.grid_points()}
+        assert grid_solves <= set(solved)
+
 
 class TestRunPhaseDiagram:
     def test_requires_gamma_omega_axes(self):
