@@ -2,12 +2,13 @@
 
 A spectrum is PT-unbroken when every (quasi-)energy is real to within
 ``TOL_IM``; complex-conjugate pairs mark the broken phase.  Zero modes
-are identified by a small real part together with strong localization at
-the chain edges.  ``gamma_pt_threshold`` bisects the gain/loss strength
-for the unbroken-to-broken transition, and ``check_pt_symmetry``
-verifies the antiunitary relation of the driven Hamiltonian directly:
-site reversal plus conjugation plus reflection of z about the odd point
-of the drive, with scalar (trace) parts discounted as gauge.
+have |Re eps| below the fixed ZERO_TOL_FACTOR * |T| and more than half
+their weight on the outer EDGE_FRACTION of sites at each edge.
+``gamma_pt_threshold`` bisects the gain/loss strength for the
+unbroken-to-broken transition, and ``check_pt_symmetry`` verifies the
+antiunitary relation of the driven Hamiltonian directly: site reversal
+plus conjugation plus reflection of z about the odd point of the drive,
+with scalar (trace) parts discounted as gauge.
 """
 
 from __future__ import annotations
@@ -20,20 +21,14 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import ParameterError
-from .floquet import (  # static_spectrum is re-exported
-    FloquetSpectrum,
-    Method,
-    compute_spectrum,
-    converge_nf,
-    static_spectrum,
-)
+from .floquet import FloquetSpectrum, Method, compute_spectrum, converge_nf
 from .model import ModelParams, hamiltonian_at
 
 #: Max |Im eps| below which a spectrum counts as PT-unbroken.
 TOL_IM = 1e-8
-#: Default |Re eps| window for zero-mode detection, in units of T.
+#: |Re eps| window for zero-mode detection, in units of T.
 ZERO_TOL_FACTOR = 1e-3
-#: Default fraction of sites per edge used for the edge weight.
+#: Fraction of sites per edge used for the edge weight.
 EDGE_FRACTION = 0.1
 #: Number of pre-scan points guarding the threshold bisection.
 PRESCAN_POINTS = 16
@@ -58,54 +53,42 @@ class PhasePoint:
     max_im: float
     phase: Phase
     zero_modes: tuple[ZeroMode, ...]
-    params_echo: ModelParams | None
 
 
-def edge_weight(weights_row: np.ndarray, edge_fraction: float = EDGE_FRACTION) -> float:
-    """Fraction of a mode's site weight on the outer sites of both edges."""
-    if not 0.0 < edge_fraction <= 0.5:
-        raise ParameterError(f"edge_fraction must be in (0, 0.5], got {edge_fraction}")
+def edge_weight(weights_row: np.ndarray) -> float:
+    """Share of a mode's site weight on the outer EDGE_FRACTION of sites at each edge."""
     n = weights_row.shape[0]
-    count = math.ceil(edge_fraction * n)
+    count = math.ceil(EDGE_FRACTION * n)
     return float(weights_row[:count].sum() + weights_row[n - count:].sum())
 
 
-def find_zero_modes(spectrum: FloquetSpectrum, zero_tol: float | None = None,
-                    edge_fraction: float = EDGE_FRACTION) -> list[ZeroMode]:
-    """Modes with |Re eps| < zero_tol and edge weight above 0.5.
+def find_zero_modes(spectrum: FloquetSpectrum) -> list[ZeroMode]:
+    """Modes with |Re eps| < ZERO_TOL_FACTOR * |T| and edge weight above 0.5.
 
-    ``zero_tol`` defaults to 1e-3 * |T| to accommodate the exponentially
-    small finite-size splitting of edge-mode pairs.
+    The 1e-3 * |T| window accommodates the exponentially small
+    finite-size splitting of edge-mode pairs.  The edge weight is
+    computed only for modes inside the window.
     """
-    if not 0.0 < edge_fraction <= 0.5:
-        raise ParameterError(f"edge_fraction must be in (0, 0.5], got {edge_fraction}")
-    if zero_tol is None:
-        scale = abs(spectrum.params.tunneling) if spectrum.params is not None else 1.0
-        zero_tol = ZERO_TOL_FACTOR * scale
-    elif not zero_tol > 0:
-        raise ParameterError(f"zero_tol must be positive, got {zero_tol}")
+    zero_tol = ZERO_TOL_FACTOR * abs(spectrum.params.tunneling)
     found = []
     for k in range(spectrum.n_modes):
         eps = spectrum.quasi_energies[k]
         if abs(eps.real) >= zero_tol:
             continue
-        ew = edge_weight(spectrum.mode_weights[k], edge_fraction)
+        ew = edge_weight(spectrum.mode_weights[k])
         if ew > 0.5:
             found.append(ZeroMode(k, float(eps.real), float(eps.imag), ew))
     return found
 
 
-def classify_pt(spectrum: FloquetSpectrum, tol_im: float = TOL_IM,
-                zero_tol: float | None = None,
-                edge_fraction: float = EDGE_FRACTION) -> PhasePoint:
+def classify_pt(spectrum: FloquetSpectrum, tol_im: float = TOL_IM) -> PhasePoint:
     """Unbroken iff max |Im eps| < tol_im; zero modes listed alongside."""
     if not tol_im > 0:
         raise ParameterError(f"tol_im must be positive, got {tol_im}")
     max_im = spectrum.max_imag
     phase = Phase.UNBROKEN if max_im < tol_im else Phase.BROKEN
-    modes = tuple(find_zero_modes(spectrum, zero_tol, edge_fraction))
-    return PhasePoint(max_im=max_im, phase=phase, zero_modes=modes,
-                      params_echo=spectrum.params)
+    modes = tuple(find_zero_modes(spectrum))
+    return PhasePoint(max_im=max_im, phase=phase, zero_modes=modes)
 
 
 @dataclass(frozen=True)
@@ -130,6 +113,8 @@ def gamma_pt_threshold(params: ModelParams, gamma_max: float,
     Monotonicity of the broken phase in gamma is an assumption; a
     PRESCAN_POINTS-point scan detects violations and reports them via
     ``monotone`` (the bisection then brackets the first transition).
+    ``broken_at_zero`` (value 0) means that no gamma > 0 was seen
+    unbroken; otherwise ``ok`` reports the bracket's midpoint.
     The caller picks the spectrum route through ``method``; on the
     extended route without ``n_floquet``, N_F is converged to ``nf_tol``
     at gamma_max.
@@ -168,29 +153,26 @@ def gamma_pt_threshold(params: ModelParams, gamma_max: float,
             hi = mid
         else:
             lo = mid
-    value = 0.5 * (lo + hi)
-    if value < tol_gamma:
+    if lo == 0.0:
         return GammaThreshold(0.0, "broken_at_zero", monotone, scan)
-    return GammaThreshold(value, "ok", monotone, scan)
+    return GammaThreshold(0.5 * (lo + hi), "ok", monotone, scan)
 
 
-def check_pt_symmetry(params: ModelParams, z_samples: int = 64) -> float:
+def check_pt_symmetry(params: ModelParams) -> float:
     """Max residual of the PT relation over one drive period.
 
-    Evaluates R(z) = P conj(H(z_r - z)) P - H(z_r + z) on a uniform grid,
-    where P is site reversal and z_r = -phase0/omega is the odd point of
-    the drive, subtracts the trace part of R (scalar drive terms are pure
-    gauge), and returns the largest remaining entry magnitude.  For even
-    N this is zero up to rounding; odd N breaks the relation through its
-    hopping texture.
+    Evaluates R(z) = P conj(H(z_r - z)) P - H(z_r + z) at 64 evenly
+    spaced z, where P is site reversal and z_r = -phase0/omega is the odd
+    point of the drive, subtracts the trace part of R (scalar drive terms
+    are pure gauge), and returns the largest remaining entry magnitude.
+    For even N this is zero up to rounding; odd N breaks the relation
+    through its hopping texture.
     """
-    if z_samples < 8:
-        raise ParameterError(f"z_samples must be >= 8, got {z_samples}")
     n = params.n_sites
     z_reflect = -params.phase0 / params.omega
     z_period = params.drive_period
     worst = 0.0
-    for z in np.linspace(0.0, z_period, z_samples, endpoint=False):
+    for z in np.linspace(0.0, z_period, 64, endpoint=False):
         reflected = np.conj(hamiltonian_at(z_reflect - z, params))[::-1, ::-1]
         residual = reflected - hamiltonian_at(z_reflect + z, params)
         residual[np.diag_indices(n)] -= np.trace(residual) / n

@@ -187,7 +187,9 @@ def _merge_layers(args) -> RunConfig:
     kappa_omega = values.pop("kappa_omega", None)
     if kappa_omega is not None:
         values["kappa"] = kappa_omega / values.get("omega", 1.0)
-    params = ModelParams.from_dict(values)
+    if "lambda" in values:
+        values["lam"] = values.pop("lambda")
+    params = ModelParams(**values)
     if method is None:
         method = Method.STATIC if params.kappa == 0.0 else Method.EXTENDED
     return RunConfig(params=params, kappa_omega=kappa_omega, method=method,

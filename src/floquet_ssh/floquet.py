@@ -72,8 +72,8 @@ class FloquetSpectrum:
     into (-omega/2, omega/2] (Im is reported unfolded).  Row k of
     ``mode_weights`` is the site probability profile of mode k,
     normalized to 1.  ``omega`` is the folding modulus; it is 0 for the
-    static methods, which do not fold.  ``flags`` carries diagnostics
-    such as ambiguous physical-mode selection.
+    static methods, which do not fold.  ``params`` are the model inputs;
+    ``flags`` carries diagnostics such as ambiguous physical-mode selection.
     """
 
     quasi_energies: np.ndarray
@@ -81,7 +81,7 @@ class FloquetSpectrum:
     method: Method
     n_floquet: int
     omega: float
-    params: ModelParams | None = None
+    params: ModelParams
     flags: tuple[str, ...] = field(default=())
 
     @property
@@ -271,14 +271,14 @@ def quasi_energies_extended(params: ModelParams, n_floquet: int) -> FloquetSpect
                     n_floquet, flags)
 
 
-def default_n_steps(params: ModelParams, samples: int = 16) -> int:
-    """max(MIN_PROPAGATOR_STEPS, ceil(4.5 * ||H|| * Z_p)), ||H|| sampled over a period.
+def default_n_steps(params: ModelParams) -> int:
+    """max(MIN_PROPAGATOR_STEPS, ceil(4.5 * ||H||_1 * Z_p)), ||H||_1 the max over 16 z.
 
     The count is of fourth-order composition steps (three Strang sub-steps
     each, see ``one_period_propagator``).
     """
     z_period = params.drive_period
-    grid = (np.arange(samples) + 0.5) * (z_period / samples)
+    grid = (np.arange(16) + 0.5) * (z_period / 16)
     norm = max(float(matrix_norm_1(hamiltonian_at(z, params))) for z in grid)
     return max(MIN_PROPAGATOR_STEPS, int(math.ceil(4.5 * norm * z_period)))
 
@@ -429,13 +429,13 @@ def matched_distance(a: FloquetSpectrum, b: FloquetSpectrum) -> float:
 spectral_distance = matched_distance
 
 
-def converge_nf(params: ModelParams, tol: float, nf_cap: int = NF_CAP,
+def converge_nf(params: ModelParams, tol: float,
                 spectra: dict[int, FloquetSpectrum] | None = None) -> int:
     """Smallest N_F at which the physical spectrum is stable under N_F -> N_F+2.
 
     Searches by doubling from 2, then bisects.  Stability means the
     selected quasi-energy multiset moves by less than ``tol`` under the
-    optimal matching.  Raises ConvergenceCapError above ``nf_cap``.
+    optimal matching.  Raises ConvergenceCapError above ``NF_CAP``.
     Every spectrum solved on the way, the returned N_F's included, is
     stored in ``spectra`` (keyed by N_F) when a dict is given.
     """
@@ -454,9 +454,9 @@ def converge_nf(params: ModelParams, tol: float, nf_cap: int = NF_CAP,
     nf = 2
     last = delta(nf)
     while last >= tol:
-        if 2 * nf > nf_cap:
+        if 2 * nf > NF_CAP:
             raise ConvergenceCapError(
-                f"N_F search exceeded cap {nf_cap}; last delta {last:.3e} at N_F={nf}"
+                f"N_F search exceeded cap {NF_CAP}; last delta {last:.3e} at N_F={nf}"
             )
         nf *= 2
         last = delta(nf)

@@ -36,22 +36,15 @@ class N0Rule(enum.Enum):
     CENTERED = "centered"  # n0 = (N+1)/2 exactly (chain midpoint, any N)
 
 
-# Keys accepted by ModelParams.from_dict.
-_PARAM_KEYS = (
-    "n_sites", "tunneling", "lambda", "phi_dim", "gamma",
-    "impurity_site", "kappa", "omega", "phase0", "n0_rule",
-)
-
-
 @dataclass(frozen=True)
 class ModelParams:
     """Full parameter set of the driven chain.
 
-    ``lam`` is the dimerization strength (key ``lambda`` in
-    ``from_dict``), ``phi_dim`` the modulation phase Phi, ``phase0`` the
-    initial drive phase.  ``kappa`` is the dimensionless drive strength;
-    the physical drive amplitude is ``kappa * omega``.  ``n0_rule``
-    defaults to the parity-matched integer rule.
+    ``lam`` is the dimerization strength (config key ``lambda``),
+    ``phi_dim`` the modulation phase Phi, ``phase0`` the initial drive
+    phase.  ``kappa`` is the dimensionless drive strength; the physical
+    drive amplitude is ``kappa * omega``.  ``n0_rule`` defaults to the
+    parity-matched integer rule.
     """
 
     n_sites: int
@@ -107,26 +100,6 @@ class ModelParams:
     def drive_period(self) -> float:
         """Z_p = 2*pi/omega."""
         return 2.0 * math.pi / self.omega
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "ModelParams":
-        unknown = set(data) - set(_PARAM_KEYS)
-        if unknown:
-            raise ParameterError(f"unknown parameter keys: {sorted(unknown)}")
-        if "n_sites" not in data:
-            raise ParameterError("n_sites is required")
-        kwargs = {k: data[k] for k in data if k not in ("lambda", "n0_rule")}
-        if "lambda" in data:
-            kwargs["lam"] = data["lambda"]
-        if "n0_rule" in data and data["n0_rule"] is not None:
-            try:
-                kwargs["n0_rule"] = N0Rule(data["n0_rule"])
-            except ValueError:
-                raise ParameterError(f"unknown n0_rule {data['n0_rule']!r}") from None
-        kwargs["n_sites"] = int(data["n_sites"])
-        if "impurity_site" in data:
-            kwargs["impurity_site"] = int(data["impurity_site"])
-        return cls(**kwargs)
 
 
 def hopping_amplitudes(params: ModelParams) -> np.ndarray:

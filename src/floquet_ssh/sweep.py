@@ -4,7 +4,8 @@ Grid points are solved and classified one after another, in grid order,
 on the calling thread; the eigensolves use the cores through LAPACK's
 threaded BLAS.  The output is therefore a pure function of the sweep
 specification.  Per-point failures become failure records carrying a
-machine-readable code instead of aborting the sweep.
+machine-readable code instead of aborting the sweep.  A result is its
+rows and failures; each row carries the N_F it was solved at.
 """
 
 from __future__ import annotations
@@ -17,14 +18,7 @@ import numpy as np
 
 from .analysis import TOL_IM, Phase, PhasePoint, classify_pt, edge_weight
 from .errors import ParameterError, SolverError
-from .floquet import (  # static_spectrum is re-exported
-    MIN_PROPAGATOR_STEPS,
-    FloquetSpectrum,
-    Method,
-    compute_spectrum,
-    converge_nf,
-    static_spectrum,
-)
+from .floquet import MIN_PROPAGATOR_STEPS, FloquetSpectrum, Method, compute_spectrum, converge_nf
 from .model import ModelParams
 
 _AXIS_FIELDS = {f.name for f in dataclasses.fields(ModelParams)} - {"n0_rule"}
@@ -148,8 +142,6 @@ class Failure:
 class SweepResult:
     rows: tuple
     failures: tuple[Failure, ...]
-    spec: SweepSpec
-    n_floquet_used: int
 
 
 def _auto_n_floquet(spec: SweepSpec) -> tuple[int, dict[ModelParams, FloquetSpectrum]]:
@@ -231,12 +223,7 @@ def _run_grid(spec: SweepSpec, rows_of) -> SweepResult:
         raise SolverError(
             f"all {len(points)} grid points failed; first: {failures[0].message}"
         )
-    return SweepResult(
-        rows=tuple(all_rows),
-        failures=tuple(failures),
-        spec=spec,
-        n_floquet_used=nf_shared,
-    )
+    return SweepResult(rows=tuple(all_rows), failures=tuple(failures))
 
 
 def run_sweep(spec: SweepSpec) -> SweepResult:

@@ -392,10 +392,12 @@ class TestConvergeNf:
         with pytest.raises(ParameterError):
             converge_nf(p, tol)
 
-    def test_cap(self):
+    def test_cap(self, monkeypatch):
+        import floquet_ssh.floquet as floquet
+        monkeypatch.setattr(floquet, "NF_CAP", 8)
         p = ModelParams(n_sites=8, lam=0.4, kappa=3.0, omega=0.05)
         with pytest.raises((ConvergenceCapError, DimensionCapError)):
-            converge_nf(p, 1e-12, nf_cap=8)
+            converge_nf(p, 1e-12)
 
     def test_compute_spectrum_solves_each_nf_once(self, monkeypatch):
         import floquet_ssh.floquet as floquet

@@ -159,10 +159,3 @@ def test_gradient_antisymmetry():
     integer_rule = ModelParams(n_sites=8)  # even rule: P D P = -D + I
     dp = drive_operator(integer_rule)
     assert np.abs(rev @ dp @ rev + dp - np.eye(8)).max() == 0.0
-
-
-def test_from_dict_rejects_unknown_keys():
-    with pytest.raises(ParameterError):
-        ModelParams.from_dict({"n_sites": 4, "bogus": 1})
-    with pytest.raises(ParameterError):
-        ModelParams.from_dict({"tunneling": 1.0})  # n_sites required
