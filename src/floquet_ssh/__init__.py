@@ -44,7 +44,6 @@ from .floquet import (
 from .linalg import Spectrum, eig_dense, expm, logm_eig
 from .model import (
     ModelParams,
-    N0Rule,
     build_static_hamiltonian,
     drive_operator,
     drive_value,
@@ -57,7 +56,7 @@ __version__ = "0.1.0"
 __all__ = [
     "AliasingError", "ConvergenceCapError", "DimensionCapError",
     "EffectiveComparison", "EigenConvergenceError", "FloquetSpectrum",
-    "GammaThreshold", "Method", "ModelParams", "N0Rule", "ParameterError",
+    "GammaThreshold", "Method", "ModelParams", "ParameterError",
     "Phase", "PhasePoint", "PropagatorCollapseError", "SolverError",
     "Spectrum", "SweepSpec", "ZeroMode", "bessel_j0", "build_floquet_matrix",
     "build_static_hamiltonian", "check_pt_symmetry", "classify_pt",

@@ -83,8 +83,8 @@ def find_zero_modes(spectrum: FloquetSpectrum) -> list[ZeroMode]:
 
 def classify_pt(spectrum: FloquetSpectrum, tol_im: float = TOL_IM) -> PhasePoint:
     """Unbroken iff max |Im eps| < tol_im; zero modes listed alongside."""
-    if not tol_im > 0:
-        raise ParameterError(f"tol_im must be positive, got {tol_im}")
+    if not 0 < tol_im < math.inf:
+        raise ParameterError(f"tol_im must be positive and finite, got {tol_im}")
     max_im = spectrum.max_imag
     phase = Phase.UNBROKEN if max_im < tol_im else Phase.BROKEN
     modes = tuple(find_zero_modes(spectrum))
@@ -119,10 +119,10 @@ def gamma_pt_threshold(params: ModelParams, gamma_max: float,
     extended route without ``n_floquet``, N_F is converged to ``nf_tol``
     at gamma_max.
     """
-    if not gamma_max > 0:
-        raise ParameterError(f"gamma_max must be positive, got {gamma_max}")
-    if not tol_gamma > 0:
-        raise ParameterError(f"tol_gamma must be positive, got {tol_gamma}")
+    if not 0 < gamma_max < math.inf:
+        raise ParameterError(f"gamma_max must be positive and finite, got {gamma_max}")
+    if not 0 < tol_gamma < math.inf:
+        raise ParameterError(f"tol_gamma must be positive and finite, got {tol_gamma}")
     if method is Method.EXTENDED and n_floquet is None:
         n_floquet = converge_nf(replace(params, gamma=gamma_max), tol=nf_tol)
 

@@ -38,7 +38,7 @@ from .analysis import TOL_IM, ZERO_TOL_FACTOR, classify_pt, gamma_pt_threshold
 from .effective import compare_floquet_effective
 from .errors import ParameterError, SolverError
 from .floquet import Method, compute_spectrum, converge_nf
-from .model import ModelParams, N0Rule
+from .model import ModelParams
 from .svgplot import spectrum_svg
 from .sweep import (PhaseRow, SpectrumRow, SweepSpec, run_phase_diagram, run_sweep,
                     spectrum_rows)
@@ -114,7 +114,6 @@ _SETTINGS = {
                     "drive amplitude kappa*omega (kappa is derived)"),
     "omega": ("--omega", parse_angle, "drive frequency (pi literals ok)"),
     "phase0": ("--phase0", parse_angle, "initial drive phase (pi literals ok)"),
-    "n0_rule": ("--n0-rule", N0Rule, "|".join(r.value for r in N0Rule)),
     "method": ("--method", Method, "|".join(m.value for m in Method)),
     "n_floquet": ("--n-floquet", _parse_int, "Floquet cutoff N_F (default: converged)"),
     "n_steps": ("--n-steps", _parse_int, "propagator steps per period"),
@@ -346,7 +345,7 @@ def cmd_effective_compare(args) -> int:
             "t_eff": comparison.t_eff,
             "max_quasi_energy_deviation": comparison.max_quasi_energy_deviation,
             "per_mode_deviation": [float(v) for v in comparison.per_mode_deviation],
-            "omega": comparison.omega,
+            "omega": config.params.omega,
             "n_floquet": nf,
         }
         _write_text(args.output, _json_text(payload))

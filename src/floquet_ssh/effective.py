@@ -55,7 +55,6 @@ class EffectiveComparison:
     t_eff: float
     max_quasi_energy_deviation: float
     per_mode_deviation: np.ndarray
-    omega: float
 
 
 def compare_floquet_effective(params: ModelParams, n_floquet: int) -> EffectiveComparison:
@@ -82,5 +81,4 @@ def compare_floquet_effective(params: ModelParams, n_floquet: int) -> EffectiveC
         t_eff=effective_tunneling(params),
         max_quasi_energy_deviation=float(deviation.max()),
         per_mode_deviation=deviation,
-        omega=params.omega,
     )

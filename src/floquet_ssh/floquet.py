@@ -71,8 +71,8 @@ class FloquetSpectrum:
     ``quasi_energies`` are sorted ascending by (Re, Im) with Re folded
     into (-omega/2, omega/2] (Im is reported unfolded).  Row k of
     ``mode_weights`` is the site probability profile of mode k,
-    normalized to 1.  ``omega`` is the folding modulus; it is 0 for the
-    static methods, which do not fold.  ``params`` are the model inputs;
+    normalized to 1.  The driven routes fold by ``params.omega``; the
+    static methods do not fold.  ``params`` are the model inputs;
     ``flags`` carries diagnostics such as ambiguous physical-mode selection.
     """
 
@@ -80,7 +80,6 @@ class FloquetSpectrum:
     mode_weights: np.ndarray
     method: Method
     n_floquet: int
-    omega: float
     params: ModelParams
     flags: tuple[str, ...] = field(default=())
 
@@ -93,9 +92,8 @@ class FloquetSpectrum:
         return float(np.abs(self.quasi_energies.imag).max())
 
 
-def _package(eps: np.ndarray, probs: np.ndarray, method: Method,
-             params: ModelParams, omega: float = 0.0, n_floquet: int = 0,
-             flags: tuple[str, ...] = ()) -> FloquetSpectrum:
+def _package(eps: np.ndarray, probs: np.ndarray, method: Method, params: ModelParams,
+             n_floquet: int = 0, flags: tuple[str, ...] = ()) -> FloquetSpectrum:
     """Sort modes by (Re, Im) and normalize each row of ``probs`` (mode, site) to 1."""
     totals = probs.sum(axis=1, keepdims=True)
     if np.any(totals <= 0.0):
@@ -106,7 +104,6 @@ def _package(eps: np.ndarray, probs: np.ndarray, method: Method,
         mode_weights=(probs / totals)[order],
         method=method,
         n_floquet=n_floquet,
-        omega=omega,
         params=params,
         flags=flags,
     )
@@ -267,8 +264,7 @@ def quasi_energies_extended(params: ModelParams, n_floquet: int) -> FloquetSpect
     sel, marginals, flags = _select_physical_modes(spectrum, params, n_floquet)
     eps = fold_real(spectrum.eigenvalues[sel].real, params.omega) \
         + 1j * spectrum.eigenvalues[sel].imag
-    return _package(eps, marginals, Method.EXTENDED, params, params.omega,
-                    n_floquet, flags)
+    return _package(eps, marginals, Method.EXTENDED, params, n_floquet, flags)
 
 
 def default_n_steps(params: ModelParams) -> int:
@@ -342,7 +338,7 @@ def quasi_energies_propagator(params: ModelParams, n_steps: int | None = None,
         eps = 1j * logs / z_period
         eps = fold_real(eps.real, params.omega) + 1j * eps.imag
         return _package(eps, (np.abs(spectrum.eigenvectors) ** 2).T,
-                        Method.PROPAGATOR, params, params.omega)
+                        Method.PROPAGATOR, params)
 
     result = compute(n_steps)
     if converge_tol is None:
@@ -439,8 +435,8 @@ def converge_nf(params: ModelParams, tol: float,
     Every spectrum solved on the way, the returned N_F's included, is
     stored in ``spectra`` (keyed by N_F) when a dict is given.
     """
-    if not tol > 0:
-        raise ParameterError(f"tol must be positive, got {tol}")
+    if not 0 < tol < math.inf:
+        raise ParameterError(f"tol must be positive and finite, got {tol}")
     cache = {} if spectra is None else spectra
 
     def spectrum(nf: int) -> FloquetSpectrum:

@@ -8,7 +8,11 @@ tunneling
 balanced gain/loss impurities +i*gamma at site j and -i*gamma at site
 N-j+1, and a sinusoidally driven potential gradient
 
-    f(z) * (n - n0),    f(z) = kappa * omega * sin(omega*z + phase0).
+    f(z) * (n - n0),    f(z) = kappa * omega * sin(omega*z + phase0),
+
+with n0 = N/2 for even N and (N+1)/2 for odd N.  Moving n0 adds the
+scalar f(z)*c*I, which integrates to zero over a period, so the
+one-period propagator and its quasi-energies do not depend on it.
 
 Site indices are 1-based in every formula and docstring; ndarray storage
 is 0-based.  cos(pi*n + Phi) is evaluated as (-1)**n * cos(Phi), which is
@@ -19,21 +23,12 @@ operator).
 
 from __future__ import annotations
 
-import enum
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ParameterError
-
-
-class N0Rule(enum.Enum):
-    """Zero-point rule for the potential gradient."""
-
-    EVEN = "even"          # n0 = N/2, requires even N
-    ODD = "odd"            # n0 = (N+1)/2, requires odd N
-    CENTERED = "centered"  # n0 = (N+1)/2 exactly (chain midpoint, any N)
 
 
 @dataclass(frozen=True)
@@ -43,8 +38,9 @@ class ModelParams:
     ``lam`` is the dimerization strength (config key ``lambda``),
     ``phi_dim`` the modulation phase Phi, ``phase0`` the initial drive
     phase.  ``kappa`` is the dimensionless drive strength; the physical
-    drive amplitude is ``kappa * omega``.  ``n0_rule`` defaults to the
-    parity-matched integer rule.
+    drive amplitude is ``kappa * omega``.  ``n_sites`` and
+    ``impurity_site`` take ints, numpy ints and integral floats (stored
+    as int); fractions and booleans raise ParameterError.
     """
 
     n_sites: int
@@ -56,15 +52,17 @@ class ModelParams:
     kappa: float = 0.0
     omega: float = 1.0
     phase0: float = 0.0
-    n0_rule: N0Rule | None = None
 
     def __post_init__(self):
-        if not isinstance(self.n_sites, (int, np.integer)) or self.n_sites < 1:
-            raise ParameterError(f"n_sites must be a positive integer, got {self.n_sites!r}")
-        if not isinstance(self.impurity_site, (int, np.integer)):
-            raise ParameterError(f"impurity_site must be an integer, got {self.impurity_site!r}")
-        object.__setattr__(self, "n_sites", int(self.n_sites))
-        object.__setattr__(self, "impurity_site", int(self.impurity_site))
+        for name in ("n_sites", "impurity_site"):
+            value = getattr(self, name)
+            integral = ((isinstance(value, (int, np.integer)) and not isinstance(value, bool))
+                        or (isinstance(value, float) and value.is_integer()))
+            if not integral:
+                raise ParameterError(f"{name} must be an integer, got {value!r}")
+            object.__setattr__(self, name, int(value))
+        if self.n_sites < 1:
+            raise ParameterError(f"n_sites must be positive, got {self.n_sites}")
         for name in ("tunneling", "lam", "phi_dim", "gamma", "kappa", "omega", "phase0"):
             value = getattr(self, name)
             if not math.isfinite(value):
@@ -81,20 +79,11 @@ class ModelParams:
             raise ParameterError(
                 f"impurity_site must satisfy 1 <= j <= N-j+1, got j={j} for N={n}"
             )
-        if self.n0_rule is None:
-            rule = N0Rule.EVEN if n % 2 == 0 else N0Rule.ODD
-            object.__setattr__(self, "n0_rule", rule)
-        elif self.n0_rule is N0Rule.EVEN and n % 2 != 0:
-            raise ParameterError("n0_rule 'even' requires even N")
-        elif self.n0_rule is N0Rule.ODD and n % 2 == 0:
-            raise ParameterError("n0_rule 'odd' requires odd N")
 
     @property
     def n0(self) -> float:
-        """Zero point of the gradient under the active rule."""
-        if self.n0_rule is N0Rule.EVEN:
-            return self.n_sites / 2
-        return (self.n_sites + 1) / 2
+        """Zero point of the gradient: N/2 for even N, (N+1)/2 for odd N."""
+        return float((self.n_sites + 1) // 2)
 
     @property
     def drive_period(self) -> float:

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import dataclasses
 import itertools
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -21,7 +22,7 @@ from .errors import ParameterError, SolverError
 from .floquet import MIN_PROPAGATOR_STEPS, FloquetSpectrum, Method, compute_spectrum, converge_nf
 from .model import ModelParams
 
-_AXIS_FIELDS = {f.name for f in dataclasses.fields(ModelParams)} - {"n0_rule"}
+_AXIS_FIELDS = {f.name for f in dataclasses.fields(ModelParams)}
 
 
 def resolve_threads() -> int:
@@ -38,7 +39,7 @@ class SweepSpec:
     re-derived as kappa_omega/omega at every grid point (drive specified
     by amplitude).  ``n_floquet`` None means auto: converge_nf once at
     the smallest-omega grid corner, reused for the whole sweep.  The
-    tolerances ``nf_tol`` and ``tol_im`` must be positive.  The solver
+    tolerances ``nf_tol`` and ``tol_im`` must be positive and finite.  The solver
     sizes are checked only for the method that uses them: ``n_floquet``
     must be >= 1 on the extended route, and ``n_steps`` must be
     >= MIN_PROPAGATOR_STEPS on the propagator route.
@@ -64,8 +65,9 @@ class SweepSpec:
             if not np.all(np.isfinite(grid)):
                 raise ParameterError(f"axis {name!r} has non-finite grid values")
         for name in ("nf_tol", "tol_im"):
-            if not getattr(self, name) > 0:
-                raise ParameterError(f"{name} must be positive, got {getattr(self, name)}")
+            if not 0 < getattr(self, name) < math.inf:
+                raise ParameterError(
+                    f"{name} must be positive and finite, got {getattr(self, name)}")
         if (self.method is Method.EXTENDED and self.n_floquet is not None
                 and self.n_floquet < 1):
             raise ParameterError(f"n_floquet must be >= 1, got {self.n_floquet}")
@@ -74,10 +76,6 @@ class SweepSpec:
             raise ParameterError(
                 f"n_steps must be >= {MIN_PROPAGATOR_STEPS}, got {self.n_steps}")
 
-    @property
-    def grid_shape(self) -> tuple[int, ...]:
-        return tuple(len(grid) for _, grid in self.axes)
-
     def grid_points(self) -> list[dict[str, float]]:
         """Axis-value dicts in row-major order (first axis outermost)."""
         names = [name for name, _ in self.axes]
@@ -85,12 +83,7 @@ class SweepSpec:
         return [dict(zip(names, combo)) for combo in itertools.product(*grids)]
 
     def params_at(self, point: dict[str, float]) -> ModelParams:
-        updates: dict = dict(point)
-        if "n_sites" in updates:
-            updates["n_sites"] = int(updates["n_sites"])
-        if "impurity_site" in updates:
-            updates["impurity_site"] = int(updates["impurity_site"])
-        params = replace(self.base, **updates)
+        params = replace(self.base, **point)
         if self.kappa_omega is not None:
             params = replace(params, kappa=self.kappa_omega / params.omega)
         return params

@@ -7,7 +7,6 @@ from numpy.testing import assert_allclose
 from floquet_ssh import (
     Method,
     ModelParams,
-    N0Rule,
     ParameterError,
     Phase,
     check_pt_symmetry,
@@ -49,7 +48,7 @@ class TestClassifyPt:
                          gamma=0.2, impurity_site=3)
         assert classify_pt(static_spectrum(p3)).phase is Phase.BROKEN
 
-    @pytest.mark.parametrize("tol_im", [math.nan, 0.0, -1e-8])
+    @pytest.mark.parametrize("tol_im", [math.nan, 0.0, -1e-8, math.inf])
     def test_rejects_nan_and_nonpositive_tol_im(self, tol_im):
         spectrum = static_spectrum(ModelParams(n_sites=8, lam=0.4))
         with pytest.raises(ParameterError):
@@ -153,15 +152,13 @@ class TestGammaPtThreshold:
             gamma_pt_threshold(p, gamma_max=math.nan)
         with pytest.raises(ParameterError):
             gamma_pt_threshold(p, gamma_max=0.5, tol_gamma=math.nan)
+        with pytest.raises(ParameterError, match="gamma_max must be positive and finite"):
+            gamma_pt_threshold(p, gamma_max=math.inf)
+        with pytest.raises(ParameterError):
+            gamma_pt_threshold(p, gamma_max=0.5, tol_gamma=math.inf)
 
 
 class TestCheckPtSymmetry:
-    def test_even_chain_centered_rule_exact(self):
-        p = ModelParams(n_sites=8, lam=0.4, phi_dim=0.7, gamma=0.3,
-                        impurity_site=2, kappa=0.5, omega=2.0,
-                        n0_rule=N0Rule.CENTERED)
-        assert check_pt_symmetry(p) < 1e-12
-
     def test_even_chain_integer_rule_gauged(self):
         p = ModelParams(n_sites=8, lam=0.4, phi_dim=0.7, gamma=0.3,
                         impurity_site=2, kappa=0.5, omega=2.0)

@@ -1,9 +1,19 @@
+import csv
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
 
+from floquet_ssh import (
+    Method,
+    ModelParams,
+    compute_spectrum,
+    effective_hamiltonian,
+    eig_dense,
+    matched_distance,
+)
 from floquet_ssh.cli import (
     PHASE_HEADER,
     PRESETS,
@@ -111,6 +121,31 @@ class TestSpectrumCommand:
         assert main(["spectrum", "--config", str(cfg),
                      "-o", str(tmp_path / "x.csv")]) == 2
 
+    def test_n0_rule_config_key_exit_2(self, tmp_path, capsys):
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({"n_sites": 4, "n0_rule": "even"}))
+        assert main(["spectrum", "--config", str(cfg),
+                     "-o", str(tmp_path / "x.csv")]) == 2
+        assert "unknown config keys: ['n0_rule']" in capsys.readouterr().err
+
+    def test_effective_route(self, tmp_path):
+        out = tmp_path / "eff.csv"
+        assert main(["spectrum", "--preset", "fig1-highfreq", "--phi", "0.3",
+                     "--method", "effective", "-o", str(out)]) == 0
+        with out.open(newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert len(rows) == 40
+        assert {(r["method"], r["n_floquet"]) for r in rows} == {("effective", "0")}
+        params = ModelParams(n_sites=40, lam=0.4, phi_dim=0.3, gamma=0.2, impurity_site=2,
+                             kappa=0.05 / (45 * math.pi), omega=45 * math.pi)
+        assert {float(r["kappa"]) for r in rows} == {params.kappa}
+        eps = np.array([complex(float(r["re_eps"]), float(r["im_eps"])) for r in rows])
+        expected = eig_dense(effective_hamiltonian(params)).eigenvalues
+        np.testing.assert_array_equal(
+            eps, expected[np.lexsort((expected.imag, expected.real))])
+        effective = compute_spectrum(params, Method.STATIC_EFFECTIVE)
+        assert matched_distance(effective, compute_spectrum(params, Method.EXTENDED)) < 5e-3
+
     def test_degenerate_impurity_exit_2(self, tmp_path):
         code = main(["spectrum", "--n-sites", "5", "--impurity-site", "3",
                      "--gamma", "0.1", "-o", str(tmp_path / "x.csv")])
@@ -159,7 +194,7 @@ class TestSweepPhiCommand:
 
 class TestToleranceFlags:
     @pytest.mark.parametrize("flag", ["--nf-tol", "--tol-im"])
-    @pytest.mark.parametrize("value", ["nan", "0", "-1e-8"])
+    @pytest.mark.parametrize("value", ["nan", "0", "-1e-8", "inf"])
     @pytest.mark.parametrize("command", [
         ["spectrum", "--gamma", "0.1", "--omega", "2pi"],
         ["sweep-phi", "--gamma", "0.1", "--omega", "2pi", "--phi-grid", "0:pi:2"],
@@ -175,13 +210,20 @@ class TestToleranceFlags:
         assert "configuration error" in capsys.readouterr().err
         assert not out.exists()
 
-    @pytest.mark.parametrize("value", ["nan", "0", "-1e-4"])
+    @pytest.mark.parametrize("value", ["nan", "0", "-1e-4", "inf"])
     def test_nan_or_nonpositive_tol_gamma_exit_2(self, capsys, value):
         assert main(["pt-threshold", "--preset", "fig1-static", "--phi", "0.3",
                      f"--tol-gamma={value}"]) == 2
         captured = capsys.readouterr()
         assert "configuration error" in captured.err
         assert "gamma_pt" not in captured.out
+
+    def test_infinite_gamma_max_exit_2(self, capsys):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["pt-threshold", "--preset", "fig1-static", "--phi", "0.3",
+                         "--gamma-max", "inf"]) == 2
+        assert "gamma_max must be positive and finite, got inf" in capsys.readouterr().err
 
 
 class TestSweepConfigErrors:
@@ -220,7 +262,7 @@ _FLAGS = {
     "n_sites": "--n-sites", "tunneling": "--tunneling", "lambda": "--lambda",
     "phi_dim": "--phi", "gamma": "--gamma", "impurity_site": "--impurity-site",
     "kappa": "--kappa", "kappa_omega": "--kappa-omega", "omega": "--omega",
-    "phase0": "--phase0", "n0_rule": "--n0-rule", "method": "--method",
+    "phase0": "--phase0", "method": "--method",
     "n_floquet": "--n-floquet", "n_steps": "--n-steps",
 }
 _DRIVEN_CHAIN = {"n_sites": 6, "lambda": 0.4, "gamma": 0.1, "impurity_site": 2,
@@ -250,6 +292,7 @@ class TestSettingsTable:
         ["pt-threshold", "--gamma", "0.3"],  # would abbreviate --gamma-max
         ["sweep-phi", "--phi", "0.7"],  # would abbreviate --phi-grid
         ["spectrum", "--n-sit", "6"],
+        ["spectrum", "--n0-rule", "even"],
     ])
     def test_unread_or_abbreviated_flag_exit_2(self, tmp_path, capsys, argv):
         out = tmp_path / "out"
@@ -264,7 +307,7 @@ class TestSettingsTable:
     def test_config_with_every_key_matches_flags(self, tmp_path, method, size):
         settings = {"n_sites": 6, "tunneling": 1.1, "lambda": 0.4, "phi_dim": "0.3pi",
                     "gamma": 0.05, "impurity_site": 2, "kappa": 0.3, "omega": "2pi",
-                    "phase0": "0.1pi", "n0_rule": "centered", "method": method,
+                    "phase0": "0.1pi", "method": method,
                     "n_floquet": 4, "n_steps": 400}
         assert set(settings) | {"kappa_omega"} == set(_FLAGS)
         from_flags = _spectrum_csv(tmp_path, "flags", _as_flags(settings))

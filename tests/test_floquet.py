@@ -10,7 +10,6 @@ from floquet_ssh import (
     DimensionCapError,
     Method,
     ModelParams,
-    N0Rule,
     ParameterError,
     build_floquet_matrix,
     build_static_hamiltonian,
@@ -180,15 +179,17 @@ class TestQuasiEnergiesExtended:
             checked += 1
         assert checked > 0
 
-    def test_gauge_covariance_of_n0(self):
+    def test_gauge_covariance_of_n0(self, monkeypatch):
         # scalar shift of the drive integrates to zero over a period
-        base = dict(n_sites=6, lam=0.4, phi_dim=0.9, gamma=0.1, impurity_site=2,
-                    kappa=0.4, omega=2 * math.pi)
-        fs_even = quasi_energies_propagator(
-            ModelParams(**base, n0_rule=N0Rule.EVEN), 2048)
-        fs_centered = quasi_energies_propagator(
-            ModelParams(**base, n0_rule=N0Rule.CENTERED), 2048)
-        assert spectral_distance(fs_even, fs_centered) < 1e-8
+        import floquet_ssh.floquet as floquet
+
+        p = ModelParams(n_sites=6, lam=0.4, phi_dim=0.9, gamma=0.1, impurity_site=2,
+                        kappa=0.4, omega=2 * math.pi)
+        fs_integer = quasi_energies_propagator(p, 2048)
+        monkeypatch.setattr(floquet, "drive_operator",
+                            lambda params: drive_operator(params) - 0.5 * np.eye(params.n_sites))
+        fs_centered = quasi_energies_propagator(p, 2048)
+        assert spectral_distance(fs_integer, fs_centered) < 1e-8
 
 
 class TestSelectPhysicalModes:
@@ -386,7 +387,7 @@ class TestConvergeNf:
         nf_high = converge_nf(ModelParams(**base, kappa=0.05 / high, omega=high), 1e-8)
         assert nf_low > nf_high
 
-    @pytest.mark.parametrize("tol", [math.nan, 0.0, -1e-8])
+    @pytest.mark.parametrize("tol", [math.nan, 0.0, -1e-8, math.inf])
     def test_rejects_nan_and_nonpositive_tol(self, tol):
         p = ModelParams(n_sites=4, lam=0.4, kappa=0.1, omega=3.0)
         with pytest.raises(ParameterError):

@@ -6,7 +6,6 @@ from numpy.testing import assert_allclose
 
 from floquet_ssh import (
     ModelParams,
-    N0Rule,
     ParameterError,
     build_static_hamiltonian,
     drive_operator,
@@ -81,17 +80,20 @@ def test_parameter_validation():
 def test_n0_rules():
     assert_allclose(np.diag(drive_operator(ModelParams(n_sites=4))), [-1, 0, 1, 2])
     assert_allclose(np.diag(drive_operator(ModelParams(n_sites=3))), [-1, 0, 1])
-    centered = ModelParams(n_sites=4, n0_rule=N0Rule.CENTERED)
-    assert_allclose(np.diag(drive_operator(centered)), [-1.5, -0.5, 0.5, 1.5])
 
 
-def test_n0_rule_parity_validation():
-    with pytest.raises(ParameterError):
-        ModelParams(n_sites=5, n0_rule=N0Rule.EVEN)
-    with pytest.raises(ParameterError):
-        ModelParams(n_sites=4, n0_rule=N0Rule.ODD)
-    assert ModelParams(n_sites=4).n0_rule is N0Rule.EVEN
-    assert ModelParams(n_sites=5).n0_rule is N0Rule.ODD
+@pytest.mark.parametrize("value", [6, np.int64(6), 6.0, np.float64(6.0)])
+def test_integer_fields_accept_integral_values(value):
+    p = ModelParams(n_sites=value, impurity_site=value // 3)
+    assert (p.n_sites, p.impurity_site) == (6, 2)
+    assert type(p.n_sites) is int and type(p.impurity_site) is int
+
+
+@pytest.mark.parametrize("field", ["n_sites", "impurity_site"])
+@pytest.mark.parametrize("value", [2.5, True, math.nan, math.inf, "2"])
+def test_integer_fields_reject_fractions_and_booleans(field, value):
+    with pytest.raises(ParameterError, match=f"{field} must be an integer"):
+        ModelParams(**{"n_sites": 6, field: value})
 
 
 def test_drive_value():
@@ -152,10 +154,6 @@ def test_static_parity_relation_even_n():
 
 
 def test_gradient_antisymmetry():
-    centered = ModelParams(n_sites=8, n0_rule=N0Rule.CENTERED)
-    d = drive_operator(centered)
     rev = np.eye(8)[::-1]
-    assert np.abs(rev @ d @ rev + d).max() == 0.0
-    integer_rule = ModelParams(n_sites=8)  # even rule: P D P = -D + I
-    dp = drive_operator(integer_rule)
-    assert np.abs(rev @ dp @ rev + dp - np.eye(8)).max() == 0.0
+    d = drive_operator(ModelParams(n_sites=8))  # n0 = N/2: P D P = -D + I
+    assert np.abs(rev @ d @ rev + d - np.eye(8)).max() == 0.0

@@ -1,6 +1,9 @@
 import importlib.util
 import pathlib
+import re
 import shlex
+
+from floquet_ssh import cli
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 
@@ -36,3 +39,10 @@ def test_digest_runs_the_readme_commands():
     assert [_without_json(c) for c in digest.COMMANDS] == _readme_commands()
     with_json = [c[0] for c in digest.COMMANDS if "--json" in c]
     assert with_json == ["spectrum", "sweep-phi", "phase-diagram"]
+
+
+def test_readme_lists_the_config_keys():
+    text = ROOT.joinpath("README.md").read_text(encoding="utf-8")
+    sentence = re.search(r"The config file is a flat JSON object with the model keys(.*?)\.\s",
+                         text, re.S).group(1)
+    assert set(re.findall(r"`(\w+)`", sentence)) == set(cli._SETTINGS)

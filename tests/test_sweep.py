@@ -34,7 +34,7 @@ class TestSweepSpec:
             SweepSpec(base=_base(), axes=())
 
     @pytest.mark.parametrize("field", ["nf_tol", "tol_im"])
-    @pytest.mark.parametrize("value", [math.nan, 0.0, -1e-8])
+    @pytest.mark.parametrize("value", [math.nan, 0.0, -1e-8, math.inf])
     def test_tolerance_validation(self, field, value):
         with pytest.raises(ParameterError):
             SweepSpec(base=_base(), axes=(("gamma", (0.1,)),), **{field: value})
@@ -125,6 +125,24 @@ class TestRunSweep:
         assert len(result.failures) == 1
         assert result.failures[0].code == "ParameterError"
         assert len(result.rows) == 9  # the gamma=0 point survives
+
+    def test_odd_and_even_chain_lengths_in_one_sweep(self):
+        spec = SweepSpec(base=_base(n_sites=6, kappa=0.3, omega=2 * math.pi),
+                         axes=(("n_sites", (6, 7, 8, 9)),), n_floquet=2)
+        result = run_sweep(spec)
+        assert result.failures == ()
+        assert len({r.grid_index for r in result.rows}) == 4
+        assert len(result.rows) == 6 + 7 + 8 + 9
+
+    def test_fractional_integer_axis_value_fails_the_point(self):
+        spec = SweepSpec(base=_base(n_sites=10), axes=(("n_sites", (10.0, 10.5)),),
+                         method=Method.STATIC)
+        result = run_sweep(spec)
+        assert len(result.rows) == 10
+        assert {r.grid_index for r in result.rows} == {0}
+        (failure,) = result.failures
+        assert (failure.grid_index, failure.code) == (1, "ParameterError")
+        assert "n_sites must be an integer" in failure.message
 
     def test_all_points_failed_raises(self):
         base = ModelParams(n_sites=9, tunneling=1.0, lam=0.4, gamma=0.0,
