@@ -11,13 +11,7 @@ from .analysis import (
     find_zero_modes,
     gamma_pt_threshold,
 )
-from .effective import (
-    EffectiveComparison,
-    bessel_j0,
-    compare_floquet_effective,
-    effective_hamiltonian,
-    effective_tunneling,
-)
+from .effective import bessel_j0, effective_hamiltonian, effective_tunneling
 from .errors import (
     AliasingError,
     ConvergenceCapError,
@@ -28,9 +22,11 @@ from .errors import (
     SolverError,
 )
 from .floquet import (
+    EffectiveComparison,
     FloquetSpectrum,
     Method,
     build_floquet_matrix,
+    compare_floquet_effective,
     compute_spectrum,
     converge_nf,
     fold_real,

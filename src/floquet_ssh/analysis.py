@@ -21,7 +21,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import ParameterError
-from .floquet import FloquetSpectrum, Method, compute_spectrum, converge_nf
+from .floquet import FloquetSpectrum, Method, compute_spectrum
 from .model import ModelParams, hamiltonian_at
 
 #: Max |Im eps| below which a spectrum counts as PT-unbroken.
@@ -62,21 +62,21 @@ def edge_weight(weights_row: np.ndarray) -> float:
     return float(weights_row[:count].sum() + weights_row[n - count:].sum())
 
 
-def find_zero_modes(spectrum: FloquetSpectrum) -> list[ZeroMode]:
-    """Modes with |Re eps| < ZERO_TOL_FACTOR * |T| and edge weight above 0.5.
+def is_zero_mode(re_eps: float, edge: float, tunneling: float) -> bool:
+    """|Re eps| < ZERO_TOL_FACTOR * |T| and edge weight ``edge`` above 0.5.
 
     The 1e-3 * |T| window accommodates the exponentially small
-    finite-size splitting of edge-mode pairs.  The edge weight is
-    computed only for modes inside the window.
+    finite-size splitting of edge-mode pairs.
     """
-    zero_tol = ZERO_TOL_FACTOR * abs(spectrum.params.tunneling)
+    return abs(re_eps) < ZERO_TOL_FACTOR * abs(tunneling) and edge > 0.5
+
+
+def find_zero_modes(spectrum: FloquetSpectrum) -> list[ZeroMode]:
+    """The modes of ``spectrum`` that ``is_zero_mode`` accepts."""
     found = []
-    for k in range(spectrum.n_modes):
-        eps = spectrum.quasi_energies[k]
-        if abs(eps.real) >= zero_tol:
-            continue
+    for k, eps in enumerate(spectrum.quasi_energies):
         ew = edge_weight(spectrum.mode_weights[k])
-        if ew > 0.5:
+        if is_zero_mode(eps.real, ew, spectrum.params.tunneling):
             found.append(ZeroMode(k, float(eps.real), float(eps.imag), ew))
     return found
 
@@ -115,20 +115,22 @@ def gamma_pt_threshold(params: ModelParams, gamma_max: float,
     ``monotone`` (the bisection then brackets the first transition).
     ``broken_at_zero`` (value 0) means that no gamma > 0 was seen
     unbroken; otherwise ``ok`` reports the bracket's midpoint.
-    The caller picks the spectrum route through ``method``; on the
-    extended route without ``n_floquet``, N_F is converged to ``nf_tol``
-    at gamma_max.
+    The caller picks the spectrum route through ``method``.  gamma_max is
+    solved first, through ``compute_spectrum``; on the extended route
+    without ``n_floquet`` that converges N_F to ``nf_tol`` there.  Every
+    other gamma is solved at that spectrum's N_F, and the scan's last
+    point reuses the gamma_max spectrum.
     """
     if not 0 < gamma_max < math.inf:
         raise ParameterError(f"gamma_max must be positive and finite, got {gamma_max}")
     if not 0 < tol_gamma < math.inf:
         raise ParameterError(f"tol_gamma must be positive and finite, got {tol_gamma}")
-    if method is Method.EXTENDED and n_floquet is None:
-        n_floquet = converge_nf(replace(params, gamma=gamma_max), tol=nf_tol)
+    top = compute_spectrum(replace(params, gamma=gamma_max), method, n_floquet=n_floquet,
+                           n_steps=n_steps, nf_tol=nf_tol)
 
     def is_broken(gamma: float) -> bool:
-        spectrum = compute_spectrum(replace(params, gamma=gamma), method,
-                                    n_floquet=n_floquet, n_steps=n_steps)
+        spectrum = top if gamma == gamma_max else compute_spectrum(
+            replace(params, gamma=gamma), method, n_floquet=top.n_floquet, n_steps=n_steps)
         return classify_pt(spectrum, tol_im).phase is Phase.BROKEN
 
     if is_broken(0.0):

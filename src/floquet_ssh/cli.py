@@ -34,10 +34,9 @@ from typing import get_type_hints
 
 import numpy as np
 
-from .analysis import TOL_IM, ZERO_TOL_FACTOR, classify_pt, gamma_pt_threshold
-from .effective import compare_floquet_effective
+from .analysis import TOL_IM, classify_pt, gamma_pt_threshold, is_zero_mode
 from .errors import ParameterError, SolverError
-from .floquet import Method, compute_spectrum, converge_nf
+from .floquet import Method, compare_floquet_effective, compute_spectrum, converge_nf
 from .model import ModelParams
 from .svgplot import spectrum_svg
 from .sweep import (PhaseRow, SpectrumRow, SweepSpec, run_phase_diagram, run_sweep,
@@ -57,15 +56,11 @@ _FIG1_BASE = {
     "gamma": 0.2, "impurity_site": 2,
 }
 PRESETS = {
-    "fig1-static": {**_FIG1_BASE, "kappa": 0.0, "omega": 1.0, "method": "static"},
-    "fig1-lowfreq": {**_FIG1_BASE, "kappa_omega": 0.05, "omega": 0.2 * math.pi,
-                     "method": "extended"},
-    "fig1-midfreq": {**_FIG1_BASE, "kappa_omega": 0.05, "omega": 0.8 * math.pi,
-                     "method": "extended"},
-    "fig1-highfreq": {**_FIG1_BASE, "kappa_omega": 0.05, "omega": 45 * math.pi,
-                      "method": "extended"},
-    "fig1-highfreq-alt": {**_FIG1_BASE, "kappa_omega": 0.05, "omega": 4 * math.pi,
-                          "method": "extended"},
+    "fig1-static": {**_FIG1_BASE, "kappa": 0.0, "omega": 1.0},
+    "fig1-lowfreq": {**_FIG1_BASE, "kappa_omega": 0.05, "omega": 0.2 * math.pi},
+    "fig1-midfreq": {**_FIG1_BASE, "kappa_omega": 0.05, "omega": 0.8 * math.pi},
+    "fig1-highfreq": {**_FIG1_BASE, "kappa_omega": 0.05, "omega": 45 * math.pi},
+    "fig1-highfreq-alt": {**_FIG1_BASE, "kappa_omega": 0.05, "omega": 4 * math.pi},
 }
 
 
@@ -191,9 +186,12 @@ def _merge_layers(args) -> RunConfig:
     params = ModelParams(**values)
     if method is None:
         method = Method.STATIC if params.kappa == 0.0 else Method.EXTENDED
+    nf_tol, tol_im = float(args.nf_tol), float(getattr(args, "tol_im", TOL_IM))
+    for name, tol in (("nf_tol", nf_tol), ("tol_im", tol_im)):
+        if not 0 < tol < math.inf:
+            raise ParameterError(f"{name} must be positive and finite, got {tol}")
     return RunConfig(params=params, kappa_omega=kappa_omega, method=method,
-                     n_floquet=n_floquet, nf_tol=float(args.nf_tol), n_steps=n_steps,
-                     tol_im=float(getattr(args, "tol_im", TOL_IM)))
+                     n_floquet=n_floquet, nf_tol=nf_tol, n_steps=n_steps, tol_im=tol_im)
 
 
 def _preset_layer(name) -> dict:
@@ -271,7 +269,7 @@ def cmd_spectrum(args) -> int:
                                 n_floquet=config.n_floquet, n_steps=config.n_steps,
                                 nf_tol=config.nf_tol)
     point = classify_pt(spectrum, config.tol_im)
-    rows = spectrum_rows(spectrum, config.params, point.phase, 0)
+    rows = spectrum_rows(spectrum, point.phase, 0)
     _write_rows(args, rows, _SPECTRUM_FIELDS)
     print(f"phase: {point.phase.value} (max|Im eps| = {point.max_im:.6g})")
     print(f"zero modes: {len(point.zero_modes)}")
@@ -304,11 +302,10 @@ def _sweep_svg(result, config: RunConfig) -> str:
     index = {x: i for i, x in enumerate(xs)}
     n_modes = max(r.mode for r in rows) + 1
     series = [[math.nan] * len(xs) for _ in range(n_modes)]
-    zero_tol = ZERO_TOL_FACTOR * abs(config.params.tunneling)
     zero_points = []
     for r in rows:
         series[r.mode][index[r.phi]] = r.re_eps
-        if abs(r.re_eps) < zero_tol and r.edge_weight > 0.5:
+        if is_zero_mode(r.re_eps, r.edge_weight, config.params.tunneling):
             zero_points.append((r.phi, r.re_eps))
     return spectrum_svg(xs, series, zero_points, x_label="Phi",
                         y_label="Re eps", title=f"method: {config.method.value}")

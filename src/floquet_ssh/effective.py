@@ -12,12 +12,11 @@ integral by the periodic midpoint rule, one formula at every argument.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import replace
 
 import numpy as np
 
-from .errors import AliasingError, ParameterError
-from .linalg import eig_dense
+from .errors import ParameterError
 from .model import ModelParams, build_static_hamiltonian
 
 
@@ -46,39 +45,3 @@ def effective_tunneling(params: ModelParams) -> float:
 def effective_hamiltonian(params: ModelParams) -> np.ndarray:
     """Static chain with T replaced by T_eff; gain/loss unchanged, no gradient."""
     return build_static_hamiltonian(replace(params, tunneling=effective_tunneling(params)))
-
-
-@dataclass(frozen=True)
-class EffectiveComparison:
-    """Deviation between extended-matrix quasi-energies and the effective spectrum."""
-
-    t_eff: float
-    max_quasi_energy_deviation: float
-    per_mode_deviation: np.ndarray
-
-
-def compare_floquet_effective(params: ModelParams, n_floquet: int) -> EffectiveComparison:
-    """Pair quasi-energies with effective eigenvalues under the optimal matching.
-
-    ``per_mode_deviation[k]`` belongs to quasi-energy k in the sorted
-    Floquet order.  Requires omega/2 to exceed the spectral radius of the
-    effective chain so that zone folding cannot alias the comparison;
-    raises AliasingError otherwise.
-    """
-    from .floquet import _matched_deviations, quasi_energies_extended
-
-    eff_spectrum = eig_dense(effective_hamiltonian(params))
-    reach = float(np.abs(eff_spectrum.eigenvalues.real).max())
-    if params.omega / 2.0 <= reach:
-        raise AliasingError(
-            f"omega/2 = {params.omega / 2.0:.4g} does not clear the effective "
-            f"spectral reach {reach:.4g}; folding would alias the comparison"
-        )
-    floquet_spectrum = quasi_energies_extended(params, n_floquet)
-    deviation = _matched_deviations(floquet_spectrum.quasi_energies,
-                                    eff_spectrum.eigenvalues)
-    return EffectiveComparison(
-        t_eff=effective_tunneling(params),
-        max_quasi_energy_deviation=float(deviation.max()),
-        per_mode_deviation=deviation,
-    )

@@ -17,7 +17,8 @@ correctness check in the package.
 result the same way: modes sorted by (Re, Im), site weights normalized
 to 1.  Spectra are compared by one distance, the largest pair distance
 under the optimal matching (``matched_distance``, exported also as
-``spectral_distance``).
+``spectral_distance``); ``compare_floquet_effective`` pairs extended
+quasi-energies with the effective chain's spectrum the same way.
 """
 
 from __future__ import annotations
@@ -29,8 +30,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .effective import effective_hamiltonian
-from .errors import ConvergenceCapError, DimensionCapError, ParameterError, SolverError
+from .effective import effective_hamiltonian, effective_tunneling
+from .errors import (AliasingError, ConvergenceCapError, DimensionCapError, ParameterError,
+                     SolverError)
 from .linalg import Spectrum, eig_dense, expm, matrix_norm_1, principal_log_eigenvalues
 from .model import ModelParams, build_static_hamiltonian, drive_operator, hamiltonian_at
 
@@ -407,6 +409,40 @@ def _matched_deviations(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """|a_k - b_j| for each k, with j from the assignment minimizing the total."""
     cost = np.abs(a[:, None] - b[None, :])
     return cost[np.arange(cost.shape[0]), _min_cost_assignment(cost)]
+
+
+@dataclass(frozen=True)
+class EffectiveComparison:
+    """Deviation between extended-matrix quasi-energies and the effective spectrum."""
+
+    t_eff: float
+    max_quasi_energy_deviation: float
+    per_mode_deviation: np.ndarray
+
+
+def compare_floquet_effective(params: ModelParams, n_floquet: int) -> EffectiveComparison:
+    """Pair quasi-energies with effective eigenvalues under the optimal matching.
+
+    ``per_mode_deviation[k]`` belongs to quasi-energy k in the sorted
+    Floquet order.  Requires omega/2 to exceed the spectral radius of the
+    effective chain so that zone folding cannot alias the comparison;
+    raises AliasingError otherwise.
+    """
+    effective = compute_spectrum(params, Method.STATIC_EFFECTIVE)
+    reach = float(np.abs(effective.quasi_energies.real).max())
+    if params.omega / 2.0 <= reach:
+        raise AliasingError(
+            f"omega/2 = {params.omega / 2.0:.4g} does not clear the effective "
+            f"spectral reach {reach:.4g}; folding would alias the comparison"
+        )
+    floquet_spectrum = quasi_energies_extended(params, n_floquet)
+    deviation = _matched_deviations(floquet_spectrum.quasi_energies,
+                                    effective.quasi_energies)
+    return EffectiveComparison(
+        t_eff=effective_tunneling(params),
+        max_quasi_energy_deviation=float(deviation.max()),
+        per_mode_deviation=deviation,
+    )
 
 
 def matched_distance(a: FloquetSpectrum, b: FloquetSpectrum) -> float:

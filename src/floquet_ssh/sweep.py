@@ -38,11 +38,13 @@ class SweepSpec:
     must be ModelParams fields.  With ``kappa_omega`` set, kappa is
     re-derived as kappa_omega/omega at every grid point (drive specified
     by amplitude).  ``n_floquet`` None means auto: converge_nf once at
-    the smallest-omega grid corner, reused for the whole sweep.  The
-    tolerances ``nf_tol`` and ``tol_im`` must be positive and finite.  The solver
-    sizes are checked only for the method that uses them: ``n_floquet``
-    must be >= 1 on the extended route, and ``n_steps`` must be
-    >= MIN_PROPAGATOR_STEPS on the propagator route.
+    the smallest-omega grid corner, reused for the whole sweep.  That
+    corner is the worst case in omega only; another Phi or gamma at the
+    same omega can need a larger N_F.  The tolerances ``nf_tol`` and
+    ``tol_im`` must be positive and finite.  The solver sizes are checked
+    only for the method that uses them: ``n_floquet`` must be >= 1 on the
+    extended route, and ``n_steps`` must be >= MIN_PROPAGATOR_STEPS on the
+    propagator route.
     """
 
     base: ModelParams
@@ -137,10 +139,10 @@ class SweepResult:
     failures: tuple[Failure, ...]
 
 
-def _auto_n_floquet(spec: SweepSpec) -> tuple[int, dict[ModelParams, FloquetSpectrum]]:
-    """converge_nf at the smallest-omega grid corner (worst case).
+def _corner_spectrum(spec: SweepSpec) -> FloquetSpectrum:
+    """The extended spectrum at the smallest-omega grid corner, at its converged N_F.
 
-    Also returns the corner's spectrum at that N_F, keyed by its params.
+    The corner is the worst case in omega only (see ``SweepSpec``).
     """
     omega_axes = [grid for name, grid in spec.axes if name == "omega"]
     point: dict[str, float] = {}
@@ -148,13 +150,12 @@ def _auto_n_floquet(spec: SweepSpec) -> tuple[int, dict[ModelParams, FloquetSpec
         point["omega"] = float(min(omega_axes[0]))
     params = spec.params_at({**spec.grid_points()[0], **point})
     solved: dict[int, FloquetSpectrum] = {}
-    nf = converge_nf(params, spec.nf_tol, spectra=solved)
-    return nf, {params: solved[nf]}
+    return solved[converge_nf(params, spec.nf_tol, spectra=solved)]
 
 
-def spectrum_rows(spectrum: FloquetSpectrum, params: ModelParams, phase: Phase,
-                  index: int) -> list[SpectrumRow]:
-    """One long-format row per mode of ``spectrum``, computed at ``params``."""
+def spectrum_rows(spectrum: FloquetSpectrum, phase: Phase, index: int) -> list[SpectrumRow]:
+    """One long-format row per mode of ``spectrum``."""
+    params = spectrum.params
     return [SpectrumRow(
         grid_index=index,
         phi=params.phi_dim,
@@ -171,8 +172,8 @@ def spectrum_rows(spectrum: FloquetSpectrum, params: ModelParams, phase: Phase,
     ) for k, eps in enumerate(spectrum.quasi_energies)]
 
 
-def _phase_rows(spectrum: FloquetSpectrum, params: ModelParams, point: PhasePoint,
-                index: int) -> list[PhaseRow]:
+def _phase_rows(spectrum: FloquetSpectrum, point: PhasePoint, index: int) -> list[PhaseRow]:
+    params = spectrum.params
     return [PhaseRow(
         grid_index=index,
         phi=params.phi_dim,
@@ -190,26 +191,28 @@ def _phase_rows(spectrum: FloquetSpectrum, params: ModelParams, point: PhasePoin
 def _run_grid(spec: SweepSpec, rows_of) -> SweepResult:
     """Solve and classify every grid point in grid order, building its rows.
 
-    ``rows_of(spectrum, params, point, index)`` turns one classified grid
-    point into its output rows.
+    ``rows_of(spectrum, point, index)`` turns one classified grid point
+    into its output rows.  On the extended route without ``n_floquet``,
+    every point is solved at the corner spectrum's N_F, and the corner
+    itself is not solved again.
     """
     points = spec.grid_points()
-    nf_shared, known = 0, {}
-    if spec.method is Method.EXTENDED and spec.n_floquet is not None:
-        nf_shared = spec.n_floquet
-    elif spec.method is Method.EXTENDED:
-        nf_shared, known = _auto_n_floquet(spec)
+    corner = None
+    if spec.method is Method.EXTENDED and spec.n_floquet is None:
+        corner = _corner_spectrum(spec)
+    n_floquet = spec.n_floquet if corner is None else corner.n_floquet
     all_rows: list = []
     failures: list[Failure] = []
     for index, point in enumerate(points):
         try:
             params = spec.params_at(point)
-            spectrum = known.get(params)
-            if spectrum is None:
-                spectrum = compute_spectrum(params, spec.method, n_floquet=nf_shared,
+            if corner is not None and params == corner.params:
+                spectrum = corner
+            else:
+                spectrum = compute_spectrum(params, spec.method, n_floquet=n_floquet,
                                             n_steps=spec.n_steps, nf_tol=spec.nf_tol)
             phase_point = classify_pt(spectrum, spec.tol_im)
-            all_rows.extend(rows_of(spectrum, params, phase_point, index))
+            all_rows.extend(rows_of(spectrum, phase_point, index))
         except (SolverError, ParameterError) as exc:
             failures.append(Failure(index, point, type(exc).__name__, str(exc)))
     if points and len(failures) == len(points):
@@ -221,8 +224,8 @@ def _run_grid(spec: SweepSpec, rows_of) -> SweepResult:
 
 def run_sweep(spec: SweepSpec) -> SweepResult:
     """Spectrum rows (one per mode per grid point), ordered by grid index."""
-    return _run_grid(spec, lambda spectrum, params, point, index: spectrum_rows(
-        spectrum, params, point.phase, index))
+    return _run_grid(spec, lambda spectrum, point, index: spectrum_rows(
+        spectrum, point.phase, index))
 
 
 def run_phase_diagram(spec: SweepSpec) -> SweepResult:

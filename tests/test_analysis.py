@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from floquet_ssh import (
     Phase,
     check_pt_symmetry,
     classify_pt,
+    converge_nf,
     edge_weight,
     find_zero_modes,
     gamma_pt_threshold,
@@ -124,6 +126,25 @@ class TestGammaPtThreshold:
         assert result.status == "ok"
         assert result.value == 0.09375
         assert max(g for g, broken in result.scan if not broken) < result.value
+
+    def test_extended_route_solves_each_gamma_and_nf_once(self, monkeypatch):
+        import floquet_ssh.floquet as floquet
+
+        p = ModelParams(n_sites=6, lam=0.4, impurity_site=2, kappa=0.3, omega=3.0)
+        nf = converge_nf(replace(p, gamma=1.0), 1e-8)
+        solved = []
+        solve = floquet.quasi_energies_extended
+
+        def recording(params, n_floquet):
+            solved.append((params, n_floquet))
+            return solve(params, n_floquet)
+
+        monkeypatch.setattr(floquet, "quasi_energies_extended", recording)
+        result = gamma_pt_threshold(p, gamma_max=1.0, tol_gamma=1e-2, method=Method.EXTENDED)
+        assert result.status == "ok"
+        assert len(solved) == len(set(solved))
+        # N_F is converged at gamma_max only; every other gamma is solved there.
+        assert {n for params, n in solved if params.gamma != 1.0} == {nf}
 
     def test_threshold_sanity_margins(self):
         p = ModelParams(n_sites=20, lam=0.4, phi_dim=0.3, gamma=0.0,

@@ -73,6 +73,22 @@ class TestPresets:
             assert PRESETS[name]["omega"] == pytest.approx(omega), name
 
 
+    @pytest.mark.parametrize("argv, want", [
+        (["--preset", "fig1-static", "--kappa", "0.3", "--omega", "3"], ("broken", "extended", "6")),
+        (["--preset", "fig1-highfreq", "--kappa", "0"], ("unbroken", "static", "0")),
+    ])
+    def test_route_follows_the_drive_not_the_preset(self, tmp_path, argv, want):
+        # A preset holds no method: kappa = 0 takes the static route, any
+        # other kappa the extended one.
+        out = tmp_path / "spec.csv"
+        assert main(["spectrum", *argv, "--n-sites", "6", "-o", str(out)]) == 0
+        with out.open(newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert {(r["phase"], r["method"], r["n_floquet"]) for r in rows} == {want}
+        if want[0] == "broken":
+            assert max(abs(float(r["im_eps"])) for r in rows) == pytest.approx(0.0448, abs=1e-4)
+
+
 class TestSpectrumCommand:
     def test_two_site_chain(self, tmp_path, capsys):
         out = tmp_path / "spec.csv"
@@ -192,21 +208,34 @@ class TestSweepPhiCommand:
         assert sweep_out.read_text() == spec_out.read_text()
 
 
+_CHAIN = ["--n-sites", "6", "--lambda", "0.4", "--impurity-site", "2"]
+# (command, flags checked).  The last three never read --nf-tol: the
+# static spectrum and threshold routes, and effective-compare at a given N_F.
+_TOLERANCE_COMMANDS = (
+    (["spectrum", "--kappa", "0.3", "--gamma", "0.1", "--omega", "2pi"],
+     ("--nf-tol", "--tol-im")),
+    (["sweep-phi", "--kappa", "0.3", "--gamma", "0.1", "--omega", "2pi",
+      "--phi-grid", "0:pi:2"], ("--nf-tol", "--tol-im")),
+    (["phase-diagram", "--kappa", "0.3", "--gamma", "0:0.1:2", "--omega", "2pi:4pi:2"],
+     ("--nf-tol", "--tol-im")),
+    (["pt-threshold", "--kappa", "0.3", "--threshold-method", "extended", "--omega", "2pi"],
+     ("--nf-tol", "--tol-im")),
+    (["spectrum"], ("--nf-tol",)),
+    (["pt-threshold"], ("--nf-tol",)),
+    (["effective-compare", "--preset", "fig1-highfreq", "--n-floquet", "2"], ("--nf-tol",)),
+)
+
+
 class TestToleranceFlags:
-    @pytest.mark.parametrize("flag", ["--nf-tol", "--tol-im"])
-    @pytest.mark.parametrize("value", ["nan", "0", "-1e-8", "inf"])
-    @pytest.mark.parametrize("command", [
-        ["spectrum", "--gamma", "0.1", "--omega", "2pi"],
-        ["sweep-phi", "--gamma", "0.1", "--omega", "2pi", "--phi-grid", "0:pi:2"],
-        ["phase-diagram", "--gamma", "0:0.1:2", "--omega", "2pi:4pi:2"],
-        ["pt-threshold", "--threshold-method", "extended", "--omega", "2pi"],
-    ])
+    @pytest.mark.parametrize("command, flag, value", [
+        pytest.param(command, flag, value, id=f"command{i}-{value}-{flag}")
+        for i, (command, flags) in enumerate(_TOLERANCE_COMMANDS)
+        for flag in flags
+        for value in ("nan", "0", "-1e-8", "inf")])
     def test_nan_or_nonpositive_tolerance_exit_2(self, tmp_path, capsys,
                                                  command, flag, value):
         out = tmp_path / "out.csv"
-        assert main([*command, "--n-sites", "6", "--lambda", "0.4",
-                     "--impurity-site", "2", "--kappa", "0.3",
-                     f"{flag}={value}", "-o", str(out)]) == 2
+        assert main([*command, *_CHAIN, f"{flag}={value}", "-o", str(out)]) == 2
         assert "configuration error" in capsys.readouterr().err
         assert not out.exists()
 
