@@ -36,7 +36,7 @@ import numpy as np
 
 from .analysis import TOL_IM, classify_pt, gamma_pt_threshold, is_zero_mode
 from .errors import ParameterError, SolverError
-from .floquet import Method, compare_floquet_effective, compute_spectrum, converge_nf
+from .floquet import Method, compare_with_effective, compute_spectrum
 from .model import ModelParams
 from .svgplot import spectrum_svg
 from .sweep import (PhaseRow, SpectrumRow, SweepSpec, run_phase_diagram, run_sweep,
@@ -330,10 +330,10 @@ def cmd_phase_diagram(args) -> int:
 
 def cmd_effective_compare(args) -> int:
     config = _merge_layers(args)
-    nf = config.n_floquet
-    if nf is None:
-        nf = converge_nf(config.params, config.nf_tol)
-    comparison = compare_floquet_effective(config.params, nf)
+    spectrum = compute_spectrum(config.params, Method.EXTENDED, n_floquet=config.n_floquet,
+                                nf_tol=config.nf_tol)
+    nf = spectrum.n_floquet
+    comparison = compare_with_effective(spectrum)
     print(f"t_eff = {comparison.t_eff:.12g}")
     print(f"max quasi-energy deviation = {comparison.max_quasi_energy_deviation:.6g}")
     print(f"n_floquet = {nf}")

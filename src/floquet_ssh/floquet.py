@@ -5,26 +5,25 @@ blocks indexed by harmonics m, m' in [-N_F, N_F], diagonal blocks
 H_static + m*omega*I, first off-diagonal blocks the Fourier components
 of the drive f(z) = kappa*omega*sin(omega*z + phase0) times the gradient
 operator D.  Route two builds the one-period propagator U(Z_p) in the
-lab frame by a fourth-order (Yoshida triple-jump) composition of Strang
-split steps, with two static exponentials per period and exact diagonal
-drive phases, and takes eigenvalue logarithms.  Both
-fold quasi-energy real parts into the first zone (-omega/2, omega/2] and
-select/weight the N physical modes; their agreement is the strongest
-correctness check in the package.
+lab frame by the fourth-order Blanes-Moan splitting S6, with three
+static exponentials per period and exact diagonal drive phases, and
+takes eigenvalue logarithms.  Both fold quasi-energy real parts into
+the first zone (-omega/2, omega/2] and select/weight the N physical
+modes; their agreement is the strongest correctness check in the
+package.
 
 ``compute_spectrum`` dispatches between these routes and the undriven
 (static and Bessel-rescaled effective) chains.  Every route packages its
 result the same way: modes sorted by (Re, Im), site weights normalized
 to 1.  Spectra are compared by one distance, the largest pair distance
 under the optimal matching (``matched_distance``, exported also as
-``spectral_distance``); ``compare_floquet_effective`` pairs extended
+``spectral_distance``); ``compare_with_effective`` pairs extended
 quasi-energies with the effective chain's spectrum the same way.
 """
 
 from __future__ import annotations
 
 import enum
-import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -45,16 +44,28 @@ NF_CAP = 512
 #: Cap for propagator step doubling.
 MAX_PROPAGATOR_STEPS = 1 << 21
 #: Fewest propagator steps per period a caller may request.
-MIN_PROPAGATOR_STEPS = 100
+MIN_PROPAGATOR_STEPS = 20
 #: Eigenvector overlap above which two extended-matrix modes count as
 #: folded replicas of each other.
 REPLICA_OVERLAP = 0.99
 #: m=0 weight gap below which two candidates competing for a slot are
 #: flagged as an ambiguous selection.
 SELECTION_GAP = 1e-6
-#: Triple-jump weights of the fourth-order propagator composition.
-_YOSHIDA_W1 = 1.0 / (2.0 - 2.0 ** (1.0 / 3.0))
-_YOSHIDA_W0 = 1.0 - 2.0 * _YOSHIDA_W1
+#: Blanes-Moan S6 coefficients (J. Comput. Appl. Math. 142, 313 (2002)):
+#: a for the static exponentials, b for the diagonal drive phases.
+_S6_A1, _S6_A2 = 0.209515106613362, -0.143851773179818
+_S6_B1, _S6_B2, _S6_B3 = 0.0792036964311957, 0.353172906049774, -0.0420650803577195
+#: Weights a1 a2 a3 a3 a2 a1 of the six static exponentials of a step.
+_S6_STAGES = (_S6_A1, _S6_A2, 0.5 - _S6_A1 - _S6_A2, 0.5 - _S6_A1 - _S6_A2, _S6_A2, _S6_A1)
+#: Where those six sit in a step, in units of the step: partial sums of the
+#: phase weights b1 b2 b3 b4 b3 b2 (a final b1 closes the step).
+_S6_NODES = np.cumsum((_S6_B1, _S6_B2, _S6_B3, 1.0 - 2.0 * (_S6_B1 + _S6_B2 + _S6_B3),
+                       _S6_B3, _S6_B2))
+#: Propagator sub-steps whose phase rows one vectorized exp computes.
+_PHASE_CHUNK = 384
+#: Real and imaginary parts smaller than this are zeroed in the propagator
+#: product, so that no product runs on subnormal numbers.
+_FLUSH_BELOW = 1e-150
 
 
 class Method(enum.Enum):
@@ -270,49 +281,68 @@ def quasi_energies_extended(params: ModelParams, n_floquet: int) -> FloquetSpect
 
 
 def default_n_steps(params: ModelParams) -> int:
-    """max(MIN_PROPAGATOR_STEPS, ceil(4.5 * ||H||_1 * Z_p)), ||H||_1 the max over 16 z.
+    """max(MIN_PROPAGATOR_STEPS, ceil(1.35 * ||H||_1 * Z_p)), ||H||_1 the max over 16 z.
 
-    The count is of fourth-order composition steps (three Strang sub-steps
+    The count is of fourth-order splitting steps (six static products
     each, see ``one_period_propagator``).
     """
     z_period = params.drive_period
     grid = (np.arange(16) + 0.5) * (z_period / 16)
     norm = max(float(matrix_norm_1(hamiltonian_at(z, params))) for z in grid)
-    return max(MIN_PROPAGATOR_STEPS, int(math.ceil(4.5 * norm * z_period)))
+    return max(MIN_PROPAGATOR_STEPS, int(math.ceil(1.35 * norm * z_period)))
+
+
+def _flush_tiny(m: np.ndarray) -> bool:
+    """Zero the nonzero real and imaginary parts of m below _FLUSH_BELOW; True if any."""
+    parts = m.view(np.float64)
+    tiny = (np.abs(parts) < _FLUSH_BELOW) & (parts != 0.0)
+    parts[tiny] = 0.0
+    return bool(tiny.any())
 
 
 def one_period_propagator(params: ModelParams, n_steps: int) -> np.ndarray:
-    """U(Z_p) by a fourth-order composition of Strang split steps.
+    """U(Z_p) by the Blanes-Moan fourth-order splitting S6.
 
-    The drive f(z)*D is diagonal, so a Strang step S(h) splits exactly
-    into the static exponential expm(-i*h*H_static) between diagonal
-    phases exp(-i*(F(b) - F(a))*D), where
+    The drive f(z)*D is diagonal, so with z carried along as a variable
+    the generator splits into two exactly solvable parts: the static
+    exponential expm(-i*a*dz*H_static), z frozen, and the diagonal phase
+    exp(-i*(F(z + b*dz) - F(z))*D), where
     F(z) = kappa*(cos(phase0) - cos(omega*z + phase0)) is the closed-form
-    integral of f.  S is symmetric and second order, so each of the
-    ``n_steps`` steps dz is the triple jump S(w1*dz) S(w0*dz) S(w1*dz)
-    with w1 = 1/(2 - 2^(1/3)), w0 = 1 - 2*w1 (Yoshida, Phys. Lett. A 150,
-    262 (1990)), which is fourth order in dz.  The two static
-    exponentials are computed once per call; F is sampled at 0, the
-    3*n_steps sub-step midpoints and Z_p.  Each phase is applied as a
-    row scaling, so memory beyond O(n_steps) scalars is independent of
-    n_steps.  The propagator stays in the lab frame.
+    integral of f.  Each of the ``n_steps`` steps dz is the symmetric
+    6-stage composition S6 (J. Comput. Appl. Math. 142, 313 (2002)),
+    fourth order in dz: seven phases with weights b1 b2 b3 b4 b3 b2 b1
+    around six static exponentials with weights a1 a2 a3 a3 a2 a1, the
+    last phase of a step merged with the first of the next.  The three
+    distinct static exponentials are computed once per call; F is
+    sampled at 0, the 6*n_steps static stages and Z_p.  The phases are
+    applied as row scalings, their rows computed a bounded chunk at a
+    time, so memory beyond O(n_steps) scalars is independent of n_steps.
+    On a long chain the far corners of the exponentials underflow: parts
+    below _FLUSH_BELOW are then zeroed in them and in the product after
+    every stage, which moves U by far less than rounding does.  The
+    propagator stays in the lab frame.
     """
     if n_steps < 1:
         raise ParameterError(f"n_steps must be >= 1, got {n_steps}")
     z_period = params.drive_period
     dz = z_period / n_steps
     h_static = build_static_hamiltonian(params)
-    outer, inner = (expm(-1j * w * dz * h_static) for w in (_YOSHIDA_W1, _YOSHIDA_W0))
+    half = [expm(-1j * a * dz * h_static) for a in _S6_STAGES[:3]]
+    flush = any([_flush_tiny(e) for e in half])  # a list, so that all three are flushed
+    stages = half + half[::-1]
     d_diag = np.diag(drive_operator(params))
-    midpoints = np.array([_YOSHIDA_W1 / 2, 0.5, 1.0 - _YOSHIDA_W1 / 2])
-    s = np.concatenate(([0.0], ((np.arange(n_steps)[:, None] + midpoints) * dz).ravel(),
+    s = np.concatenate(([0.0], ((np.arange(n_steps)[:, None] + _S6_NODES) * dz).ravel(),
                         [z_period]))
-    drive_integral = params.kappa * (math.cos(params.phase0)
-                                     - np.cos(params.omega * s + params.phase0))
-    increments = np.diff(drive_integral)
-    u = np.diag(np.exp(-1j * increments[0] * d_diag))
-    for step, delta in zip(itertools.cycle((outer, inner, outer)), increments[1:]):
-        u = np.exp(-1j * delta * d_diag)[:, None] * (step @ u)
+    phase_args = -1j * np.diff(params.kappa * (math.cos(params.phase0)
+                                               - np.cos(params.omega * s + params.phase0)))
+    u = np.diag(np.exp(phase_args[0] * d_diag))
+    for start in range(0, len(stages) * n_steps, _PHASE_CHUNK):
+        rows = np.exp(np.multiply.outer(phase_args[start + 1:start + 1 + _PHASE_CHUNK], d_diag))
+        for k, row in enumerate(rows, start):
+            u = stages[k % len(stages)] @ u
+            u *= row[:, None]
+            if flush:
+                _flush_tiny(u)
     return u
 
 
@@ -421,13 +451,20 @@ class EffectiveComparison:
 
 
 def compare_floquet_effective(params: ModelParams, n_floquet: int) -> EffectiveComparison:
+    """``compare_with_effective`` of the extended spectrum at ``n_floquet``."""
+    return compare_with_effective(quasi_energies_extended(params, n_floquet))
+
+
+def compare_with_effective(floquet_spectrum: FloquetSpectrum) -> EffectiveComparison:
     """Pair quasi-energies with effective eigenvalues under the optimal matching.
 
+    The effective chain is built from ``floquet_spectrum.params``.
     ``per_mode_deviation[k]`` belongs to quasi-energy k in the sorted
     Floquet order.  Requires omega/2 to exceed the spectral radius of the
     effective chain so that zone folding cannot alias the comparison;
     raises AliasingError otherwise.
     """
+    params = floquet_spectrum.params
     effective = compute_spectrum(params, Method.STATIC_EFFECTIVE)
     reach = float(np.abs(effective.quasi_energies.real).max())
     if params.omega / 2.0 <= reach:
@@ -435,7 +472,6 @@ def compare_floquet_effective(params: ModelParams, n_floquet: int) -> EffectiveC
             f"omega/2 = {params.omega / 2.0:.4g} does not clear the effective "
             f"spectral reach {reach:.4g}; folding would alias the comparison"
         )
-    floquet_spectrum = quasi_energies_extended(params, n_floquet)
     deviation = _matched_deviations(floquet_spectrum.quasi_energies,
                                     effective.quasi_energies)
     return EffectiveComparison(

@@ -263,7 +263,7 @@ class TestSweepConfigErrors:
          "--kappa-omega", "0.05", "--gamma", "0:0.1:2", "--omega", "4pi:8pi:2",
          "--n-floquet", "-1"],
         ["sweep-phi", "--preset", "fig1-lowfreq", "--method", "propagator",
-         "--n-steps", "50", "--phi-grid", "0:pi:2"],
+         "--n-steps", "10", "--phi-grid", "0:pi:2"],
     ])
     def test_unusable_solver_size_exit_2(self, tmp_path, capsys, command):
         out = tmp_path / "out.csv"
@@ -424,6 +424,21 @@ class TestEffectiveCompareCommand:
         payload = json.loads(out.read_text())
         assert payload["max_quasi_energy_deviation"] < 5e-3
         assert len(payload["per_mode_deviation"]) == 40
+
+    def test_converged_n_floquet_solved_once(self, monkeypatch, capsys):
+        import floquet_ssh.floquet as floquet
+
+        solved = []
+        original = floquet.quasi_energies_extended
+
+        def counting(params, n_floquet):
+            solved.append(n_floquet)
+            return original(params, n_floquet)
+
+        monkeypatch.setattr(floquet, "quasi_energies_extended", counting)
+        assert main(["effective-compare", "--preset", "fig1-highfreq", "--phi", "0.3"]) == 0
+        assert "n_floquet = 2" in capsys.readouterr().out
+        assert solved == [2, 4]
 
 
 class TestPtThresholdCommand:

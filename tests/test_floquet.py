@@ -290,7 +290,7 @@ class TestQuasiEnergiesPropagator:
     def test_step_count_validation(self):
         p = ModelParams(n_sites=4, kappa=0.1, omega=2.0)
         with pytest.raises(ParameterError):
-            quasi_energies_propagator(p, 50)
+            quasi_energies_propagator(p, 10)
         for n_steps in (0, -5):
             with pytest.raises(ParameterError):
                 one_period_propagator(p, n_steps)
@@ -301,7 +301,7 @@ class TestQuasiEnergiesPropagator:
         p = ModelParams(n_sites=6, tunneling=1.0, lam=0.3, phi_dim=2.0,
                         gamma=0.15, impurity_site=2, kappa=0.5, omega=1.5,
                         phase0=0.7)
-        ref_steps = 1 << 14
+        ref_steps = 1 << 16
         dz = p.drive_period / ref_steps
         z = (np.arange(ref_steps) + 0.5) * dz
         generators = np.repeat(build_static_hamiltonian(p)[None], ref_steps, axis=0)
@@ -337,6 +337,48 @@ class TestQuasiEnergiesPropagator:
         p = ModelParams(n_sites=40, tunneling=1.0, lam=0.4, phi_dim=0.35,
                         gamma=0.2, impurity_site=2, kappa=0.05 / omega, omega=omega)
         assert default_n_steps(p) <= 200
+
+    def test_static_products_per_period_at_low_frequency(self, monkeypatch):
+        import floquet_ssh.floquet as floquet
+        from floquet_ssh.linalg import expm
+
+        products = 0
+
+        class Counting(np.ndarray):
+            def __matmul__(self, other):
+                nonlocal products
+                products += 1
+                return np.asarray(self) @ other
+
+        monkeypatch.setattr(floquet, "expm", lambda m: expm(m).view(Counting))
+        # the chain and drive of the propagator_sweep benchmark workload
+        omega = 0.2 * math.pi
+        p = ModelParams(n_sites=40, tunneling=1.0, lam=0.4, phi_dim=0.35,
+                        gamma=0.2, impurity_site=2, kappa=0.05 / omega, omega=omega)
+        quasi_energies_propagator(p)
+        assert 0 < products <= 250
+
+    def test_flushed_product_matches_unflushed_on_long_chain(self):
+        # the far corners of the static exponentials underflow at this length,
+        # so the propagator zeroes tiny parts; compare with a plain product
+        from floquet_ssh.floquet import _S6_NODES, _S6_STAGES
+        from floquet_ssh.linalg import expm
+
+        omega = 0.2 * math.pi
+        p = ModelParams(n_sites=140, tunneling=1.0, lam=0.4, phi_dim=0.35,
+                        gamma=0.2, impurity_site=2, kappa=0.05 / omega, omega=omega)
+        n_steps = 40
+        dz = p.drive_period / n_steps
+        stages = [expm(-1j * a * dz * build_static_hamiltonian(p)) for a in _S6_STAGES]
+        assert min(np.abs(e[e != 0]).min() for e in stages) < 1e-150
+        d = np.diag(drive_operator(p))
+        s = np.concatenate(([0.0], ((np.arange(n_steps)[:, None] + _S6_NODES) * dz).ravel(),
+                            [p.drive_period]))
+        increments = np.diff(p.kappa * (math.cos(p.phase0) - np.cos(p.omega * s + p.phase0)))
+        plain = np.diag(np.exp(-1j * increments[0] * d))
+        for k, delta in enumerate(increments[1:]):
+            plain = np.exp(-1j * delta * d)[:, None] * (stages[k % len(stages)] @ plain)
+        assert np.abs(one_period_propagator(p, n_steps) - plain).max() < 1e-13
 
 
 class TestMatchedDistance:

@@ -48,7 +48,7 @@ class TestSweepSpec:
         SweepSpec(base=_base(), axes=(("gamma", (0.1,)),),
                   method=Method.PROPAGATOR, n_floquet=n_floquet)
 
-    @pytest.mark.parametrize("n_steps", [50, 99])
+    @pytest.mark.parametrize("n_steps", [10, 19])
     def test_propagator_n_steps_validation(self, n_steps):
         with pytest.raises(ParameterError):
             SweepSpec(base=_base(), axes=(("gamma", (0.1,)),),
@@ -57,7 +57,7 @@ class TestSweepSpec:
         SweepSpec(base=_base(), axes=(("gamma", (0.1,)),),
                   method=Method.EXTENDED, n_steps=n_steps)
         SweepSpec(base=_base(), axes=(("gamma", (0.1,)),),
-                  method=Method.PROPAGATOR, n_steps=100)
+                  method=Method.PROPAGATOR, n_steps=20)
 
     def test_grid_points_row_major(self):
         spec = SweepSpec(base=_base(),
