@@ -20,8 +20,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import ParameterError
-from .floquet import FloquetSpectrum, Method, compute_spectrum
+from .errors import ParameterError, require_positive_finite
+from .floquet import NF_TOL, FloquetSpectrum, Method, compute_spectrum
 from .model import ModelParams, hamiltonian_at
 
 #: Max |Im eps| below which a spectrum counts as PT-unbroken.
@@ -32,6 +32,8 @@ ZERO_TOL_FACTOR = 1e-3
 EDGE_FRACTION = 0.1
 #: Number of pre-scan points guarding the threshold bisection.
 PRESCAN_POINTS = 16
+#: Default bracket width at which the threshold bisection stops.
+TOL_GAMMA = 1e-4
 
 
 class Phase(enum.Enum):
@@ -83,8 +85,7 @@ def find_zero_modes(spectrum: FloquetSpectrum) -> list[ZeroMode]:
 
 def classify_pt(spectrum: FloquetSpectrum, tol_im: float = TOL_IM) -> PhasePoint:
     """Unbroken iff max |Im eps| < tol_im; zero modes listed alongside."""
-    if not 0 < tol_im < math.inf:
-        raise ParameterError(f"tol_im must be positive and finite, got {tol_im}")
+    require_positive_finite("tol_im", tol_im)
     max_im = spectrum.max_imag
     phase = Phase.UNBROKEN if max_im < tol_im else Phase.BROKEN
     modes = tuple(find_zero_modes(spectrum))
@@ -102,29 +103,29 @@ class GammaThreshold:
 
 
 def gamma_pt_threshold(params: ModelParams, gamma_max: float,
-                       tol_gamma: float = 1e-4,
+                       tol_gamma: float = TOL_GAMMA,
                        method: Method = Method.STATIC,
                        n_floquet: int | None = None,
                        n_steps: int | None = None,
                        tol_im: float = TOL_IM,
-                       nf_tol: float = 1e-8) -> GammaThreshold:
+                       nf_tol: float = NF_TOL) -> GammaThreshold:
     """Bisect the unbroken-to-broken transition in gamma on [0, gamma_max].
 
     Monotonicity of the broken phase in gamma is an assumption; a
     PRESCAN_POINTS-point scan detects violations and reports them via
     ``monotone`` (the bisection then brackets the first transition).
     ``broken_at_zero`` (value 0) means that no gamma > 0 was seen
-    unbroken; otherwise ``ok`` reports the bracket's midpoint.
+    unbroken; otherwise ``ok`` reports the bracket's midpoint.  The
+    bisection stops at width ``tol_gamma`` or when lo and hi are adjacent
+    floats, whichever comes first.
     The caller picks the spectrum route through ``method``.  gamma_max is
     solved first, through ``compute_spectrum``; on the extended route
     without ``n_floquet`` that converges N_F to ``nf_tol`` there.  Every
     other gamma is solved at that spectrum's N_F, and the scan's last
     point reuses the gamma_max spectrum.
     """
-    if not 0 < gamma_max < math.inf:
-        raise ParameterError(f"gamma_max must be positive and finite, got {gamma_max}")
-    if not 0 < tol_gamma < math.inf:
-        raise ParameterError(f"tol_gamma must be positive and finite, got {tol_gamma}")
+    require_positive_finite("gamma_max", gamma_max)
+    require_positive_finite("tol_gamma", tol_gamma)
     top = compute_spectrum(replace(params, gamma=gamma_max), method, n_floquet=n_floquet,
                            n_steps=n_steps, nf_tol=nf_tol)
 
@@ -151,6 +152,8 @@ def gamma_pt_threshold(params: ModelParams, gamma_max: float,
     hi = scan[first_broken][0]
     while hi - lo > tol_gamma:
         mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:  # adjacent floats: the bracket cannot shrink further
+            break
         if is_broken(mid):
             hi = mid
         else:

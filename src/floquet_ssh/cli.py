@@ -29,14 +29,14 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import get_type_hints
 
 import numpy as np
 
-from .analysis import TOL_IM, classify_pt, gamma_pt_threshold, is_zero_mode
-from .errors import ParameterError, SolverError
-from .floquet import Method, compare_with_effective, compute_spectrum
+from .analysis import TOL_GAMMA, TOL_IM, classify_pt, gamma_pt_threshold, is_zero_mode
+from .errors import ParameterError, SolverError, require_positive_finite
+from .floquet import NF_TOL, Method, compare_with_effective, compute_spectrum
 from .model import ModelParams
 from .svgplot import spectrum_svg
 from .sweep import (PhaseRow, SpectrumRow, SweepSpec, run_phase_diagram, run_sweep,
@@ -179,17 +179,16 @@ def _merge_layers(args) -> RunConfig:
     n_floquet = values.pop("n_floquet", None)
     n_steps = values.pop("n_steps", None)
     kappa_omega = values.pop("kappa_omega", None)
-    if kappa_omega is not None:
-        values["kappa"] = kappa_omega / values.get("omega", 1.0)
     if "lambda" in values:
         values["lam"] = values.pop("lambda")
     params = ModelParams(**values)
+    if kappa_omega is not None:
+        params = replace(params, kappa=kappa_omega / params.omega)
     if method is None:
         method = Method.STATIC if params.kappa == 0.0 else Method.EXTENDED
     nf_tol, tol_im = float(args.nf_tol), float(getattr(args, "tol_im", TOL_IM))
     for name, tol in (("nf_tol", nf_tol), ("tol_im", tol_im)):
-        if not 0 < tol < math.inf:
-            raise ParameterError(f"{name} must be positive and finite, got {tol}")
+        require_positive_finite(name, tol)
     return RunConfig(params=params, kappa_omega=kappa_omega, method=method,
                      n_floquet=n_floquet, nf_tol=nf_tol, n_steps=n_steps, tol_im=tol_im)
 
@@ -269,7 +268,7 @@ def cmd_spectrum(args) -> int:
                                 n_floquet=config.n_floquet, n_steps=config.n_steps,
                                 nf_tol=config.nf_tol)
     point = classify_pt(spectrum, config.tol_im)
-    rows = spectrum_rows(spectrum, point.phase, 0)
+    rows = spectrum_rows(spectrum, point, 0)
     _write_rows(args, rows, _SPECTRUM_FIELDS)
     print(f"phase: {point.phase.value} (max|Im eps| = {point.max_im:.6g})")
     print(f"zero modes: {len(point.zero_modes)}")
@@ -436,7 +435,7 @@ def _add_model_arguments(parser: argparse.ArgumentParser, omit=(), grid_axes=())
                                metavar="START:STOP:COUNT", help=f"{help_text}, grid")
         elif key not in omit:
             group.add_argument(flag, dest=key, help=help_text)
-    group.add_argument("--nf-tol", dest="nf_tol", type=float, default=1e-8)
+    group.add_argument("--nf-tol", dest="nf_tol", type=float, default=NF_TOL)
     if "tol_im" not in omit:
         group.add_argument("--tol-im", dest="tol_im", type=float, default=TOL_IM)
 
@@ -479,7 +478,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_thr = command("pt-threshold", cmd_pt_threshold, "bisect the PT threshold in gamma")
     _add_model_arguments(p_thr, omit=("method", "gamma"))
     p_thr.add_argument("--gamma-max", dest="gamma_max", type=float, default=1.0)
-    p_thr.add_argument("--tol-gamma", dest="tol_gamma", type=float, default=1e-4)
+    p_thr.add_argument("--tol-gamma", dest="tol_gamma", type=float, default=TOL_GAMMA)
     p_thr.add_argument("--threshold-method", dest="threshold_method",
                        choices=["static", "extended", "propagator"],
                        default="static")

@@ -3,7 +3,11 @@
 ParameterError covers bad inputs (model parameters, configs, CLI flags);
 SolverError and its subclasses cover numerical failures.  The CLI maps
 ParameterError to exit code 2 and SolverError to exit code 1.
+``require_positive_finite`` is the one range check for tolerances and
+other strictly positive settings; it raises ParameterError.
 """
+
+import math
 
 
 class ParameterError(ValueError):
@@ -32,3 +36,9 @@ class ConvergenceCapError(SolverError):
 
 class AliasingError(SolverError):
     """Folding window is too narrow for the spectrum being compared."""
+
+
+def require_positive_finite(name: str, value: float) -> None:
+    """Raise ParameterError unless 0 < value < inf (NaN fails too)."""
+    if not 0 < value < math.inf:
+        raise ParameterError(f"{name} must be positive and finite, got {value}")

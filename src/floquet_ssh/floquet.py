@@ -31,7 +31,7 @@ import numpy as np
 
 from .effective import effective_hamiltonian, effective_tunneling
 from .errors import (AliasingError, ConvergenceCapError, DimensionCapError, ParameterError,
-                     SolverError)
+                     SolverError, require_positive_finite)
 from .linalg import Spectrum, eig_dense, expm, matrix_norm_1, principal_log_eigenvalues
 from .model import ModelParams, build_static_hamiltonian, drive_operator, hamiltonian_at
 
@@ -41,6 +41,8 @@ from .model import ModelParams, build_static_hamiltonian, drive_operator, hamilt
 DIM_CAP = 7700
 #: Cap for the N_F convergence search.
 NF_CAP = 512
+#: Default tolerance of the N_F convergence search.
+NF_TOL = 1e-8
 #: Cap for propagator step doubling.
 MAX_PROPAGATOR_STEPS = 1 << 21
 #: Fewest propagator steps per period a caller may request.
@@ -136,7 +138,7 @@ def static_spectrum(params: ModelParams) -> FloquetSpectrum:
 def compute_spectrum(params: ModelParams, method: Method,
                      n_floquet: int | None = None,
                      n_steps: int | None = None,
-                     nf_tol: float = 1e-8) -> FloquetSpectrum:
+                     nf_tol: float = NF_TOL) -> FloquetSpectrum:
     """Dispatch a single spectrum computation by method.
 
     On the extended route ``n_floquet`` None means converge_nf(params, nf_tol);
@@ -355,12 +357,15 @@ def quasi_energies_propagator(params: ModelParams, n_steps: int | None = None,
     onto +omega/2 so Re(eps) lies in (-omega/2, omega/2].  Mode weights
     come from the eigenvectors of U.  With ``converge_tol`` set, n_steps
     is doubled until no quasi-energy moves by more than the tolerance
-    under the optimal matching, and the refined spectrum is returned.
+    under the optimal matching, and the refined spectrum is returned;
+    ``converge_tol`` must be positive and finite.
     """
     if n_steps is None:
         n_steps = default_n_steps(params)
     elif n_steps < MIN_PROPAGATOR_STEPS:
         raise ParameterError(f"n_steps must be >= {MIN_PROPAGATOR_STEPS}, got {n_steps}")
+    if converge_tol is not None:
+        require_positive_finite("converge_tol", converge_tol)
 
     def compute(steps: int) -> FloquetSpectrum:
         u = one_period_propagator(params, steps)
@@ -507,8 +512,7 @@ def converge_nf(params: ModelParams, tol: float,
     Every spectrum solved on the way, the returned N_F's included, is
     stored in ``spectra`` (keyed by N_F) when a dict is given.
     """
-    if not 0 < tol < math.inf:
-        raise ParameterError(f"tol must be positive and finite, got {tol}")
+    require_positive_finite("tol", tol)
     cache = {} if spectra is None else spectra
 
     def spectrum(nf: int) -> FloquetSpectrum:

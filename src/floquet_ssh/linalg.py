@@ -6,7 +6,8 @@ the rest of the package relies on: a deterministic eigenvalue ordering
 eigenvectors, and an enforced residual bound.  ``expm`` is a
 single-matrix scaling-and-squaring exponential with one Pade degree (13)
 at every norm; the split-step propagator in :mod:`floquet_ssh.floquet`
-calls it twice per period.
+calls it three times per period, once for each distinct static stage of
+its splitting.
 ``logm_eig`` extracts principal eigenvalue logarithms with a fixed
 branch, Im(log) in (-pi, pi] and -pi mapped to +pi, so propagator
 quasi-energies are deterministic.

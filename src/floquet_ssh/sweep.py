@@ -12,14 +12,13 @@ from __future__ import annotations
 
 import dataclasses
 import itertools
-import math
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .analysis import TOL_IM, Phase, PhasePoint, classify_pt, edge_weight
-from .errors import ParameterError, SolverError
-from .floquet import MIN_PROPAGATOR_STEPS, FloquetSpectrum, Method, compute_spectrum, converge_nf
+from .errors import ParameterError, SolverError, require_positive_finite
+from .floquet import MIN_PROPAGATOR_STEPS, NF_TOL, FloquetSpectrum, Method, compute_spectrum
 from .model import ModelParams
 
 _AXIS_FIELDS = {f.name for f in dataclasses.fields(ModelParams)}
@@ -35,15 +34,16 @@ class SweepSpec:
     """A parameter grid over a base model.
 
     ``axes`` holds one or two (field name, grid values) pairs; fields
-    must be ModelParams fields.  With ``kappa_omega`` set, kappa is
-    re-derived as kappa_omega/omega at every grid point (drive specified
-    by amplitude).  ``n_floquet`` None means auto: converge_nf once at
-    the smallest-omega grid corner, reused for the whole sweep.  That
-    corner is the worst case in omega only; another Phi or gamma at the
-    same omega can need a larger N_F.  The tolerances ``nf_tol`` and
-    ``tol_im`` must be positive and finite.  The solver sizes are checked
-    only for the method that uses them: ``n_floquet`` must be >= 1 on the
-    extended route, and ``n_steps`` must be >= MIN_PROPAGATOR_STEPS on the
+    must be distinct ModelParams fields.  With ``kappa_omega`` set, kappa
+    is re-derived as kappa_omega/omega at every grid point (drive
+    specified by amplitude), so a kappa axis is then rejected.
+    ``n_floquet`` None means auto: converge_nf once at the smallest-omega
+    grid corner, reused for the whole sweep.  That corner is the worst
+    case in omega only; another Phi or gamma at the same omega can need a
+    larger N_F.  The tolerances ``nf_tol`` and ``tol_im`` must be
+    positive and finite.  The solver sizes are checked only for the
+    method that uses them: ``n_floquet`` must be >= 1 on the extended
+    route, and ``n_steps`` must be >= MIN_PROPAGATOR_STEPS on the
     propagator route.
     """
 
@@ -52,13 +52,18 @@ class SweepSpec:
     method: Method = Method.EXTENDED
     kappa_omega: float | None = None
     n_floquet: int | None = None
-    nf_tol: float = 1e-8
+    nf_tol: float = NF_TOL
     n_steps: int | None = None
     tol_im: float = TOL_IM
 
     def __post_init__(self):
         if not 1 <= len(self.axes) <= 2:
             raise ParameterError(f"need 1 or 2 sweep axes, got {len(self.axes)}")
+        names = [name for name, _ in self.axes]
+        if len(set(names)) != len(names):
+            raise ParameterError(f"sweep axes must be distinct, got {names}")
+        if self.kappa_omega is not None and "kappa" in names:
+            raise ParameterError("kappa_omega sets kappa at every point; drop the kappa axis")
         for name, grid in self.axes:
             if name not in _AXIS_FIELDS:
                 raise ParameterError(f"unknown sweep axis {name!r}")
@@ -67,9 +72,7 @@ class SweepSpec:
             if not np.all(np.isfinite(grid)):
                 raise ParameterError(f"axis {name!r} has non-finite grid values")
         for name in ("nf_tol", "tol_im"):
-            if not 0 < getattr(self, name) < math.inf:
-                raise ParameterError(
-                    f"{name} must be positive and finite, got {getattr(self, name)}")
+            require_positive_finite(name, getattr(self, name))
         if (self.method is Method.EXTENDED and self.n_floquet is not None
                 and self.n_floquet < 1):
             raise ParameterError(f"n_floquet must be >= 1, got {self.n_floquet}")
@@ -139,53 +142,24 @@ class SweepResult:
     failures: tuple[Failure, ...]
 
 
-def _corner_spectrum(spec: SweepSpec) -> FloquetSpectrum:
-    """The extended spectrum at the smallest-omega grid corner, at its converged N_F.
-
-    The corner is the worst case in omega only (see ``SweepSpec``).
-    """
-    omega_axes = [grid for name, grid in spec.axes if name == "omega"]
-    point: dict[str, float] = {}
-    if omega_axes:
-        point["omega"] = float(min(omega_axes[0]))
-    params = spec.params_at({**spec.grid_points()[0], **point})
-    solved: dict[int, FloquetSpectrum] = {}
-    return solved[converge_nf(params, spec.nf_tol, spectra=solved)]
-
-
-def spectrum_rows(spectrum: FloquetSpectrum, phase: Phase, index: int) -> list[SpectrumRow]:
-    """One long-format row per mode of ``spectrum``."""
+def _row(row_type, spectrum: FloquetSpectrum, phase: Phase, index: int, **columns):
+    """A ``row_type`` row: the columns every row kind shares, plus ``columns``."""
     params = spectrum.params
-    return [SpectrumRow(
-        grid_index=index,
-        phi=params.phi_dim,
-        omega=params.omega,
-        gamma=params.gamma,
-        kappa=params.kappa,
-        mode=k,
-        re_eps=float(eps.real),
-        im_eps=float(eps.imag),
-        edge_weight=edge_weight(spectrum.mode_weights[k]),
-        phase=phase.value,
-        method=spectrum.method.value,
-        n_floquet=spectrum.n_floquet,
-    ) for k, eps in enumerate(spectrum.quasi_energies)]
+    return row_type(grid_index=index, phi=params.phi_dim, omega=params.omega,
+                    gamma=params.gamma, kappa=params.kappa, phase=phase.value,
+                    method=spectrum.method.value, n_floquet=spectrum.n_floquet, **columns)
+
+
+def spectrum_rows(spectrum: FloquetSpectrum, point: PhasePoint, index: int) -> list[SpectrumRow]:
+    """One long-format row per mode of ``spectrum``."""
+    return [_row(SpectrumRow, spectrum, point.phase, index, mode=k, re_eps=float(eps.real),
+                 im_eps=float(eps.imag), edge_weight=edge_weight(spectrum.mode_weights[k]))
+            for k, eps in enumerate(spectrum.quasi_energies)]
 
 
 def _phase_rows(spectrum: FloquetSpectrum, point: PhasePoint, index: int) -> list[PhaseRow]:
-    params = spectrum.params
-    return [PhaseRow(
-        grid_index=index,
-        phi=params.phi_dim,
-        omega=params.omega,
-        gamma=params.gamma,
-        kappa=params.kappa,
-        max_im=point.max_im,
-        zero_mode_count=len(point.zero_modes),
-        phase=point.phase.value,
-        method=spectrum.method.value,
-        n_floquet=spectrum.n_floquet,
-    )]
+    return [_row(PhaseRow, spectrum, point.phase, index, max_im=point.max_im,
+                 zero_mode_count=len(point.zero_modes))]
 
 
 def _run_grid(spec: SweepSpec, rows_of) -> SweepResult:
@@ -199,7 +173,10 @@ def _run_grid(spec: SweepSpec, rows_of) -> SweepResult:
     points = spec.grid_points()
     corner = None
     if spec.method is Method.EXTENDED and spec.n_floquet is None:
-        corner = _corner_spectrum(spec)
+        # N_F converges at the smallest-omega corner, the worst case in omega only.
+        low_omega = {name: min(grid) for name, grid in spec.axes if name == "omega"}
+        corner = compute_spectrum(spec.params_at({**points[0], **low_omega}), Method.EXTENDED,
+                                  nf_tol=spec.nf_tol)
     n_floquet = spec.n_floquet if corner is None else corner.n_floquet
     all_rows: list = []
     failures: list[Failure] = []
@@ -224,8 +201,7 @@ def _run_grid(spec: SweepSpec, rows_of) -> SweepResult:
 
 def run_sweep(spec: SweepSpec) -> SweepResult:
     """Spectrum rows (one per mode per grid point), ordered by grid index."""
-    return _run_grid(spec, lambda spectrum, point, index: spectrum_rows(
-        spectrum, point.phase, index))
+    return _run_grid(spec, spectrum_rows)
 
 
 def run_phase_diagram(spec: SweepSpec) -> SweepResult:

@@ -127,6 +127,27 @@ class TestGammaPtThreshold:
         assert result.value == 0.09375
         assert max(g for g, broken in result.scan if not broken) < result.value
 
+    @pytest.mark.parametrize("tol_gamma", [1e-17, 1e-300])
+    def test_bisection_ends_below_float_spacing(self, monkeypatch, tol_gamma):
+        import floquet_ssh.analysis as analysis
+
+        solves = []
+        solve = analysis.compute_spectrum
+
+        def counting(*args, **kwargs):
+            solves.append(args[0].gamma)
+            if len(solves) > 500:
+                raise AssertionError("bisection did not end")
+            return solve(*args, **kwargs)
+
+        monkeypatch.setattr(analysis, "compute_spectrum", counting)
+        p = ModelParams(n_sites=6, lam=0.4, impurity_site=2)
+        result = gamma_pt_threshold(p, gamma_max=1.0, tol_gamma=tol_gamma)
+        assert result.status == "ok"
+        # the bracket ends as two adjacent floats around the threshold
+        assert math.nextafter(result.value, 0.0) in solves or \
+            math.nextafter(result.value, 1.0) in solves
+
     def test_extended_route_solves_each_gamma_and_nf_once(self, monkeypatch):
         import floquet_ssh.floquet as floquet
 

@@ -167,6 +167,14 @@ class TestSpectrumCommand:
                      "--gamma", "0.1", "-o", str(tmp_path / "x.csv")])
         assert code == 2
 
+    @pytest.mark.parametrize("omega", ["0", "-1"])
+    def test_kappa_omega_with_nonpositive_omega_exit_2(self, tmp_path, capsys, omega):
+        # kappa is derived from kappa_omega after omega has been checked
+        code = main(["spectrum", "--preset", "fig1-lowfreq", "--n-sites", "6",
+                     "--omega", omega, "-o", str(tmp_path / "x.csv")])
+        assert code == 2
+        assert "omega must be positive" in capsys.readouterr().err
+
     def test_solver_failure_exit_1(self, capsys):
         # folding window too narrow for the effective spectrum -> aliasing
         code = main(["effective-compare", "--n-sites", "6", "--lambda", "0.4",

@@ -295,6 +295,12 @@ class TestQuasiEnergiesPropagator:
             with pytest.raises(ParameterError):
                 one_period_propagator(p, n_steps)
 
+    @pytest.mark.parametrize("converge_tol", [0.0, -1.0, math.nan, math.inf])
+    def test_converge_tol_validation(self, converge_tol):
+        p = ModelParams(n_sites=6, lam=0.4, impurity_site=2, kappa=0.3, omega=3.0)
+        with pytest.raises(ParameterError, match="converge_tol must be positive and finite"):
+            quasi_energies_propagator(p, converge_tol=converge_tol)
+
     def test_split_step_is_fourth_order_against_midpoint_product(self):
         # oracle: time-ordered product of scipy.linalg.expm steps sampled at
         # the step midpoints, fine enough that its own error is negligible

@@ -32,6 +32,11 @@ class TestSweepSpec:
             SweepSpec(base=_base(), axes=(("gamma", ()),))
         with pytest.raises(ParameterError):
             SweepSpec(base=_base(), axes=())
+        with pytest.raises(ParameterError):
+            SweepSpec(base=_base(), axes=(("gamma", (0.1,)), ("gamma", (0.2,))))
+        with pytest.raises(ParameterError):
+            SweepSpec(base=_base(omega=3.0), axes=(("kappa", (0.1, 0.5, 0.9)),),
+                      kappa_omega=0.3)
 
     @pytest.mark.parametrize("field", ["nf_tol", "tol_im"])
     @pytest.mark.parametrize("value", [math.nan, 0.0, -1e-8, math.inf])
@@ -184,6 +189,21 @@ class TestRunSweep:
 
 
 class TestRunPhaseDiagram:
+    @pytest.mark.parametrize("method", [Method.EXTENDED, Method.PROPAGATOR])
+    def test_phase_row_and_spectrum_rows_share_columns(self, method):
+        spec = SweepSpec(base=_base(), axes=(("gamma", (0.1,)), ("omega", (4 * math.pi,))),
+                         method=method, kappa_omega=0.05)
+        (phase_row,) = run_phase_diagram(spec).rows
+        spectrum_rows = run_sweep(spec).rows
+        assert len(spectrum_rows) == spec.base.n_sites
+        shared = ("grid_index", "phi", "omega", "gamma", "kappa", "phase", "method", "n_floquet")
+        for row in spectrum_rows:
+            assert [getattr(row, name) for name in shared] == \
+                [getattr(phase_row, name) for name in shared]
+        assert phase_row.method == method.value
+        assert (phase_row.gamma, phase_row.omega) == (0.1, 4 * math.pi)
+        assert phase_row.kappa == 0.05 / (4 * math.pi)
+
     def test_requires_gamma_omega_axes(self):
         spec = SweepSpec(base=_base(), axes=(("phi_dim", (0.3,)),))
         with pytest.raises(ParameterError):
