@@ -16,10 +16,12 @@ unread or abbreviated flag is a usage error (exit 2).
 
 Values merge in the order defaults < preset < config file < flags, and
 every layer's values go through the same parsers, so a config value
-means what the same text means as a flag.  Angle-valued settings accept
-``pi`` literals (``0.8pi``, ``45pi``); grid flags use
-``start:stop:count``.  Exit codes: 0 success, 1 solver failure, 2
-configuration error; a sweep setting that no grid point could use is a
+means what the same text means as a flag.  The merged settings are a
+zero-axis ``SweepSpec``, which checks them; the sweeps add their axes
+to it.  Angle-valued settings accept ``pi`` literals (``0.8pi``,
+``45pi``); grid flags use ``start:stop:count``.  Exit codes: 0 success,
+1 solver failure, 2 configuration error; a sweep setting that no grid
+point could use, or a grid value that gives invalid parameters, is a
 configuration error, found before any point is solved.
 """
 
@@ -29,13 +31,13 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import replace
 from typing import get_type_hints
 
 import numpy as np
 
 from .analysis import TOL_GAMMA, TOL_IM, classify_pt, gamma_pt_threshold, is_zero_mode
-from .errors import ParameterError, SolverError, require_positive_finite
+from .errors import ParameterError, SolverError
 from .floquet import NF_TOL, Method, compare_with_effective, compute_spectrum
 from .model import ModelParams
 from .svgplot import spectrum_svg
@@ -143,21 +145,13 @@ def _cell(value) -> str:
     return fmt(value) if isinstance(value, float) else str(value)
 
 
-@dataclass
-class RunConfig:
-    """Merged model + solver settings for one CLI invocation."""
+def _merge_layers(args, method: Method | None = None) -> SweepSpec:
+    """Merge defaults < preset < config file < flags through each key's parser.
 
-    params: ModelParams
-    kappa_omega: float | None
-    method: Method
-    n_floquet: int | None
-    nf_tol: float
-    n_steps: int | None
-    tol_im: float
-
-
-def _merge_layers(args) -> RunConfig:
-    """Merge defaults < preset < config file < flags through each key's parser."""
+    The result is a zero-axis SweepSpec: its base point and the solver
+    settings.  ``method`` overrides the merged route; without either the
+    route is static iff kappa = 0.
+    """
     flags = {key: getattr(args, key, None) for key in _SETTINGS}
     if flags["kappa"] is not None and flags["kappa_omega"] is not None:
         raise ParameterError("set at most one of --kappa and --kappa-omega")
@@ -175,22 +169,17 @@ def _merge_layers(args) -> RunConfig:
                 values[key] = parse(value)
             except (TypeError, ValueError):
                 raise ParameterError(f"bad value {value!r} for {key} ({flag})") from None
-    method = values.pop("method", None)
-    n_floquet = values.pop("n_floquet", None)
-    n_steps = values.pop("n_steps", None)
-    kappa_omega = values.pop("kappa_omega", None)
+    settings = {key: values.pop(key, None)
+                for key in ("method", "kappa_omega", "n_floquet", "n_steps")}
     if "lambda" in values:
         values["lam"] = values.pop("lambda")
     params = ModelParams(**values)
-    if kappa_omega is not None:
-        params = replace(params, kappa=kappa_omega / params.omega)
-    if method is None:
-        method = Method.STATIC if params.kappa == 0.0 else Method.EXTENDED
-    nf_tol, tol_im = float(args.nf_tol), float(getattr(args, "tol_im", TOL_IM))
-    for name, tol in (("nf_tol", nf_tol), ("tol_im", tol_im)):
-        require_positive_finite(name, tol)
-    return RunConfig(params=params, kappa_omega=kappa_omega, method=method,
-                     n_floquet=n_floquet, nf_tol=nf_tol, n_steps=n_steps, tol_im=tol_im)
+    if settings["kappa_omega"] is not None:
+        params = replace(params, kappa=settings["kappa_omega"] / params.omega)
+    settings["method"] = method or settings["method"] or (
+        Method.STATIC if params.kappa == 0.0 else Method.EXTENDED)
+    return SweepSpec(base=params, axes=(), nf_tol=float(args.nf_tol),
+                     tol_im=float(getattr(args, "tol_im", TOL_IM)), **settings)
 
 
 def _preset_layer(name) -> dict:
@@ -243,17 +232,14 @@ def _write_rows(args, rows, fields):
         _write_text(args.json, rows_json(rows, fields))
 
 
-def _sweep_spec(config: RunConfig, axes) -> SweepSpec:
-    return SweepSpec(
-        base=config.params,
-        axes=tuple((name, tuple(float(v) for v in grid)) for name, grid in axes),
-        method=config.method,
-        kappa_omega=config.kappa_omega,
-        n_floquet=config.n_floquet,
-        nf_tol=config.nf_tol,
-        n_steps=config.n_steps,
-        tol_im=config.tol_im,
-    )
+def _with_axes(spec: SweepSpec, *axes) -> SweepSpec:
+    """``spec`` over the (name, grid) ``axes``; each grid value must give valid params."""
+    spec = replace(spec, axes=tuple((name, tuple(float(v) for v in grid))
+                                    for name, grid in axes))
+    for name, grid in spec.axes:
+        for value in grid:
+            spec.params_at({name: value})
+    return spec
 
 
 def _report_failures(result):
@@ -263,11 +249,10 @@ def _report_failures(result):
 
 
 def cmd_spectrum(args) -> int:
-    config = _merge_layers(args)
-    spectrum = compute_spectrum(config.params, config.method,
-                                n_floquet=config.n_floquet, n_steps=config.n_steps,
-                                nf_tol=config.nf_tol)
-    point = classify_pt(spectrum, config.tol_im)
+    spec = _merge_layers(args)
+    spectrum = compute_spectrum(spec.base, spec.method, n_floquet=spec.n_floquet,
+                                n_steps=spec.n_steps, nf_tol=spec.nf_tol)
+    point = classify_pt(spectrum, spec.tol_im)
     rows = spectrum_rows(spectrum, point, 0)
     _write_rows(args, rows, _SPECTRUM_FIELDS)
     print(f"phase: {point.phase.value} (max|Im eps| = {point.max_im:.6g})")
@@ -280,22 +265,21 @@ def cmd_spectrum(args) -> int:
 
 
 def cmd_sweep_phi(args) -> int:
-    config = _merge_layers(args)
-    spec = _sweep_spec(config, (("phi_dim", parse_grid(args.phi_grid)),))
+    spec = _with_axes(_merge_layers(args), ("phi_dim", parse_grid(args.phi_grid)))
     result = run_sweep(spec)
     _write_rows(args, result.rows, _SPECTRUM_FIELDS)
     if args.plot:
-        _write_text(args.plot, _sweep_svg(result, config))
+        _write_text(args.plot, _sweep_svg(result, spec))
         print(f"wrote {args.plot}")
     n_broken = sum(1 for r in result.rows if r.phase == "broken") \
-        // max(config.params.n_sites, 1)
+        // max(spec.base.n_sites, 1)
     print(f"wrote {args.output} ({len(result.rows)} rows, "
           f"{len(result.failures)} failed points, ~{n_broken} broken points)")
     _report_failures(result)
     return 0
 
 
-def _sweep_svg(result, config: RunConfig) -> str:
+def _sweep_svg(result, spec: SweepSpec) -> str:
     rows = result.rows
     xs = sorted({r.phi for r in rows})
     index = {x: i for i, x in enumerate(xs)}
@@ -304,21 +288,15 @@ def _sweep_svg(result, config: RunConfig) -> str:
     zero_points = []
     for r in rows:
         series[r.mode][index[r.phi]] = r.re_eps
-        if is_zero_mode(r.re_eps, r.edge_weight, config.params.tunneling):
+        if is_zero_mode(r.re_eps, r.edge_weight, spec.base.tunneling):
             zero_points.append((r.phi, r.re_eps))
     return spectrum_svg(xs, series, zero_points, x_label="Phi",
-                        y_label="Re eps", title=f"method: {config.method.value}")
+                        y_label="Re eps", title=f"method: {spec.method.value}")
 
 
 def cmd_phase_diagram(args) -> int:
-    config = _merge_layers(args)
-    gamma_grid = parse_grid(args.gamma_grid)
-    omega_grid = parse_grid(args.omega_grid)
-    if np.any(omega_grid <= 0):
-        raise ParameterError("omega grid values must be positive")
-    if np.any(gamma_grid < 0):
-        raise ParameterError("gamma grid values must be nonnegative")
-    spec = _sweep_spec(config, (("gamma", gamma_grid), ("omega", omega_grid)))
+    spec = _with_axes(_merge_layers(args), ("gamma", parse_grid(args.gamma_grid)),
+                      ("omega", parse_grid(args.omega_grid)))
     result = run_phase_diagram(spec)
     _write_rows(args, result.rows, _PHASE_FIELDS)
     print(f"wrote {args.output} ({len(result.rows)} rows, "
@@ -328,9 +306,9 @@ def cmd_phase_diagram(args) -> int:
 
 
 def cmd_effective_compare(args) -> int:
-    config = _merge_layers(args)
-    spectrum = compute_spectrum(config.params, Method.EXTENDED, n_floquet=config.n_floquet,
-                                nf_tol=config.nf_tol)
+    spec = _merge_layers(args, Method.EXTENDED)
+    spectrum = compute_spectrum(spec.base, spec.method, n_floquet=spec.n_floquet,
+                                nf_tol=spec.nf_tol)
     nf = spectrum.n_floquet
     comparison = compare_with_effective(spectrum)
     print(f"t_eff = {comparison.t_eff:.12g}")
@@ -341,7 +319,7 @@ def cmd_effective_compare(args) -> int:
             "t_eff": comparison.t_eff,
             "max_quasi_energy_deviation": comparison.max_quasi_energy_deviation,
             "per_mode_deviation": [float(v) for v in comparison.per_mode_deviation],
-            "omega": config.params.omega,
+            "omega": spec.base.omega,
             "n_floquet": nf,
         }
         _write_text(args.output, _json_text(payload))
@@ -350,12 +328,11 @@ def cmd_effective_compare(args) -> int:
 
 
 def cmd_pt_threshold(args) -> int:
-    config = _merge_layers(args)
-    method = Method(args.threshold_method)
+    spec = _merge_layers(args, Method(args.threshold_method))
     result = gamma_pt_threshold(
-        config.params, gamma_max=args.gamma_max, tol_gamma=args.tol_gamma,
-        method=method, n_floquet=config.n_floquet, n_steps=config.n_steps,
-        tol_im=config.tol_im, nf_tol=config.nf_tol)
+        spec.base, gamma_max=args.gamma_max, tol_gamma=args.tol_gamma,
+        method=spec.method, n_floquet=spec.n_floquet, n_steps=spec.n_steps,
+        tol_im=spec.tol_im, nf_tol=spec.nf_tol)
     print(f"gamma_pt = {result.value:.12g}")
     print(f"status: {result.status}")
     if not result.monotone:
@@ -382,43 +359,34 @@ def cmd_validate(args) -> int:
     lines = content.splitlines()
     if not lines:
         raise ParameterError("empty CSV file")
-    header = lines[0]
-    if header == SPECTRUM_HEADER:
-        fields = _SPECTRUM_FIELDS
-    elif header == PHASE_HEADER:
-        fields = _PHASE_FIELDS
-    else:
-        raise ParameterError(f"unrecognized CSV header: {header!r}")
+    fields = {SPECTRUM_HEADER: _SPECTRUM_FIELDS, PHASE_HEADER: _PHASE_FIELDS}.get(lines[0])
+    if fields is None:
+        raise ParameterError(f"unrecognized CSV header: {lines[0]!r}")
     diffs = 0
-    rebuilt = [header]
     for lineno, line in enumerate(lines[1:], start=2):
-        cells = line.split(",")
-        if len(cells) != len(fields):
-            print(f"line {lineno}: expected {len(fields)} fields, got {len(cells)}",
-                  file=sys.stderr)
+        problem = _round_trip_problem(line, fields)
+        if problem is not None:
+            print(f"line {lineno}: {problem}", file=sys.stderr)
             diffs += 1
-            rebuilt.append(line)
-            continue
-        out_cells = []
-        for name, cell in zip(fields, cells):
-            try:
-                value = _FIELD_TYPES[name](cell)
-            except ValueError:
-                print(f"line {lineno}: field {name} unparseable: {cell!r}",
-                      file=sys.stderr)
-                diffs += 1
-                out_cells.append(cell)
-                continue
-            out_cells.append(_cell(value))
-        rebuilt_line = ",".join(out_cells)
-        if rebuilt_line != line:
-            diffs += 1
-            print(f"line {lineno}: round-trip mismatch", file=sys.stderr)
-        rebuilt.append(rebuilt_line)
-    if "\n".join(rebuilt) + "\n" != content:
+    if "\n".join(lines) + "\n" != content:  # line endings or a missing final newline
         diffs = max(diffs, 1)
     print(f"{args.from_csv}: {len(lines) - 1} rows, {diffs} diffs")
     return 0 if diffs == 0 else 1
+
+
+def _round_trip_problem(line: str, fields) -> str | None:
+    """The first reason ``line`` does not round-trip through the field types, or None."""
+    cells = line.split(",")
+    if len(cells) != len(fields):
+        return f"expected {len(fields)} fields, got {len(cells)}"
+    for name, cell in zip(fields, cells):
+        try:
+            value = _FIELD_TYPES[name](cell)
+        except ValueError:
+            return f"field {name} unparseable: {cell!r}"
+        if _cell(value) != cell:
+            return "round-trip mismatch"
+    return None
 
 
 def _add_model_arguments(parser: argparse.ArgumentParser, omit=(), grid_axes=()):

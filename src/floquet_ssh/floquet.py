@@ -43,7 +43,7 @@ DIM_CAP = 7700
 NF_CAP = 512
 #: Default tolerance of the N_F convergence search.
 NF_TOL = 1e-8
-#: Cap for propagator step doubling.
+#: Most propagator steps per period, requested or reached by doubling.
 MAX_PROPAGATOR_STEPS = 1 << 21
 #: Fewest propagator steps per period a caller may request.
 MIN_PROPAGATOR_STEPS = 20
@@ -322,10 +322,12 @@ def one_period_propagator(params: ModelParams, n_steps: int) -> np.ndarray:
     On a long chain the far corners of the exponentials underflow: parts
     below _FLUSH_BELOW are then zeroed in them and in the product after
     every stage, which moves U by far less than rounding does.  The
-    propagator stays in the lab frame.
+    propagator stays in the lab frame.  ``n_steps`` must lie in
+    [1, MAX_PROPAGATOR_STEPS], checked before anything is allocated.
     """
-    if n_steps < 1:
-        raise ParameterError(f"n_steps must be >= 1, got {n_steps}")
+    if not 1 <= n_steps <= MAX_PROPAGATOR_STEPS:
+        raise ParameterError(f"n_steps must be between 1 and {MAX_PROPAGATOR_STEPS}, "
+                             f"got {n_steps}")
     z_period = params.drive_period
     dz = z_period / n_steps
     h_static = build_static_hamiltonian(params)

@@ -12,13 +12,15 @@ from __future__ import annotations
 
 import dataclasses
 import itertools
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .analysis import TOL_IM, Phase, PhasePoint, classify_pt, edge_weight
 from .errors import ParameterError, SolverError, require_positive_finite
-from .floquet import MIN_PROPAGATOR_STEPS, NF_TOL, FloquetSpectrum, Method, compute_spectrum
+from .floquet import (MAX_PROPAGATOR_STEPS, MIN_PROPAGATOR_STEPS, NF_TOL, FloquetSpectrum,
+                      Method, compute_spectrum)
 from .model import ModelParams
 
 _AXIS_FIELDS = {f.name for f in dataclasses.fields(ModelParams)}
@@ -33,18 +35,19 @@ def resolve_threads() -> int:
 class SweepSpec:
     """A parameter grid over a base model.
 
-    ``axes`` holds one or two (field name, grid values) pairs; fields
-    must be distinct ModelParams fields.  With ``kappa_omega`` set, kappa
-    is re-derived as kappa_omega/omega at every grid point (drive
-    specified by amplitude), so a kappa axis is then rejected.
+    ``axes`` holds zero to two (field name, grid values) pairs; fields
+    must be distinct ModelParams fields.  Zero axes mean the base point
+    alone.  With ``kappa_omega`` set (nonnegative and finite), kappa is
+    re-derived as kappa_omega/omega at every grid point (drive specified
+    by amplitude), so a kappa axis is then rejected.
     ``n_floquet`` None means auto: converge_nf once at the smallest-omega
     grid corner, reused for the whole sweep.  That corner is the worst
     case in omega only; another Phi or gamma at the same omega can need a
     larger N_F.  The tolerances ``nf_tol`` and ``tol_im`` must be
     positive and finite.  The solver sizes are checked only for the
     method that uses them: ``n_floquet`` must be >= 1 on the extended
-    route, and ``n_steps`` must be >= MIN_PROPAGATOR_STEPS on the
-    propagator route.
+    route, and ``n_steps`` must lie in [MIN_PROPAGATOR_STEPS,
+    MAX_PROPAGATOR_STEPS] on the propagator route.
     """
 
     base: ModelParams
@@ -57,13 +60,17 @@ class SweepSpec:
     tol_im: float = TOL_IM
 
     def __post_init__(self):
-        if not 1 <= len(self.axes) <= 2:
-            raise ParameterError(f"need 1 or 2 sweep axes, got {len(self.axes)}")
+        if len(self.axes) > 2:
+            raise ParameterError(f"need at most 2 sweep axes, got {len(self.axes)}")
         names = [name for name, _ in self.axes]
         if len(set(names)) != len(names):
             raise ParameterError(f"sweep axes must be distinct, got {names}")
-        if self.kappa_omega is not None and "kappa" in names:
-            raise ParameterError("kappa_omega sets kappa at every point; drop the kappa axis")
+        if self.kappa_omega is not None:
+            if not 0 <= self.kappa_omega < math.inf:
+                raise ParameterError(
+                    f"kappa_omega must be nonnegative and finite, got {self.kappa_omega}")
+            if "kappa" in names:
+                raise ParameterError("kappa_omega sets kappa at every point; drop the kappa axis")
         for name, grid in self.axes:
             if name not in _AXIS_FIELDS:
                 raise ParameterError(f"unknown sweep axis {name!r}")
@@ -77,9 +84,9 @@ class SweepSpec:
                 and self.n_floquet < 1):
             raise ParameterError(f"n_floquet must be >= 1, got {self.n_floquet}")
         if (self.method is Method.PROPAGATOR and self.n_steps is not None
-                and self.n_steps < MIN_PROPAGATOR_STEPS):
-            raise ParameterError(
-                f"n_steps must be >= {MIN_PROPAGATOR_STEPS}, got {self.n_steps}")
+                and not MIN_PROPAGATOR_STEPS <= self.n_steps <= MAX_PROPAGATOR_STEPS):
+            raise ParameterError(f"n_steps must be between {MIN_PROPAGATOR_STEPS} and "
+                                 f"{MAX_PROPAGATOR_STEPS}, got {self.n_steps}")
 
     def grid_points(self) -> list[dict[str, float]]:
         """Axis-value dicts in row-major order (first axis outermost)."""

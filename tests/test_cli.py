@@ -272,11 +272,26 @@ class TestSweepConfigErrors:
          "--n-floquet", "-1"],
         ["sweep-phi", "--preset", "fig1-lowfreq", "--method", "propagator",
          "--n-steps", "10", "--phi-grid", "0:pi:2"],
+        # the default step count is far above MAX_PROPAGATOR_STEPS
+        ["spectrum", "--n-sites", "6", "--lambda", "0.4", "--method", "propagator",
+         "--omega", "1e-300"],
     ])
     def test_unusable_solver_size_exit_2(self, tmp_path, capsys, command):
         out = tmp_path / "out.csv"
         assert main([*command, "-o", str(out)]) == 2
         assert "configuration error" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("grids, message", [
+        (["--gamma", "0:0.1:2", "--omega=-1:1:3"], "omega must be positive"),
+        (["--gamma=-0.1:0.1:3", "--omega", "4pi:8pi:2"], "gamma must be nonnegative"),
+    ])
+    def test_invalid_grid_value_exit_2(self, tmp_path, capsys, grids, message):
+        out = tmp_path / "out.csv"
+        assert main(["phase-diagram", "--n-sites", "6", "--lambda", "0.4",
+                     "--impurity-site", "2", "--kappa-omega", "0.05", *grids,
+                     "-o", str(out)]) == 2
+        assert message in capsys.readouterr().err
         assert not out.exists()
 
     def test_threads_flag_rejected(self, tmp_path, capsys):

@@ -26,6 +26,7 @@ from floquet_ssh import (
 )
 from floquet_ssh.floquet import (
     DIM_CAP,
+    MAX_PROPAGATOR_STEPS,
     SELECTION_GAP,
     _min_cost_assignment,
     _select_physical_modes,
@@ -294,6 +295,21 @@ class TestQuasiEnergiesPropagator:
         for n_steps in (0, -5):
             with pytest.raises(ParameterError):
                 one_period_propagator(p, n_steps)
+
+    def test_step_count_above_cap_raises_before_stepping(self, monkeypatch):
+        import floquet_ssh.floquet as floquet
+
+        def no_expm(m):
+            raise AssertionError("propagator started above the step cap")
+
+        # a missing check fails here instead of allocating gigabytes
+        monkeypatch.setattr(floquet, "expm", no_expm)
+        p = ModelParams(n_sites=40, lam=0.4, kappa=1e6, omega=1.0)
+        assert default_n_steps(p) > MAX_PROPAGATOR_STEPS
+        with pytest.raises(ParameterError, match=str(MAX_PROPAGATOR_STEPS)):
+            quasi_energies_propagator(p)
+        with pytest.raises(ParameterError, match=str(MAX_PROPAGATOR_STEPS)):
+            one_period_propagator(p, MAX_PROPAGATOR_STEPS + 1)
 
     @pytest.mark.parametrize("converge_tol", [0.0, -1.0, math.nan, math.inf])
     def test_converge_tol_validation(self, converge_tol):

@@ -11,10 +11,13 @@ from floquet_ssh import (
     ParameterError,
     SolverError,
     SweepSpec,
+    classify_pt,
     compute_spectrum,
     run_phase_diagram,
     run_sweep,
 )
+from floquet_ssh.floquet import MAX_PROPAGATOR_STEPS
+from floquet_ssh.sweep import spectrum_rows
 
 
 def _base(**overrides):
@@ -31,12 +34,17 @@ class TestSweepSpec:
         with pytest.raises(ParameterError):
             SweepSpec(base=_base(), axes=(("gamma", ()),))
         with pytest.raises(ParameterError):
-            SweepSpec(base=_base(), axes=())
+            SweepSpec(base=_base(), axes=(("gamma", (0.1,)), ("omega", (1.0,)),
+                                          ("phi_dim", (0.0,))))
         with pytest.raises(ParameterError):
             SweepSpec(base=_base(), axes=(("gamma", (0.1,)), ("gamma", (0.2,))))
         with pytest.raises(ParameterError):
             SweepSpec(base=_base(omega=3.0), axes=(("kappa", (0.1, 0.5, 0.9)),),
                       kappa_omega=0.3)
+        for kappa_omega in (-0.5, math.nan, math.inf):
+            with pytest.raises(ParameterError, match="kappa_omega"):
+                SweepSpec(base=_base(), axes=(("phi_dim", (0.1, 0.2)),), kappa_omega=kappa_omega)
+        SweepSpec(base=_base(), axes=(("phi_dim", (0.1, 0.2)),), kappa_omega=0.0)
 
     @pytest.mark.parametrize("field", ["nf_tol", "tol_im"])
     @pytest.mark.parametrize("value", [math.nan, 0.0, -1e-8, math.inf])
@@ -53,7 +61,7 @@ class TestSweepSpec:
         SweepSpec(base=_base(), axes=(("gamma", (0.1,)),),
                   method=Method.PROPAGATOR, n_floquet=n_floquet)
 
-    @pytest.mark.parametrize("n_steps", [10, 19])
+    @pytest.mark.parametrize("n_steps", [10, 19, MAX_PROPAGATOR_STEPS + 1])
     def test_propagator_n_steps_validation(self, n_steps):
         with pytest.raises(ParameterError):
             SweepSpec(base=_base(), axes=(("gamma", (0.1,)),),
@@ -90,6 +98,13 @@ class TestRunSweep:
         assert_allclose([r.re_eps for r in result.rows],
                         standalone.quasi_energies.real, atol=1e-14)
         assert result.failures == ()
+
+    def test_zero_axes_solve_the_base_point(self):
+        spec = SweepSpec(base=_base(), axes=(), method=Method.STATIC)
+        spectrum = compute_spectrum(_base(), Method.STATIC)
+        want = spectrum_rows(spectrum, classify_pt(spectrum, spec.tol_im), 0)
+        assert spec.grid_points() == [{}]
+        assert run_sweep(spec).rows == tuple(want)
 
     def test_rows_ordered_and_complete(self):
         grid = tuple(np.linspace(0, 2 * math.pi, 7))
