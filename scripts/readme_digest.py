@@ -5,7 +5,10 @@ in a fresh temporary directory as ``python -m floquet_ssh ...`` children,
 with ``--json`` added to ``spectrum``, ``sweep-phi`` and ``phase-diagram``.
 For every command it prints the exit code and the sha256 of stdout, of
 stderr and of each file the command wrote.  Two checkouts that print the
-same lines produced the same bytes.
+same lines produced the same bytes.  The first line, starting with
+``#``, records OPENBLAS_NUM_THREADS, OMP_NUM_THREADS and the CPU count:
+the eigensolver's last bits depend on the BLAS thread count, so digests
+compare only when that line matches.
 
     python scripts/readme_digest.py [--src DIR] > digest.txt
 
@@ -48,6 +51,8 @@ def main(argv=None) -> int:
                         help="directory holding the floquet_ssh package")
     args = parser.parse_args(argv)
     env = dict(os.environ, PYTHONPATH=os.path.abspath(args.src))
+    print(f"# OPENBLAS_NUM_THREADS={os.environ.get('OPENBLAS_NUM_THREADS')} "
+          f"OMP_NUM_THREADS={os.environ.get('OMP_NUM_THREADS')} cpu_count={os.cpu_count()}")
     with tempfile.TemporaryDirectory(prefix="readme_digest_") as tmp:
         work = pathlib.Path(tmp)
         for command in COMMANDS:

@@ -57,11 +57,15 @@ class PhasePoint:
     zero_modes: tuple[ZeroMode, ...]
 
 
-def edge_weight(weights_row: np.ndarray) -> float:
-    """Share of a mode's site weight on the outer EDGE_FRACTION of sites at each edge."""
-    n = weights_row.shape[0]
+def edge_weight(weights: np.ndarray):
+    """Share of site weight on the outer EDGE_FRACTION of sites at each edge.
+
+    ``weights`` is one mode's row or a (mode, site) array such as
+    ``FloquetSpectrum.mode_weights``; the result has one entry per row.
+    """
+    n = weights.shape[-1]
     count = math.ceil(EDGE_FRACTION * n)
-    return float(weights_row[:count].sum() + weights_row[n - count:].sum())
+    return weights[..., :count].sum(axis=-1) + weights[..., n - count:].sum(axis=-1)
 
 
 def is_zero_mode(re_eps: float, edge: float, tunneling: float) -> bool:
@@ -75,12 +79,10 @@ def is_zero_mode(re_eps: float, edge: float, tunneling: float) -> bool:
 
 def find_zero_modes(spectrum: FloquetSpectrum) -> list[ZeroMode]:
     """The modes of ``spectrum`` that ``is_zero_mode`` accepts."""
-    found = []
-    for k, eps in enumerate(spectrum.quasi_energies):
-        ew = edge_weight(spectrum.mode_weights[k])
-        if is_zero_mode(eps.real, ew, spectrum.params.tunneling):
-            found.append(ZeroMode(k, float(eps.real), float(eps.imag), ew))
-    return found
+    edges = edge_weight(spectrum.mode_weights)
+    return [ZeroMode(k, float(eps.real), float(eps.imag), float(edge))
+            for k, (eps, edge) in enumerate(zip(spectrum.quasi_energies, edges))
+            if is_zero_mode(eps.real, edge, spectrum.params.tunneling)]
 
 
 def classify_pt(spectrum: FloquetSpectrum, tol_im: float = TOL_IM) -> PhasePoint:
@@ -175,11 +177,9 @@ def check_pt_symmetry(params: ModelParams) -> float:
     """
     n = params.n_sites
     z_reflect = -params.phase0 / params.omega
-    z_period = params.drive_period
-    worst = 0.0
-    for z in np.linspace(0.0, z_period, 64, endpoint=False):
-        reflected = np.conj(hamiltonian_at(z_reflect - z, params))[::-1, ::-1]
-        residual = reflected - hamiltonian_at(z_reflect + z, params)
-        residual[np.diag_indices(n)] -= np.trace(residual) / n
-        worst = max(worst, float(np.abs(residual).max()))
-    return worst
+    z = np.linspace(0.0, params.drive_period, 64, endpoint=False)
+    reflected = np.conj(hamiltonian_at(z_reflect - z, params))[:, ::-1, ::-1]
+    residual = reflected - hamiltonian_at(z_reflect + z, params)
+    sites = np.arange(n)
+    residual[:, sites, sites] -= np.trace(residual, axis1=1, axis2=2)[:, None] / n
+    return float(np.abs(residual).max())

@@ -7,10 +7,13 @@ of the drive f(z) = kappa*omega*sin(omega*z + phase0) times the gradient
 operator D.  Route two builds the one-period propagator U(Z_p) in the
 lab frame by the fourth-order Blanes-Moan splitting S6, with three
 static exponentials per period and exact diagonal drive phases, and
-takes eigenvalue logarithms.  Both fold quasi-energy real parts into
-the first zone (-omega/2, omega/2] and select/weight the N physical
-modes; their agreement is the strongest correctness check in the
-package.
+takes eigenvalue logarithms.  On an even chain with phase0 in {0, pi}
+the drive's time-reversal and PT reflections build U from the product
+over the first quarter period, and U is solved through a real matrix
+(its Cayley transform in a real basis), so an unbroken spectrum is real
+to the last bit.  Both routes fold quasi-energy real parts into the
+first zone (-omega/2, omega/2] and select/weight the N physical modes;
+their agreement is the strongest correctness check in the package.
 
 ``compute_spectrum`` dispatches between these routes and the undriven
 (static and Bessel-rescaled effective) chains.  Every route packages its
@@ -68,6 +71,13 @@ _PHASE_CHUNK = 384
 #: Real and imaginary parts smaller than this are zeroed in the propagator
 #: product, so that no product runs on subnormal numbers.
 _FLUSH_BELOW = 1e-150
+#: Rotations e^{i*alpha} of a propagator tried, in order, for its Cayley
+#: transform, which is singular at the zone edge (an eigenvalue at -1).
+_EDGE_ROTATIONS = np.pi / 4 * np.arange(8)
+#: Largest Cayley matrix 1-norm taken without trying another rotation.
+_CAYLEY_NORM_MAX = 1e3
+#: Largest imaginary part of the real Cayley form, relative to its 1-norm.
+_REAL_FORM_TOL = 1e-10
 
 
 class Method(enum.Enum):
@@ -290,7 +300,7 @@ def default_n_steps(params: ModelParams) -> int:
     """
     z_period = params.drive_period
     grid = (np.arange(16) + 0.5) * (z_period / 16)
-    norm = max(float(matrix_norm_1(hamiltonian_at(z, params))) for z in grid)
+    norm = float(matrix_norm_1(hamiltonian_at(grid, params)).max())
     return max(MIN_PROPAGATOR_STEPS, int(math.ceil(1.35 * norm * z_period)))
 
 
@@ -302,41 +312,24 @@ def _flush_tiny(m: np.ndarray) -> bool:
     return bool(tiny.any())
 
 
-def one_period_propagator(params: ModelParams, n_steps: int) -> np.ndarray:
-    """U(Z_p) by the Blanes-Moan fourth-order splitting S6.
+def _pt_reflection_applies(params: ModelParams) -> bool:
+    """True when the drive is even about Z_p/4 and odd about 0 and the chain is PT symmetric.
 
-    The drive f(z)*D is diagonal, so with z carried along as a variable
-    the generator splits into two exactly solvable parts: the static
-    exponential expm(-i*a*dz*H_static), z frozen, and the diagonal phase
-    exp(-i*(F(z + b*dz) - F(z))*D), where
-    F(z) = kappa*(cos(phase0) - cos(omega*z + phase0)) is the closed-form
-    integral of f.  Each of the ``n_steps`` steps dz is the symmetric
-    6-stage composition S6 (J. Comput. Appl. Math. 142, 313 (2002)),
-    fourth order in dz: seven phases with weights b1 b2 b3 b4 b3 b2 b1
-    around six static exponentials with weights a1 a2 a3 a3 a2 a1, the
-    last phase of a step merged with the first of the next.  The three
-    distinct static exponentials are computed once per call; F is
-    sampled at 0, the 6*n_steps static stages and Z_p.  The phases are
-    applied as row scalings, their rows computed a bounded chunk at a
-    time, so memory beyond O(n_steps) scalars is independent of n_steps.
-    On a long chain the far corners of the exponentials underflow: parts
-    below _FLUSH_BELOW are then zeroed in them and in the product after
-    every stage, which moves U by far less than rounding does.  The
-    propagator stays in the lab frame.  ``n_steps`` must lie in
-    [1, MAX_PROPAGATOR_STEPS], checked before anything is allocated.
+    That holds for phase0 in {0, pi} on an even chain; an odd chain breaks
+    the site reversal through its hopping texture.
     """
-    if not 1 <= n_steps <= MAX_PROPAGATOR_STEPS:
-        raise ParameterError(f"n_steps must be between 1 and {MAX_PROPAGATOR_STEPS}, "
-                             f"got {n_steps}")
-    z_period = params.drive_period
-    dz = z_period / n_steps
-    h_static = build_static_hamiltonian(params)
+    return params.n_sites % 2 == 0 and params.phase0 in (0.0, math.pi)
+
+
+def _s6_product(params: ModelParams, h_static: np.ndarray, d_diag: np.ndarray,
+                z_end: float, n_steps: int) -> np.ndarray:
+    """Time-ordered S6 product over [0, z_end] in ``n_steps`` steps (see one_period_propagator)."""
+    dz = z_end / n_steps
     half = [expm(-1j * a * dz * h_static) for a in _S6_STAGES[:3]]
     flush = any([_flush_tiny(e) for e in half])  # a list, so that all three are flushed
     stages = half + half[::-1]
-    d_diag = np.diag(drive_operator(params))
     s = np.concatenate(([0.0], ((np.arange(n_steps)[:, None] + _S6_NODES) * dz).ravel(),
-                        [z_period]))
+                        [z_end]))
     phase_args = -1j * np.diff(params.kappa * (math.cos(params.phase0)
                                                - np.cos(params.omega * s + params.phase0)))
     u = np.diag(np.exp(phase_args[0] * d_diag))
@@ -350,17 +343,122 @@ def one_period_propagator(params: ModelParams, n_steps: int) -> np.ndarray:
     return u
 
 
+def one_period_propagator(params: ModelParams, n_steps: int) -> np.ndarray:
+    """U(Z_p) by the Blanes-Moan fourth-order splitting S6.
+
+    The drive f(z)*D is diagonal, so with z carried along as a variable
+    the generator splits into two exactly solvable parts: the static
+    exponential expm(-i*a*dz*H_static), z frozen, and the diagonal phase
+    exp(-i*(F(z + b*dz) - F(z))*D), where
+    F(z) = kappa*(cos(phase0) - cos(omega*z + phase0)) is the closed-form
+    integral of f.  Each step dz is the symmetric 6-stage composition S6
+    (J. Comput. Appl. Math. 142, 313 (2002)), fourth order in dz: seven
+    phases with weights b1 b2 b3 b4 b3 b2 b1 around six static
+    exponentials with weights a1 a2 a3 a3 a2 a1, the last phase of a step
+    merged with the first of the next.  The three distinct static
+    exponentials are computed once per call.  The phases are applied as
+    row scalings, their rows computed a bounded chunk at a time, so
+    memory beyond O(n_steps) scalars is independent of n_steps.
+
+    On an even chain with phase0 in {0, pi} two symmetries of the drive
+    fix the period from its first quarter (Asboth, Tarasinski & Delplace,
+    PRB 90, 125143 (2014); Bender, Rep. Prog. Phys. 70, 947 (2007)):
+
+    - time reversal: H(z) is complex symmetric and f is even about
+      Z_p/4, so the product over [0, Z_p/2] is V = V1^T V1, with V1 the
+      product over [0, Z_p/4] in ceil(n_steps/4) steps;
+    - PT reflection: with the trace removed, D - (tr D/N) I, site
+      reversal P maps the gradient to minus itself and f is odd about 0,
+      so U = P conj(V)^-1 P V, one LU solve.
+
+    The scalar trace part integrates to zero over a period, so U is
+    unchanged by it, and S6 is symmetric, so this equals the full product
+    at 4*ceil(n_steps/4) steps to rounding.  Any other chain or phase0
+    takes the full product in ``n_steps`` steps.  On a long chain the far
+    corners of the exponentials underflow: parts below _FLUSH_BELOW are
+    then zeroed in them and in the product after every stage, which moves
+    U by far less than rounding does.  The propagator stays in the lab
+    frame.  ``n_steps`` must lie in [1, MAX_PROPAGATOR_STEPS], checked
+    before anything is allocated.
+    """
+    if not 1 <= n_steps <= MAX_PROPAGATOR_STEPS:
+        raise ParameterError(f"n_steps must be between 1 and {MAX_PROPAGATOR_STEPS}, "
+                             f"got {n_steps}")
+    h_static = build_static_hamiltonian(params)
+    d_diag = np.diag(drive_operator(params))
+    if not _pt_reflection_applies(params):
+        return _s6_product(params, h_static, d_diag, params.drive_period, n_steps)
+    quarter = _s6_product(params, h_static, d_diag - d_diag.mean(), params.drive_period / 4,
+                          -(-n_steps // 4))
+    # a contiguous copy of the transpose: numpy sends q.T @ q to BLAS syrk,
+    # which OpenBLAS threads even at N=40, and its idle worker then spins
+    half = np.ascontiguousarray(quarter.T) @ quarter
+    return np.linalg.solve(half.conj(), half[::-1])[::-1]
+
+
+def _cayley(u: np.ndarray) -> tuple[float, np.ndarray]:
+    """(alpha, C) with C = i(I - M)(I + M)^-1 the Cayley transform of M = e^{i alpha} U.
+
+    C is singular where M has an eigenvalue at -1, the zone edge.  alpha
+    is the first of _EDGE_ROTATIONS with ||C||_1 <= _CAYLEY_NORM_MAX, or
+    else the one with the smallest ||C||_1.
+    """
+    eye = np.eye(u.shape[0])
+    tried = []
+    for alpha in _EDGE_ROTATIONS:
+        m = np.exp(1j * alpha) * u
+        try:
+            c = np.linalg.solve(eye + m, 1j * (eye - m))
+        except np.linalg.LinAlgError:  # an eigenvalue of M at -1 to the last bit
+            continue
+        norm = float(matrix_norm_1(c))
+        if norm <= _CAYLEY_NORM_MAX:
+            return alpha, c
+        tried.append((norm, alpha, c))
+    if not tried:
+        raise SolverError("I + e^{i alpha} U is singular at every edge rotation")
+    _, alpha, c = min(tried, key=lambda t: t[0])
+    return alpha, c
+
+
+def _pt_real_eig(u: np.ndarray, z_period: float) -> tuple[np.ndarray, np.ndarray]:
+    """Quasi-energies and eigenvectors of a U with P conj(U) P = U^-1, by a real eigensolve.
+
+    The Cayley matrix C of U (see ``_cayley``) satisfies P conj(C) P = C,
+    so R = S^-1 C S with S = I + iP, S^-1 = (I - iP)/2 is real.  An
+    eigenvalue lambda of R gives eps = (alpha - 2 arctan lambda)/Z_p and
+    the eigenvector S x of U.  A real lambda gives a real eps to the last
+    bit; complex ones come in exact conjugate pairs.  Raises SolverError
+    if R's imaginary part is above rounding, which means U lacks the
+    relation.
+    """
+    alpha, c = _cayley(u)
+    r = 0.5 * (c + c[::-1, ::-1] + 1j * (c[:, ::-1] - c[::-1]))
+    defect = float(np.abs(r.imag).max())
+    scale = float(matrix_norm_1(c))
+    if defect > _REAL_FORM_TOL * scale:
+        raise SolverError(f"Cayley form of the propagator is not real: max |Im R| = "
+                          f"{defect:.3e} against ||C||_1 = {scale:.3e}")
+    spectrum = eig_dense(r.real)
+    eps = (alpha - 2.0 * np.arctan(spectrum.eigenvalues)) / z_period
+    vectors = spectrum.eigenvectors + 1j * spectrum.eigenvectors[::-1]
+    return eps, vectors
+
+
 def quasi_energies_propagator(params: ModelParams, n_steps: int | None = None,
                               converge_tol: float | None = None) -> FloquetSpectrum:
     """Quasi-energies from the one-period propagator.
 
-    eps = (i/Z_p) * log mu over the eigenvalues mu of U(Z_p), with the
-    fixed principal branch; a final fold maps the -omega/2 branch edge
-    onto +omega/2 so Re(eps) lies in (-omega/2, omega/2].  Mode weights
-    come from the eigenvectors of U.  With ``converge_tol`` set, n_steps
-    is doubled until no quasi-energy moves by more than the tolerance
-    under the optimal matching, and the refined spectrum is returned;
-    ``converge_tol`` must be positive and finite.
+    eps = (i/Z_p) * log mu over the eigenvalues mu of U(Z_p).  Where
+    ``one_period_propagator`` builds U from its first quarter, U
+    satisfies P conj(U) P = U^-1 and is solved in a real form by
+    ``_pt_real_eig``: unbroken spectra then have Im eps = 0.0 exactly.
+    Otherwise U is solved as it is, with the fixed principal branch of
+    the logarithm.  Real parts are folded into (-omega/2, omega/2].  Mode
+    weights come from the eigenvectors of U.  With ``converge_tol`` set,
+    n_steps is doubled until no quasi-energy moves by more than the
+    tolerance under the optimal matching, and the refined spectrum is
+    returned; ``converge_tol`` must be positive and finite.
     """
     if n_steps is None:
         n_steps = default_n_steps(params)
@@ -371,13 +469,15 @@ def quasi_energies_propagator(params: ModelParams, n_steps: int | None = None,
 
     def compute(steps: int) -> FloquetSpectrum:
         u = one_period_propagator(params, steps)
-        spectrum = eig_dense(u)
-        logs = principal_log_eigenvalues(spectrum.eigenvalues)
         z_period = params.drive_period
-        eps = 1j * logs / z_period
+        if _pt_reflection_applies(params):
+            eps, vectors = _pt_real_eig(u, z_period)
+        else:
+            spectrum = eig_dense(u)
+            eps = 1j * principal_log_eigenvalues(spectrum.eigenvalues) / z_period
+            vectors = spectrum.eigenvectors
         eps = fold_real(eps.real, params.omega) + 1j * eps.imag
-        return _package(eps, (np.abs(spectrum.eigenvectors) ** 2).T,
-                        Method.PROPAGATOR, params)
+        return _package(eps, (np.abs(vectors) ** 2).T, Method.PROPAGATOR, params)
 
     result = compute(n_steps)
     if converge_tol is None:

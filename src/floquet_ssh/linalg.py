@@ -1,13 +1,13 @@
-"""Dense complex non-symmetric linear algebra with explicit contracts.
+"""Dense non-symmetric linear algebra with explicit contracts.
 
-``eig_dense`` wraps the LAPACK general eigensolver but adds the contracts
-the rest of the package relies on: a deterministic eigenvalue ordering
-(ascending real part, ties by ascending imaginary part), unit-norm right
-eigenvectors, and an enforced residual bound.  ``expm`` is a
-single-matrix scaling-and-squaring exponential with one Pade degree (13)
-at every norm; the split-step propagator in :mod:`floquet_ssh.floquet`
-calls it three times per period, once for each distinct static stage of
-its splitting.
+``eig_dense`` wraps the LAPACK general eigensolver (complex, or real for
+a real matrix) but adds the contracts the rest of the package relies
+on: a deterministic eigenvalue ordering (ascending real part, ties by
+ascending imaginary part), unit-norm right eigenvectors, and an enforced
+residual bound.  ``expm`` is a single-matrix scaling-and-squaring
+exponential with one Pade degree (13) at every norm; the split-step
+propagator in :mod:`floquet_ssh.floquet` calls it three times per
+propagator, once for each distinct static stage of its splitting.
 ``logm_eig`` extracts principal eigenvalue logarithms with a fixed
 branch, Im(log) in (-pi, pi] and -pi mapped to +pi, so propagator
 quasi-energies are deterministic.
@@ -50,7 +50,7 @@ class Spectrum:
 
 
 def _check_square(m: np.ndarray) -> np.ndarray:
-    m = np.asarray(m, dtype=np.complex128)
+    m = np.asarray(m, dtype=np.complex128 if np.iscomplexobj(m) else np.float64)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError(f"expected a single square 2-D matrix, got shape {m.shape}")
     if not np.all(np.isfinite(m)):
@@ -66,8 +66,12 @@ def matrix_norm_1(m: np.ndarray) -> np.ndarray:
 def eig_dense(m: np.ndarray) -> Spectrum:
     """Full eigendecomposition with the package ordering and residual bound.
 
-    Raises EigenConvergenceError if LAPACK fails to converge or if the
-    residual exceeds TOL_EIG * ||m||_1 (never returns silent garbage).
+    A real matrix stays real: LAPACK's real solver (dgeev) runs on it, and
+    its real eigenvalues come out with imaginary part 0.0 exactly.  The
+    eigenvalues are returned complex; the eigenvectors are real when m and
+    its spectrum are.  Raises EigenConvergenceError if LAPACK fails to
+    converge or if the residual exceeds TOL_EIG * ||m||_1 (never returns
+    silent garbage).
     """
     m = _check_square(m)
     try:
@@ -77,6 +81,7 @@ def eig_dense(m: np.ndarray) -> Spectrum:
             f"eigensolver failed to converge for dim={m.shape[0]}, "
             f"norm1={matrix_norm_1(m):.3e}: {exc}"
         ) from exc
+    w = w.astype(np.complex128)
     order = np.lexsort((w.imag, w.real))
     w = w[order]
     v = v[:, order]

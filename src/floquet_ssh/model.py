@@ -74,6 +74,9 @@ class ModelParams:
             raise ParameterError(f"kappa must be nonnegative, got {self.kappa}")
         if self.omega <= 0:
             raise ParameterError(f"omega must be positive, got {self.omega}")
+        if not math.isfinite(self.drive_period):
+            raise ParameterError(
+                f"omega must give a finite drive period 2*pi/omega, got omega={self.omega!r}")
         j, n = self.impurity_site, self.n_sites
         if not (1 <= j <= n - j + 1):
             raise ParameterError(
@@ -130,15 +133,18 @@ def drive_operator(params: ModelParams) -> np.ndarray:
     return np.diag(sites - params.n0)
 
 
-def drive_value(z: float, params: ModelParams) -> float:
-    """f(z) = kappa * omega * sin(omega*z + phase0)."""
-    return params.kappa * params.omega * math.sin(params.omega * z + params.phase0)
+def drive_value(z, params: ModelParams):
+    """f(z) = kappa * omega * sin(omega*z + phase0), elementwise for an array of z."""
+    return params.kappa * params.omega * np.sin(params.omega * np.asarray(z) + params.phase0)
 
 
-def hamiltonian_at(z: float, params: ModelParams) -> np.ndarray:
-    """Full Hamiltonian H(z) = H_static + f(z) * D."""
-    h = build_static_hamiltonian(params)
+def hamiltonian_at(z, params: ModelParams) -> np.ndarray:
+    """Full Hamiltonian H(z) = H_static + f(z) * D.
+
+    For an array of z the matrices are stacked: the shape is z.shape + (N, N).
+    """
     f = drive_value(z, params)
-    if f != 0.0:
-        h[np.diag_indices_from(h)] += f * np.diag(drive_operator(params))
+    h = np.broadcast_to(build_static_hamiltonian(params), f.shape + (params.n_sites,) * 2).copy()
+    sites = np.arange(params.n_sites)
+    h[..., sites, sites] += f[..., None] * np.diag(drive_operator(params))
     return h

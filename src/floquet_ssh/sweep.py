@@ -159,9 +159,10 @@ def _row(row_type, spectrum: FloquetSpectrum, phase: Phase, index: int, **column
 
 def spectrum_rows(spectrum: FloquetSpectrum, point: PhasePoint, index: int) -> list[SpectrumRow]:
     """One long-format row per mode of ``spectrum``."""
+    edges = edge_weight(spectrum.mode_weights)
     return [_row(SpectrumRow, spectrum, point.phase, index, mode=k, re_eps=float(eps.real),
-                 im_eps=float(eps.imag), edge_weight=edge_weight(spectrum.mode_weights[k]))
-            for k, eps in enumerate(spectrum.quasi_energies)]
+                 im_eps=float(eps.imag), edge_weight=float(edge))
+            for k, (eps, edge) in enumerate(zip(spectrum.quasi_energies, edges))]
 
 
 def _phase_rows(spectrum: FloquetSpectrum, point: PhasePoint, index: int) -> list[PhaseRow]:

@@ -85,6 +85,13 @@ class TestFindZeroModes:
         for row in fs.mode_weights:
             assert 0.0 <= edge_weight(row) <= 1.0 + 1e-12
 
+    def test_edge_weight_of_all_rows_at_once(self):
+        p = ModelParams(n_sites=30, lam=0.4, phi_dim=0.3, gamma=0.0)
+        weights = static_spectrum(p).mode_weights
+        edges = edge_weight(weights)
+        assert edges.shape == (30,)
+        assert np.array_equal(edges, [edge_weight(row) for row in weights])
+
 
 class TestGammaPtThreshold:
     def test_edge_impurities_break_at_zero(self):

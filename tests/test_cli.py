@@ -282,6 +282,15 @@ class TestSweepConfigErrors:
         assert "configuration error" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("method", ["extended", "propagator"])
+    def test_subnormal_omega_exit_2(self, tmp_path, capsys, method):
+        # 2*pi/omega overflows: no finite drive period on either route
+        out = tmp_path / "out.csv"
+        assert main(["spectrum", "--n-sites", "6", "--lambda", "0.4", "--kappa", "0.1",
+                     "--omega", "1e-320", "--method", method, "-o", str(out)]) == 2
+        assert "finite drive period" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("grids, message", [
         (["--gamma", "0:0.1:2", "--omega=-1:1:3"], "omega must be positive"),
         (["--gamma=-0.1:0.1:3", "--omega", "4pi:8pi:2"], "gamma must be nonnegative"),

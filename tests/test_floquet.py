@@ -378,7 +378,7 @@ class TestQuasiEnergiesPropagator:
         p = ModelParams(n_sites=40, tunneling=1.0, lam=0.4, phi_dim=0.35,
                         gamma=0.2, impurity_site=2, kappa=0.05 / omega, omega=omega)
         quasi_energies_propagator(p)
-        assert 0 < products <= 250
+        assert 0 < products <= 70
 
     def test_flushed_product_matches_unflushed_on_long_chain(self):
         # the far corners of the static exponentials underflow at this length,
@@ -401,6 +401,123 @@ class TestQuasiEnergiesPropagator:
         for k, delta in enumerate(increments[1:]):
             plain = np.exp(-1j * delta * d)[:, None] * (stages[k % len(stages)] @ plain)
         assert np.abs(one_period_propagator(p, n_steps) - plain).max() < 1e-13
+
+
+def _fig1_chain(**changes):
+    """The fig1 chain (N=40, lambda=0.4, gamma=0.2, j=2) at omega=0.2pi, kappa*omega=0.05."""
+    omega = changes.pop("omega", 0.2 * math.pi)
+    fields = dict(n_sites=40, tunneling=1.0, lam=0.4, phi_dim=0.35, gamma=0.2,
+                  impurity_site=2, kappa=0.05 / omega, omega=omega)
+    return ModelParams(**{**fields, **changes})
+
+
+def _full_period(monkeypatch):
+    """Make the propagator take the full-period product and complex eigensolve."""
+    import floquet_ssh.floquet as floquet
+
+    monkeypatch.setattr(floquet, "_pt_reflection_applies", lambda params: False)
+
+
+class TestQuarterPeriodPropagator:
+    """Even chains with phase0 in {0, pi}: U from a quarter period, solved in real form."""
+
+    @pytest.mark.parametrize("params", [
+        _fig1_chain(),
+        _fig1_chain(phi_dim=0.3, omega=0.8 * math.pi),
+        _fig1_chain(phi_dim=0.3, omega=3.0, kappa=2.0),
+        _fig1_chain(n_sites=140),
+    ], ids=["0.2pi", "0.8pi", "strong", "N140"])
+    def test_matches_full_period_product(self, monkeypatch, params):
+        steps = 4 * -(-default_n_steps(params) // 4)
+        quarter = one_period_propagator(params, steps)
+        _full_period(monkeypatch)
+        full = one_period_propagator(params, steps)
+        assert np.abs(quarter - full).max() <= 1e-12 * np.abs(full).max()
+
+    def test_step_count_rounds_up_to_a_multiple_of_four(self):
+        p = _fig1_chain(n_sites=6)
+        assert np.array_equal(one_period_propagator(p, 41), one_period_propagator(p, 44))
+
+    @pytest.mark.parametrize("changes, quarter", [
+        ({}, True),
+        ({"phase0": math.pi}, True),
+        ({"n_sites": 41}, False),
+        ({"phase0": 0.3}, False),
+    ])
+    def test_which_chains_take_the_quarter_period(self, monkeypatch, changes, quarter):
+        import floquet_ssh.floquet as floquet
+
+        ends, dtypes = [], []
+        product, solve = floquet._s6_product, floquet.eig_dense
+        monkeypatch.setattr(floquet, "_s6_product",
+                            lambda params, h, d, z_end, n: ends.append(z_end)
+                            or product(params, h, d, z_end, n))
+        monkeypatch.setattr(floquet, "eig_dense", lambda m: dtypes.append(m.dtype) or solve(m))
+        p = _fig1_chain(**changes)
+        fs = quasi_energies_propagator(p, 40)
+        assert ends == [p.drive_period / 4 if quarter else p.drive_period]
+        assert dtypes == [np.float64 if quarter else np.complex128]
+        if quarter:  # same spectrum as the full period at the same step count
+            _full_period(monkeypatch)
+            assert matched_distance(fs, quasi_energies_propagator(p, 40)) < 1e-12
+
+    @pytest.mark.parametrize("params", [
+        _fig1_chain(phi_dim=0.9),
+        _fig1_chain(gamma=0.0),
+        _fig1_chain(phi_dim=0.3, omega=45 * math.pi),
+    ], ids=["0.2pi", "hermitian", "45pi"])
+    def test_unbroken_spectrum_is_exactly_real(self, params):
+        eps = quasi_energies_propagator(params).quasi_energies
+        assert np.all(eps.imag == 0.0)
+        assert not np.any(np.signbit(eps.imag))  # no -0.0 reaches the CSV
+
+    def test_broken_pair_matches_complex_route(self, monkeypatch):
+        p = _fig1_chain()
+        fs = quasi_energies_propagator(p)
+        assert np.count_nonzero(fs.quasi_energies.imag) == 2
+        _full_period(monkeypatch)
+        full = quasi_energies_propagator(p)
+        assert matched_distance(fs, full) < 1e-12
+        assert fs.max_imag == pytest.approx(full.max_imag, rel=1e-9)
+
+    def test_zone_edge(self):
+        # undriven, with omega/2 equal to a static energy: U has an
+        # eigenvalue at -1, where the unrotated Cayley transform is singular
+        static = ModelParams(n_sites=6, lam=0.4, phi_dim=0.7, gamma=0.1, impurity_site=2)
+        energies = static_spectrum(static).quasi_energies
+        assert np.abs(energies.imag).max() < 1e-12  # unbroken
+        energies = energies.real
+        omega = 2.0 * energies.max()
+        p = ModelParams(n_sites=6, lam=0.4, phi_dim=0.7, gamma=0.1, impurity_site=2,
+                        kappa=0.0, omega=omega)
+        from floquet_ssh.floquet import _cayley
+
+        assert _cayley(one_period_propagator(p, 512))[0] != 0.0  # rotated off the edge
+        fs = quasi_energies_propagator(p, 512)
+        assert np.all(fs.quasi_energies.imag == 0.0)
+        # compare on the unit circle: a mode at the edge may fold to either side
+        z_period = p.drive_period
+        deviation = np.abs(np.exp(-1j * z_period * fs.quasi_energies[:, None])
+                           - np.exp(-1j * z_period * energies[None, :])).min(axis=1)
+        assert deviation.max() < 1e-10
+
+    def test_ill_conditioned_half_period(self, monkeypatch):
+        # cond(V) ~ 4e5 here; the reflection still agrees with the full period
+        omega = 0.01 * math.pi
+        p = ModelParams(n_sites=12, lam=0.4, phi_dim=0.35, gamma=0.5, impurity_site=2,
+                        kappa=0.05 / omega, omega=omega)
+        steps = 4 * -(-default_n_steps(p) // 4)
+        fs = quasi_energies_propagator(p, steps)
+        _full_period(monkeypatch)
+        assert matched_distance(fs, quasi_energies_propagator(p, steps)) < 1e-11
+
+    def test_propagator_without_the_relation_raises(self):
+        from floquet_ssh.errors import SolverError
+        from floquet_ssh.floquet import _pt_real_eig
+
+        u = np.random.default_rng(3).normal(size=(6, 6)) * (1 + 0.5j)
+        with pytest.raises(SolverError, match="not real"):
+            _pt_real_eig(u, 1.0)
 
 
 class TestMatchedDistance:

@@ -58,6 +58,19 @@ class TestEigDense:
         m = np.array([[0, 1, 0], [0, 0, 1], [6, -11, 6]], dtype=complex)
         assert_allclose(eig_dense(m).eigenvalues, roots, atol=1e-10)
 
+    def test_real_matrix_stays_real(self):
+        # dgeev: real eigenvalues come out with imaginary part 0.0 exactly
+        m = np.array([[2.0, 1.0, 0.0], [1.0, -1.0, 0.5], [0.0, 0.3, 0.5]])
+        spectrum = eig_dense(m)
+        assert spectrum.eigenvalues.dtype == np.complex128
+        assert np.all(spectrum.eigenvalues.imag == 0.0)
+        assert spectrum.eigenvectors.dtype == np.float64
+        assert_allclose(spectrum.eigenvalues.real, np.sort(np.linalg.eigvals(m).real),
+                        atol=1e-14)
+        rotation = eig_dense(np.array([[0.0, -1.0], [1.0, 0.0]]))
+        assert_allclose(rotation.eigenvalues, [-1j, 1j], atol=1e-15)
+        assert rotation.eigenvalues[0] == np.conj(rotation.eigenvalues[1])
+
     def test_residual_bound_random_matrices(self):
         rng = np.random.default_rng(7)
         for _ in range(25):

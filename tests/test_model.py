@@ -77,6 +77,13 @@ def test_parameter_validation():
         ModelParams(n_sites=4, tunneling=float("nan"))
 
 
+def test_subnormal_omega_rejected():
+    # 2*pi/omega overflows to inf: no finite drive period
+    with pytest.raises(ParameterError, match="finite drive period"):
+        ModelParams(n_sites=6, lam=0.4, kappa=0.1, omega=1e-320)
+    assert math.isfinite(ModelParams(n_sites=6, omega=1e-300).drive_period)
+
+
 def test_n0_rules():
     assert_allclose(np.diag(drive_operator(ModelParams(n_sites=4))), [-1, 0, 1, 2])
     assert_allclose(np.diag(drive_operator(ModelParams(n_sites=3))), [-1, 0, 1])
@@ -121,6 +128,18 @@ def test_hamiltonian_at_reduces_to_static():
                      kappa=0.5, omega=2.0)
     assert_allclose(hamiltonian_at(math.pi / 2.0, pd), build_static_hamiltonian(pd),
                     atol=1e-15)
+
+
+def test_hamiltonian_at_stacks_an_array_of_z():
+    p = ModelParams(n_sites=6, lam=0.4, phi_dim=0.9, gamma=0.1, impurity_site=2,
+                    kappa=0.7, omega=1.9, phase0=0.3)
+    z = np.linspace(-2.0, 5.0, 12).reshape(3, 4)
+    stacked = hamiltonian_at(z, p)
+    assert stacked.shape == (3, 4, 6, 6)
+    for index in np.ndindex(z.shape):
+        assert np.array_equal(stacked[index], hamiltonian_at(float(z[index]), p))
+        assert np.array_equal(np.diag(stacked[index] - build_static_hamiltonian(p)),
+                              drive_value(float(z[index]), p) * np.diag(drive_operator(p)))
 
 
 def test_hamiltonian_at_diagonal_arithmetic():

@@ -1,4 +1,5 @@
 import importlib.util
+import os
 import pathlib
 import re
 import shlex
@@ -46,3 +47,13 @@ def test_readme_lists_the_config_keys():
     sentence = re.search(r"The config file is a flat JSON object with the model keys(.*?)\.\s",
                          text, re.S).group(1)
     assert set(re.findall(r"`(\w+)`", sentence)) == set(cli._SETTINGS)
+
+
+def test_digest_first_line_records_the_thread_settings(monkeypatch, capsys):
+    digest = _load_digest()
+    monkeypatch.setattr(digest, "COMMANDS", ())
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+    monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
+    assert digest.main([]) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        f"# OPENBLAS_NUM_THREADS=1 OMP_NUM_THREADS=None cpu_count={os.cpu_count()}"]
