@@ -44,6 +44,8 @@ from .model import ModelParams, build_static_hamiltonian, drive_operator, hamilt
 DIM_CAP = 7700
 #: Cap for the N_F convergence search.
 NF_CAP = 512
+#: Last N_F the convergence search reaches by unit steps; it doubles from there.
+_NF_UNIT_STEPS = 16
 #: Default tolerance of the N_F convergence search.
 NF_TOL = 1e-8
 #: Most propagator steps per period, requested or reached by doubling.
@@ -304,6 +306,13 @@ def default_n_steps(params: ModelParams) -> int:
     return max(MIN_PROPAGATOR_STEPS, int(math.ceil(1.35 * norm * z_period)))
 
 
+def require_propagator_steps(n_steps: int) -> None:
+    """Raise ParameterError unless MIN_PROPAGATOR_STEPS <= n_steps <= MAX_PROPAGATOR_STEPS."""
+    if not MIN_PROPAGATOR_STEPS <= n_steps <= MAX_PROPAGATOR_STEPS:
+        raise ParameterError(f"n_steps must be between {MIN_PROPAGATOR_STEPS} and "
+                             f"{MAX_PROPAGATOR_STEPS}, got {n_steps}")
+
+
 def _flush_tiny(m: np.ndarray) -> bool:
     """Zero the nonzero real and imaginary parts of m below _FLUSH_BELOW; True if any."""
     parts = m.view(np.float64)
@@ -437,8 +446,9 @@ def _pt_real_eig(u: np.ndarray, z_period: float) -> tuple[np.ndarray, np.ndarray
     defect = float(np.abs(r.imag).max())
     scale = float(matrix_norm_1(c))
     if defect > _REAL_FORM_TOL * scale:
-        raise SolverError(f"Cayley form of the propagator is not real: max |Im R| = "
-                          f"{defect:.3e} against ||C||_1 = {scale:.3e}")
+        raise SolverError(f"U lacks the relation P conj(U) P = U^-1 to rounding (max |Im R| "
+                          f"= {defect:.3e}, ||C||_1 = {scale:.3e}): at very low drive "
+                          f"frequency the quarter-period product is ill-conditioned")
     spectrum = eig_dense(r.real)
     eps = (alpha - 2.0 * np.arctan(spectrum.eigenvalues)) / z_period
     vectors = spectrum.eigenvectors + 1j * spectrum.eigenvectors[::-1]
@@ -460,10 +470,8 @@ def quasi_energies_propagator(params: ModelParams, n_steps: int | None = None,
     tolerance under the optimal matching, and the refined spectrum is
     returned; ``converge_tol`` must be positive and finite.
     """
-    if n_steps is None:
-        n_steps = default_n_steps(params)
-    elif n_steps < MIN_PROPAGATOR_STEPS:
-        raise ParameterError(f"n_steps must be >= {MIN_PROPAGATOR_STEPS}, got {n_steps}")
+    n_steps = default_n_steps(params) if n_steps is None else n_steps
+    require_propagator_steps(n_steps)
     if converge_tol is not None:
         require_positive_finite("converge_tol", converge_tol)
 
@@ -480,20 +488,16 @@ def quasi_energies_propagator(params: ModelParams, n_steps: int | None = None,
         return _package(eps, (np.abs(vectors) ** 2).T, Method.PROPAGATOR, params)
 
     result = compute(n_steps)
-    if converge_tol is None:
-        return result
-    while True:
+    while converge_tol is not None:
         if 2 * n_steps > MAX_PROPAGATOR_STEPS:
-            raise ConvergenceCapError(
-                f"propagator did not stabilize below {converge_tol:g} "
-                f"within {MAX_PROPAGATOR_STEPS} steps"
-            )
-        refined = compute(2 * n_steps)
-        move = matched_distance(result, refined)
+            raise ConvergenceCapError(f"propagator did not stabilize below {converge_tol:g} "
+                                      f"within {MAX_PROPAGATOR_STEPS} steps")
         n_steps *= 2
+        refined = compute(n_steps)
+        if matched_distance(result, refined) < converge_tol:
+            return refined
         result = refined
-        if move < converge_tol:
-            return result
+    return result
 
 
 def _min_cost_assignment(cost: np.ndarray) -> np.ndarray:
@@ -608,11 +612,16 @@ def converge_nf(params: ModelParams, tol: float,
                 spectra: dict[int, FloquetSpectrum] | None = None) -> int:
     """Smallest N_F at which the physical spectrum is stable under N_F -> N_F+2.
 
-    Searches by doubling from 2, then bisects.  Stability means the
-    selected quasi-energy multiset moves by less than ``tol`` under the
-    optimal matching.  Raises ConvergenceCapError above ``NF_CAP``.
-    Every spectrum solved on the way, the returned N_F's included, is
-    stored in ``spectra`` (keyed by N_F) when a dict is given.
+    Stable means that delta(N_F), the ``matched_distance`` between the
+    spectra at N_F and N_F+2, is below ``tol``.  N_F steps by one up to
+    _NF_UNIT_STEPS, then doubles (32, 64, ...) and bisects the last
+    doubling, assuming that delta falls monotonically.  Up to 16 a unit
+    step costs less than doubling's overshoot (eigensolve work 0.72x at
+    N_F = 7, 0.25-0.35x at 9-10, at most 1.20x at 16).  Above 16 the
+    probes are powers of two, so a search that never converges raises
+    ConvergenceCapError (``NF_CAP``) or DimensionCapError (``DIM_CAP``)
+    at the same probe as plain doubling.  Every spectrum solved, the
+    returned N_F's included, goes into the ``spectra`` dict by N_F.
     """
     require_positive_finite("tol", tol)
     cache = {} if spectra is None else spectra
@@ -625,19 +634,13 @@ def converge_nf(params: ModelParams, tol: float,
     def delta(nf: int) -> float:
         return matched_distance(spectrum(nf), spectrum(nf + 2))
 
-    nf = 2
-    last = delta(nf)
-    while last >= tol:
-        if 2 * nf > NF_CAP:
-            raise ConvergenceCapError(
-                f"N_F search exceeded cap {NF_CAP}; last delta {last:.3e} at N_F={nf}"
-            )
-        nf *= 2
-        last = delta(nf)
-    if nf == 2:
-        return 2
-    lo = nf // 2  # delta(lo) >= tol
-    hi = nf       # delta(hi) < tol
+    lo, hi = 1, 2  # hi is the probe; delta(lo) >= tol once lo >= 2
+    while (last := delta(hi)) >= tol:
+        probe = hi + 1 if hi < _NF_UNIT_STEPS else 2 * hi
+        if probe > NF_CAP:
+            raise ConvergenceCapError(f"N_F search exceeded cap {NF_CAP}; "
+                                      f"last delta {last:.3e} at N_F={hi}")
+        lo, hi = hi, probe
     while hi - lo > 1:
         mid = (lo + hi) // 2
         if delta(mid) < tol:

@@ -19,8 +19,8 @@ import numpy as np
 
 from .analysis import TOL_IM, Phase, PhasePoint, classify_pt, edge_weight
 from .errors import ParameterError, SolverError, require_positive_finite
-from .floquet import (MAX_PROPAGATOR_STEPS, MIN_PROPAGATOR_STEPS, NF_TOL, FloquetSpectrum,
-                      Method, compute_spectrum)
+from .floquet import (NF_TOL, FloquetSpectrum, Method, compute_spectrum,
+                      require_propagator_steps)
 from .model import ModelParams
 
 _AXIS_FIELDS = {f.name for f in dataclasses.fields(ModelParams)}
@@ -46,8 +46,7 @@ class SweepSpec:
     larger N_F.  The tolerances ``nf_tol`` and ``tol_im`` must be
     positive and finite.  The solver sizes are checked only for the
     method that uses them: ``n_floquet`` must be >= 1 on the extended
-    route, and ``n_steps`` must lie in [MIN_PROPAGATOR_STEPS,
-    MAX_PROPAGATOR_STEPS] on the propagator route.
+    route, and ``n_steps`` must pass ``require_propagator_steps``.
     """
 
     base: ModelParams
@@ -83,10 +82,8 @@ class SweepSpec:
         if (self.method is Method.EXTENDED and self.n_floquet is not None
                 and self.n_floquet < 1):
             raise ParameterError(f"n_floquet must be >= 1, got {self.n_floquet}")
-        if (self.method is Method.PROPAGATOR and self.n_steps is not None
-                and not MIN_PROPAGATOR_STEPS <= self.n_steps <= MAX_PROPAGATOR_STEPS):
-            raise ParameterError(f"n_steps must be between {MIN_PROPAGATOR_STEPS} and "
-                                 f"{MAX_PROPAGATOR_STEPS}, got {self.n_steps}")
+        if self.method is Method.PROPAGATOR and self.n_steps is not None:
+            require_propagator_steps(self.n_steps)
 
     def grid_points(self) -> list[dict[str, float]]:
         """Axis-value dicts in row-major order (first axis outermost)."""

@@ -27,6 +27,7 @@ from floquet_ssh import (
 from floquet_ssh.floquet import (
     DIM_CAP,
     MAX_PROPAGATOR_STEPS,
+    MIN_PROPAGATOR_STEPS,
     SELECTION_GAP,
     _min_cost_assignment,
     _select_physical_modes,
@@ -290,8 +291,10 @@ class TestQuasiEnergiesPropagator:
 
     def test_step_count_validation(self):
         p = ModelParams(n_sites=4, kappa=0.1, omega=2.0)
-        with pytest.raises(ParameterError):
-            quasi_energies_propagator(p, 10)
+        message = f"n_steps must be between {MIN_PROPAGATOR_STEPS} and {MAX_PROPAGATOR_STEPS}"
+        for n_steps in (10, MAX_PROPAGATOR_STEPS + 1):
+            with pytest.raises(ParameterError, match=message):
+                quasi_energies_propagator(p, n_steps)
         for n_steps in (0, -5):
             with pytest.raises(ParameterError):
                 one_period_propagator(p, n_steps)
@@ -516,7 +519,7 @@ class TestQuarterPeriodPropagator:
         from floquet_ssh.floquet import _pt_real_eig
 
         u = np.random.default_rng(3).normal(size=(6, 6)) * (1 + 0.5j)
-        with pytest.raises(SolverError, match="not real"):
+        with pytest.raises(SolverError, match=r"lacks the relation P conj\(U\) P = U\^-1"):
             _pt_real_eig(u, 1.0)
 
 
@@ -550,6 +553,48 @@ class TestMatchedDistance:
 
 
 class TestConvergeNf:
+    @staticmethod
+    def _scripted(monkeypatch, stable):
+        """Stub solves that return their N_F; delta(N_F) is 0 where stable(N_F), else 1."""
+        import floquet_ssh.floquet as floquet
+        solved = []
+
+        def solve(params, n_floquet):
+            assert n_floquet not in solved
+            solved.append(n_floquet)
+            return n_floquet
+
+        def distance(a, b):
+            assert b == a + 2
+            return 0.0 if stable(a) else 1.0
+
+        monkeypatch.setattr(floquet, "quasi_energies_extended", solve)
+        monkeypatch.setattr(floquet, "matched_distance", distance)
+        return solved
+
+    def test_unit_steps_solve_no_overshoot(self, monkeypatch):
+        solved = self._scripted(monkeypatch, lambda nf: nf >= 7)
+        assert converge_nf(ModelParams(n_sites=4), 1e-8) == 7
+        assert sorted(solved) == list(range(2, 10))
+
+    def test_unit_steps_stay_below_doubling(self, monkeypatch):
+        solved = self._scripted(monkeypatch, lambda nf: nf >= 10)
+        assert converge_nf(ModelParams(n_sites=4), 1e-8) == 10
+        assert max(solved) == 12
+
+    def test_returns_first_stable_nf(self, monkeypatch):
+        solved = self._scripted(monkeypatch, lambda nf: nf == 3 or nf >= 8)
+        assert converge_nf(ModelParams(n_sites=4), 1e-8) == 3
+        assert sorted(solved) == [2, 3, 4, 5]
+
+    def test_failure_path_probes_powers_of_two(self, monkeypatch):
+        import floquet_ssh.floquet as floquet
+        solved = self._scripted(monkeypatch, lambda nf: False)
+        monkeypatch.setattr(floquet, "NF_CAP", 64)
+        with pytest.raises(ConvergenceCapError, match=r"cap 64; last delta 1\.000e\+00 at N_F=64"):
+            converge_nf(ModelParams(n_sites=4), 1e-8)
+        assert sorted(nf for nf in solved if nf > 18) == [32, 34, 64, 66]
+
     def test_undriven_returns_minimum(self):
         p = ModelParams(n_sites=4, lam=0.4, phi_dim=0.5, gamma=0.1,
                         impurity_site=2, kappa=0.0, omega=3.0)

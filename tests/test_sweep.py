@@ -63,7 +63,7 @@ class TestSweepSpec:
 
     @pytest.mark.parametrize("n_steps", [10, 19, MAX_PROPAGATOR_STEPS + 1])
     def test_propagator_n_steps_validation(self, n_steps):
-        with pytest.raises(ParameterError):
+        with pytest.raises(ParameterError, match="n_steps must be between"):
             SweepSpec(base=_base(), axes=(("gamma", (0.1,)),),
                       method=Method.PROPAGATOR, n_steps=n_steps)
         # only the propagator route uses n_steps
