@@ -7,8 +7,8 @@ their weight on the outer EDGE_FRACTION of sites at each edge.
 ``gamma_pt_threshold`` bisects the gain/loss strength for the
 unbroken-to-broken transition, and ``check_pt_symmetry`` verifies the
 antiunitary relation of the driven Hamiltonian directly: site reversal
-plus conjugation plus reflection of z about the odd point of the drive,
-with scalar (trace) parts discounted as gauge.
+plus conjugation plus reflection of z about z = 0, an odd point of the
+drive, with scalar (trace) parts discounted as gauge.
 """
 
 from __future__ import annotations
@@ -168,18 +168,17 @@ def gamma_pt_threshold(params: ModelParams, gamma_max: float,
 def check_pt_symmetry(params: ModelParams) -> float:
     """Max residual of the PT relation over one drive period.
 
-    Evaluates R(z) = P conj(H(z_r - z)) P - H(z_r + z) at 64 evenly
-    spaced z, where P is site reversal and z_r = -phase0/omega is the odd
-    point of the drive, subtracts the trace part of R (scalar drive terms
-    are pure gauge), and returns the largest remaining entry magnitude.
+    Evaluates R(z) = P conj(H(-z)) P - H(z) at 64 evenly spaced z, where
+    P is site reversal and z = 0 is an odd point of the drive, subtracts
+    the trace part of R (scalar drive terms are pure gauge), and returns
+    the largest remaining entry magnitude.
     For even N this is zero up to rounding; odd N breaks the relation
     through its hopping texture.
     """
     n = params.n_sites
-    z_reflect = -params.phase0 / params.omega
     z = np.linspace(0.0, params.drive_period, 64, endpoint=False)
-    reflected = np.conj(hamiltonian_at(z_reflect - z, params))[:, ::-1, ::-1]
-    residual = reflected - hamiltonian_at(z_reflect + z, params)
+    reflected = np.conj(hamiltonian_at(-z, params))[:, ::-1, ::-1]
+    residual = reflected - hamiltonian_at(z, params)
     sites = np.arange(n)
     residual[:, sites, sites] -= np.trace(residual, axis1=1, axis2=2)[:, None] / n
     return float(np.abs(residual).max())

@@ -41,8 +41,8 @@ from .errors import ParameterError, SolverError
 from .floquet import NF_TOL, Method, compare_with_effective, compute_spectrum
 from .model import ModelParams
 from .svgplot import spectrum_svg
-from .sweep import (PhaseRow, SpectrumRow, SweepSpec, run_phase_diagram, run_sweep,
-                    spectrum_rows)
+from .sweep import (MAX_GRID_POINTS, PhaseRow, SpectrumRow, SweepSpec, run_phase_diagram,
+                    run_sweep, spectrum_rows)
 
 # CSV columns are the row fields minus grid_index; validate parses them
 # back with the field types.
@@ -110,7 +110,6 @@ _SETTINGS = {
     "kappa_omega": ("--kappa-omega", _parse_float,
                     "drive amplitude kappa*omega (kappa is derived)"),
     "omega": ("--omega", parse_angle, "drive frequency (pi literals ok)"),
-    "phase0": ("--phase0", parse_angle, "initial drive phase (pi literals ok)"),
     "method": ("--method", Method, "|".join(m.value for m in Method)),
     "n_floquet": ("--n-floquet", _parse_int, "Floquet cutoff N_F (default: converged)"),
     "n_steps": ("--n-steps", _parse_int, "propagator steps per period"),
@@ -130,8 +129,8 @@ def parse_grid(text: str) -> np.ndarray:
         count = int(parts[2])
     except ValueError:
         raise ParameterError(f"grid count must be an integer, got {parts[2]!r}") from None
-    if count < 1:
-        raise ParameterError(f"grid count must be >= 1, got {count}")
+    if not 1 <= count <= MAX_GRID_POINTS:
+        raise ParameterError(f"grid count must be between 1 and {MAX_GRID_POINTS}, got {count}")
     return np.linspace(start, stop, count)
 
 

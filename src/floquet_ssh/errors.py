@@ -27,7 +27,7 @@ class PropagatorCollapseError(SolverError):
 
 
 class DimensionCapError(SolverError):
-    """Requested extended Floquet matrix exceeds the size cap ``floquet.DIM_CAP``."""
+    """A requested matrix exceeds its size cap (``floquet.DIM_CAP``, ``PROPAGATOR_SITE_CAP``)."""
 
 
 class ConvergenceCapError(SolverError):

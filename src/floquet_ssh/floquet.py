@@ -3,17 +3,18 @@
 Route one builds the truncated extended-zone (Fourier-block) matrix:
 blocks indexed by harmonics m, m' in [-N_F, N_F], diagonal blocks
 H_static + m*omega*I, first off-diagonal blocks the Fourier components
-of the drive f(z) = kappa*omega*sin(omega*z + phase0) times the gradient
+of the drive f(z) = kappa*omega*sin(omega*z) times the gradient
 operator D.  Route two builds the one-period propagator U(Z_p) in the
 lab frame by the fourth-order Blanes-Moan splitting S6, with three
 static exponentials per period and exact diagonal drive phases, and
-takes eigenvalue logarithms.  On an even chain with phase0 in {0, pi}
-the drive's time-reversal and PT reflections build U from the product
-over the first quarter period, and U is solved through a real matrix
-(its Cayley transform in a real basis), so an unbroken spectrum is real
-to the last bit.  Both routes fold quasi-energy real parts into the
-first zone (-omega/2, omega/2] and select/weight the N physical modes;
-their agreement is the strongest correctness check in the package.
+takes eigenvalue logarithms.  On an even chain the drive's
+time-reversal and PT reflections build U from the product over the
+first quarter period, and U is solved through a real matrix (its Cayley
+transform in a real basis), so an unbroken spectrum is real to the last
+bit; an odd chain takes the full-period product.  Both routes fold
+quasi-energy real parts into the first zone (-omega/2, omega/2] and
+select/weight the N physical modes; their agreement is the strongest
+correctness check in the package.
 
 ``compute_spectrum`` dispatches between these routes and the undriven
 (static and Bessel-rescaled effective) chains.  Every route packages its
@@ -40,8 +41,13 @@ from .model import ModelParams, build_static_hamiltonian, drive_operator, hamilt
 
 #: Hard cap on the extended matrix dimension N*(2*N_F+1).  A solve peaks at
 #: about 68 B per dim^2 (+65 MiB at dim 1000, +141 MiB at 1480), so one at the
-#: cap stays near 3.8 GiB, inside a 7 GB machine.
+#: cap stays near 3.8 GiB, inside a 7 GB machine.  A static or effective
+#: solve peaks at about 65 B per N^2, so it takes chains up to DIM_CAP sites.
 DIM_CAP = 7700
+#: Longest chain the propagator route takes.  With the default step count
+#: it peaks at about 384 B per N^2 (the 16 stacked H(z) of default_n_steps
+#: and their magnitudes), so one at the cap also stays near 3.8 GiB.
+PROPAGATOR_SITE_CAP = 3200
 #: Cap for the N_F convergence search.
 NF_CAP = 512
 #: Last N_F the convergence search reaches by unit steps; it doubles from there.
@@ -136,15 +142,23 @@ def _package(eps: np.ndarray, probs: np.ndarray, method: Method, params: ModelPa
     )
 
 
-def _eig_spectrum(h: np.ndarray, method: Method, params: ModelParams) -> FloquetSpectrum:
-    """Spectrum of a time-independent Hamiltonian, packaged like a Floquet result."""
-    sp = eig_dense(h)
+def _require_sites_within(params: ModelParams, cap: int) -> None:
+    """Raise DimensionCapError if the chain is longer than ``cap`` sites."""
+    if params.n_sites > cap:
+        raise DimensionCapError(f"chain length N={params.n_sites} exceeds this route's "
+                                f"cap {cap}")
+
+
+def _eig_spectrum(build, method: Method, params: ModelParams) -> FloquetSpectrum:
+    """Spectrum of the Hamiltonian build(params), packaged like a Floquet result."""
+    _require_sites_within(params, DIM_CAP)
+    sp = eig_dense(build(params))
     return _package(sp.eigenvalues, (np.abs(sp.eigenvectors) ** 2).T, method, params)
 
 
 def static_spectrum(params: ModelParams) -> FloquetSpectrum:
     """Spectrum of the undriven chain, packaged like a Floquet result (no folding)."""
-    return _eig_spectrum(build_static_hamiltonian(params), Method.STATIC, params)
+    return _eig_spectrum(build_static_hamiltonian, Method.STATIC, params)
 
 
 def compute_spectrum(params: ModelParams, method: Method,
@@ -159,7 +173,7 @@ def compute_spectrum(params: ModelParams, method: Method,
     if method is Method.STATIC:
         return static_spectrum(params)
     if method is Method.STATIC_EFFECTIVE:
-        return _eig_spectrum(effective_hamiltonian(params), method, params)
+        return _eig_spectrum(effective_hamiltonian, method, params)
     if method is Method.PROPAGATOR:
         return quasi_energies_propagator(params, n_steps)
     if method is Method.EXTENDED:
@@ -177,19 +191,12 @@ def fold_real(x, omega: float):
     return x - omega * shifts
 
 
-def drive_fourier_coefficients(params: ModelParams) -> tuple[complex, complex]:
-    """(c_plus, c_minus) with f(z) = c_plus e^{i w z} + c_minus e^{-i w z}."""
-    amplitude = params.kappa * params.omega
-    c_plus = (amplitude / 2j) * np.exp(1j * params.phase0)
-    c_minus = -(amplitude / 2j) * np.exp(-1j * params.phase0)
-    return complex(c_plus), complex(c_minus)
-
-
 def build_floquet_matrix(params: ModelParams, n_floquet: int) -> np.ndarray:
     """Truncated extended-zone matrix of dimension N*(2*N_F+1).
 
     Block (m, m') is H_static + m*omega*I on the diagonal, c_plus*D for
-    m - m' = +1, c_minus*D for m - m' = -1, zero otherwise.  Blocks are
+    m - m' = +1, c_minus*D for m - m' = -1, zero otherwise, where
+    f(z) = c_plus e^{i omega z} + c_minus e^{-i omega z}.  Blocks are
     stored in ascending-m order.
     """
     if n_floquet < 1:
@@ -202,9 +209,13 @@ def build_floquet_matrix(params: ModelParams, n_floquet: int) -> np.ndarray:
             f"extended matrix dimension {dim} = {n}*(2*{n_floquet}+1) "
             f"exceeds cap {DIM_CAP}"
         )
+    if not n_floquet * params.omega < math.inf:
+        raise SolverError(f"the diagonal N_F*omega = {n_floquet}*{params.omega:.3g} of the "
+                          f"extended matrix overflows")
     h_static = build_static_hamiltonian(params)
     d = drive_operator(params)
-    c_plus, c_minus = drive_fourier_coefficients(params)
+    c_plus = params.kappa * params.omega / 2j
+    c_minus = c_plus.conjugate()  # not -c_plus, whose real part is -0.0
     hf = np.zeros((dim, dim), dtype=np.complex128)
     eye = np.eye(n)
     for i in range(n_blocks):
@@ -298,12 +309,23 @@ def default_n_steps(params: ModelParams) -> int:
     """max(MIN_PROPAGATOR_STEPS, ceil(1.35 * ||H||_1 * Z_p)), ||H||_1 the max over 16 z.
 
     The count is of fourth-order splitting steps (six static products
-    each, see ``one_period_propagator``).
+    each, see ``one_period_propagator``).  Raises ParameterError when
+    ||H||_1 * Z_p overflows, so that no count exists.
     """
     z_period = params.drive_period
     grid = (np.arange(16) + 0.5) * (z_period / 16)
-    norm = float(matrix_norm_1(hamiltonian_at(grid, params)).max())
-    return max(MIN_PROPAGATOR_STEPS, int(math.ceil(1.35 * norm * z_period)))
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is reported below
+        norm = float(matrix_norm_1(hamiltonian_at(grid, params)).max())
+    steps = 1.35 * norm * z_period
+    if not steps < math.inf:
+        raise _default_steps_error(steps)
+    return max(MIN_PROPAGATOR_STEPS, math.ceil(steps))
+
+
+def _default_steps_error(steps: float) -> ParameterError:
+    return ParameterError(f"the default step count ceil(1.35 * ||H||_1 * Z_p) = {steps:.3g} "
+                          f"exceeds MAX_PROPAGATOR_STEPS = {MAX_PROPAGATOR_STEPS}; "
+                          f"set n_steps to run with fewer steps")
 
 
 def require_propagator_steps(n_steps: int) -> None:
@@ -322,12 +344,12 @@ def _flush_tiny(m: np.ndarray) -> bool:
 
 
 def _pt_reflection_applies(params: ModelParams) -> bool:
-    """True when the drive is even about Z_p/4 and odd about 0 and the chain is PT symmetric.
+    """True when the chain is PT symmetric, so that U follows from its first quarter period.
 
-    That holds for phase0 in {0, pi} on an even chain; an odd chain breaks
-    the site reversal through its hopping texture.
+    The drive is always even about Z_p/4 and odd about 0; an odd chain
+    breaks the site reversal through its hopping texture.
     """
-    return params.n_sites % 2 == 0 and params.phase0 in (0.0, math.pi)
+    return params.n_sites % 2 == 0
 
 
 def _s6_product(params: ModelParams, h_static: np.ndarray, d_diag: np.ndarray,
@@ -339,8 +361,7 @@ def _s6_product(params: ModelParams, h_static: np.ndarray, d_diag: np.ndarray,
     stages = half + half[::-1]
     s = np.concatenate(([0.0], ((np.arange(n_steps)[:, None] + _S6_NODES) * dz).ravel(),
                         [z_end]))
-    phase_args = -1j * np.diff(params.kappa * (math.cos(params.phase0)
-                                               - np.cos(params.omega * s + params.phase0)))
+    phase_args = -1j * np.diff(params.kappa * (1.0 - np.cos(params.omega * s)))
     u = np.diag(np.exp(phase_args[0] * d_diag))
     for start in range(0, len(stages) * n_steps, _PHASE_CHUNK):
         rows = np.exp(np.multiply.outer(phase_args[start + 1:start + 1 + _PHASE_CHUNK], d_diag))
@@ -358,9 +379,8 @@ def one_period_propagator(params: ModelParams, n_steps: int) -> np.ndarray:
     The drive f(z)*D is diagonal, so with z carried along as a variable
     the generator splits into two exactly solvable parts: the static
     exponential expm(-i*a*dz*H_static), z frozen, and the diagonal phase
-    exp(-i*(F(z + b*dz) - F(z))*D), where
-    F(z) = kappa*(cos(phase0) - cos(omega*z + phase0)) is the closed-form
-    integral of f.  Each step dz is the symmetric 6-stage composition S6
+    exp(-i*(F(z + b*dz) - F(z))*D), where F(z) = kappa*(1 - cos(omega*z))
+    is the closed-form integral of f.  Each step dz is the symmetric 6-stage composition S6
     (J. Comput. Appl. Math. 142, 313 (2002)), fourth order in dz: seven
     phases with weights b1 b2 b3 b4 b3 b2 b1 around six static
     exponentials with weights a1 a2 a3 a3 a2 a1, the last phase of a step
@@ -369,9 +389,9 @@ def one_period_propagator(params: ModelParams, n_steps: int) -> np.ndarray:
     row scalings, their rows computed a bounded chunk at a time, so
     memory beyond O(n_steps) scalars is independent of n_steps.
 
-    On an even chain with phase0 in {0, pi} two symmetries of the drive
-    fix the period from its first quarter (Asboth, Tarasinski & Delplace,
-    PRB 90, 125143 (2014); Bender, Rep. Prog. Phys. 70, 947 (2007)):
+    On an even chain two symmetries of the drive fix the period from its
+    first quarter (Asboth, Tarasinski & Delplace, PRB 90, 125143 (2014);
+    Bender, Rep. Prog. Phys. 70, 947 (2007)):
 
     - time reversal: H(z) is complex symmetric and f is even about
       Z_p/4, so the product over [0, Z_p/2] is V = V1^T V1, with V1 the
@@ -382,11 +402,11 @@ def one_period_propagator(params: ModelParams, n_steps: int) -> np.ndarray:
 
     The scalar trace part integrates to zero over a period, so U is
     unchanged by it, and S6 is symmetric, so this equals the full product
-    at 4*ceil(n_steps/4) steps to rounding.  Any other chain or phase0
-    takes the full product in ``n_steps`` steps.  On a long chain the far
-    corners of the exponentials underflow: parts below _FLUSH_BELOW are
-    then zeroed in them and in the product after every stage, which moves
-    U by far less than rounding does.  The propagator stays in the lab
+    at 4*ceil(n_steps/4) steps to rounding.  An odd chain takes the full
+    product in ``n_steps`` steps.  On a long chain the far corners of the
+    exponentials underflow: parts below _FLUSH_BELOW are then zeroed in
+    them and in the product after every stage, which moves U by far less
+    than rounding does.  The propagator stays in the lab
     frame.  ``n_steps`` must lie in [1, MAX_PROPAGATOR_STEPS], checked
     before anything is allocated.
     """
@@ -444,7 +464,8 @@ def _pt_real_eig(u: np.ndarray, z_period: float) -> tuple[np.ndarray, np.ndarray
     alpha, c = _cayley(u)
     r = 0.5 * (c + c[::-1, ::-1] + 1j * (c[:, ::-1] - c[::-1]))
     defect = float(np.abs(r.imag).max())
-    scale = float(matrix_norm_1(c))
+    # C's rounding is absolute, about 1e-16, so the bound stops scaling below ||C||_1 = 1
+    scale = max(float(matrix_norm_1(c)), 1.0)
     if defect > _REAL_FORM_TOL * scale:
         raise SolverError(f"U lacks the relation P conj(U) P = U^-1 to rounding (max |Im R| "
                           f"= {defect:.3e}, ||C||_1 = {scale:.3e}): at very low drive "
@@ -459,18 +480,26 @@ def quasi_energies_propagator(params: ModelParams, n_steps: int | None = None,
                               converge_tol: float | None = None) -> FloquetSpectrum:
     """Quasi-energies from the one-period propagator.
 
-    eps = (i/Z_p) * log mu over the eigenvalues mu of U(Z_p).  Where
-    ``one_period_propagator`` builds U from its first quarter, U
-    satisfies P conj(U) P = U^-1 and is solved in a real form by
+    eps = (i/Z_p) * log mu over the eigenvalues mu of U(Z_p).  On an
+    even chain ``one_period_propagator`` builds U from its first quarter,
+    U satisfies P conj(U) P = U^-1 and is solved in a real form by
     ``_pt_real_eig``: unbroken spectra then have Im eps = 0.0 exactly.
-    Otherwise U is solved as it is, with the fixed principal branch of
-    the logarithm.  Real parts are folded into (-omega/2, omega/2].  Mode
-    weights come from the eigenvectors of U.  With ``converge_tol`` set,
-    n_steps is doubled until no quasi-energy moves by more than the
-    tolerance under the optimal matching, and the refined spectrum is
-    returned; ``converge_tol`` must be positive and finite.
+    On an odd chain U is solved as it is, with the fixed principal
+    branch of the logarithm.  Real parts are folded into
+    (-omega/2, omega/2].  Mode weights come from the eigenvectors of U.
+    With ``converge_tol`` set, n_steps is doubled until no quasi-energy
+    moves by more than the tolerance under the optimal matching, and the
+    refined spectrum is returned; ``converge_tol`` must be positive and
+    finite.  Chains longer than PROPAGATOR_SITE_CAP raise
+    DimensionCapError, and a default step count above
+    MAX_PROPAGATOR_STEPS raises ParameterError, both before anything is
+    stepped.
     """
-    n_steps = default_n_steps(params) if n_steps is None else n_steps
+    _require_sites_within(params, PROPAGATOR_SITE_CAP)
+    if n_steps is None:
+        n_steps = default_n_steps(params)
+        if n_steps > MAX_PROPAGATOR_STEPS:
+            raise _default_steps_error(n_steps)
     require_propagator_steps(n_steps)
     if converge_tol is not None:
         require_positive_finite("converge_tol", converge_tol)

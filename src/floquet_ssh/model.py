@@ -8,11 +8,13 @@ tunneling
 balanced gain/loss impurities +i*gamma at site j and -i*gamma at site
 N-j+1, and a sinusoidally driven potential gradient
 
-    f(z) * (n - n0),    f(z) = kappa * omega * sin(omega*z + phase0),
+    f(z) * (n - n0),    f(z) = kappa * omega * sin(omega*z),
 
 with n0 = N/2 for even N and (N+1)/2 for odd N.  Moving n0 adds the
 scalar f(z)*c*I, which integrates to zero over a period, so the
 one-period propagator and its quasi-energies do not depend on it.
+Moving the drive's start time only conjugates that propagator, a Floquet
+gauge too, so the drive starts at z = 0.
 
 Site indices are 1-based in every formula and docstring; ndarray storage
 is 0-based.  cos(pi*n + Phi) is evaluated as (-1)**n * cos(Phi), which is
@@ -35,12 +37,12 @@ from .errors import ParameterError
 class ModelParams:
     """Full parameter set of the driven chain.
 
-    ``lam`` is the dimerization strength (config key ``lambda``),
-    ``phi_dim`` the modulation phase Phi, ``phase0`` the initial drive
-    phase.  ``kappa`` is the dimensionless drive strength; the physical
-    drive amplitude is ``kappa * omega``.  ``n_sites`` and
-    ``impurity_site`` take ints, numpy ints and integral floats (stored
-    as int); fractions and booleans raise ParameterError.
+    ``lam`` is the dimerization strength (config key ``lambda``) and
+    ``phi_dim`` the modulation phase Phi.  ``kappa`` is the
+    dimensionless drive strength; the physical drive amplitude is
+    ``kappa * omega``.  ``n_sites`` and ``impurity_site`` take ints,
+    numpy ints and integral floats (stored as int); fractions and
+    booleans raise ParameterError.
     """
 
     n_sites: int
@@ -51,7 +53,6 @@ class ModelParams:
     impurity_site: int = 1
     kappa: float = 0.0
     omega: float = 1.0
-    phase0: float = 0.0
 
     def __post_init__(self):
         for name in ("n_sites", "impurity_site"):
@@ -63,7 +64,7 @@ class ModelParams:
             object.__setattr__(self, name, int(value))
         if self.n_sites < 1:
             raise ParameterError(f"n_sites must be positive, got {self.n_sites}")
-        for name in ("tunneling", "lam", "phi_dim", "gamma", "kappa", "omega", "phase0"):
+        for name in ("tunneling", "lam", "phi_dim", "gamma", "kappa", "omega"):
             value = getattr(self, name)
             if not math.isfinite(value):
                 raise ParameterError(f"{name} must be finite, got {value!r}")
@@ -134,8 +135,8 @@ def drive_operator(params: ModelParams) -> np.ndarray:
 
 
 def drive_value(z, params: ModelParams):
-    """f(z) = kappa * omega * sin(omega*z + phase0), elementwise for an array of z."""
-    return params.kappa * params.omega * np.sin(params.omega * np.asarray(z) + params.phase0)
+    """f(z) = kappa * omega * sin(omega*z), elementwise for an array of z."""
+    return params.kappa * params.omega * np.sin(params.omega * np.asarray(z))
 
 
 def hamiltonian_at(z, params: ModelParams) -> np.ndarray:

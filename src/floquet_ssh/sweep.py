@@ -24,6 +24,9 @@ from .floquet import (NF_TOL, FloquetSpectrum, Method, compute_spectrum,
 from .model import ModelParams
 
 _AXIS_FIELDS = {f.name for f in dataclasses.fields(ModelParams)}
+#: Most grid points per axis and per sweep.  Every point costs a Python
+#: float, a dict and its output rows before or while it is solved.
+MAX_GRID_POINTS = 100_000
 
 
 def resolve_threads() -> int:
@@ -37,9 +40,10 @@ class SweepSpec:
 
     ``axes`` holds zero to two (field name, grid values) pairs; fields
     must be distinct ModelParams fields.  Zero axes mean the base point
-    alone.  With ``kappa_omega`` set (nonnegative and finite), kappa is
-    re-derived as kappa_omega/omega at every grid point (drive specified
-    by amplitude), so a kappa axis is then rejected.
+    alone, and the grid holds at most MAX_GRID_POINTS points.  With
+    ``kappa_omega`` set (nonnegative and finite), kappa is re-derived as
+    kappa_omega/omega at every grid point (drive specified by amplitude),
+    so a kappa axis is then rejected.
     ``n_floquet`` None means auto: converge_nf once at the smallest-omega
     grid corner, reused for the whole sweep.  That corner is the worst
     case in omega only; another Phi or gamma at the same omega can need a
@@ -77,6 +81,9 @@ class SweepSpec:
                 raise ParameterError(f"axis {name!r} has an empty grid")
             if not np.all(np.isfinite(grid)):
                 raise ParameterError(f"axis {name!r} has non-finite grid values")
+        count = math.prod(len(grid) for _, grid in self.axes)
+        if count > MAX_GRID_POINTS:
+            raise ParameterError(f"the grid has {count} points, more than {MAX_GRID_POINTS}")
         for name in ("nf_tol", "tol_im"):
             require_positive_finite(name, getattr(self, name))
         if (self.method is Method.EXTENDED and self.n_floquet is not None

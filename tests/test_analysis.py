@@ -213,11 +213,6 @@ class TestCheckPtSymmetry:
                         impurity_site=2, kappa=0.5, omega=2.0)
         assert check_pt_symmetry(p) < 1e-12
 
-    def test_nonzero_drive_phase_shifts_reflection_point(self):
-        p = ModelParams(n_sites=6, lam=0.4, phi_dim=0.4, gamma=0.2,
-                        impurity_site=2, kappa=0.7, omega=1.5, phase0=0.8)
-        assert check_pt_symmetry(p) < 1e-12
-
     def test_odd_chain_breaks_relation(self):
         p = ModelParams(n_sites=9, lam=0.4, phi_dim=0.7, gamma=0.2,
                         impurity_site=2, kappa=0.5, omega=2.0)

@@ -275,6 +275,9 @@ class TestSweepConfigErrors:
         # the default step count is far above MAX_PROPAGATOR_STEPS
         ["spectrum", "--n-sites", "6", "--lambda", "0.4", "--method", "propagator",
          "--omega", "1e-300"],
+        # ||H||_1 overflows, so the default step count is infinite
+        ["spectrum", "--n-sites", "40", "--kappa", "1e307", "--omega", "3",
+         "--method", "propagator"],
     ])
     def test_unusable_solver_size_exit_2(self, tmp_path, capsys, command):
         out = tmp_path / "out.csv"
@@ -294,6 +297,9 @@ class TestSweepConfigErrors:
     @pytest.mark.parametrize("grids, message", [
         (["--gamma", "0:0.1:2", "--omega=-1:1:3"], "omega must be positive"),
         (["--gamma=-0.1:0.1:3", "--omega", "4pi:8pi:2"], "gamma must be nonnegative"),
+        # rejected before linspace allocates the grid
+        (["--gamma", "0:0.1:1000000000000000", "--omega", "4pi:8pi:2"],
+         "grid count must be between 1 and 100000"),
     ])
     def test_invalid_grid_value_exit_2(self, tmp_path, capsys, grids, message):
         out = tmp_path / "out.csv"
@@ -316,6 +322,15 @@ class TestSweepConfigErrors:
                      "-o", str(tmp_path / "x.csv")]) == 2
         assert "unknown config keys: ['threads']" in capsys.readouterr().err
 
+    def test_drive_phase_config_key_exit_2(self, tmp_path, capsys):
+        # the drive's start time is a Floquet gauge, not a setting
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({"phase0": 0}))
+        out = tmp_path / "x.csv"
+        assert main(["spectrum", "--config", str(cfg), "--n-sites", "6", "-o", str(out)]) == 2
+        assert "unknown config keys: ['phase0']" in capsys.readouterr().err
+        assert not out.exists()
+
 
 # Config-file key -> flag, written out here so that a wrong flag name in
 # the CLI's table shows up as a mismatch.
@@ -323,7 +338,7 @@ _FLAGS = {
     "n_sites": "--n-sites", "tunneling": "--tunneling", "lambda": "--lambda",
     "phi_dim": "--phi", "gamma": "--gamma", "impurity_site": "--impurity-site",
     "kappa": "--kappa", "kappa_omega": "--kappa-omega", "omega": "--omega",
-    "phase0": "--phase0", "method": "--method",
+    "method": "--method",
     "n_floquet": "--n-floquet", "n_steps": "--n-steps",
 }
 _DRIVEN_CHAIN = {"n_sites": 6, "lambda": 0.4, "gamma": 0.1, "impurity_site": 2,
@@ -354,6 +369,7 @@ class TestSettingsTable:
         ["sweep-phi", "--phi", "0.7"],  # would abbreviate --phi-grid
         ["spectrum", "--n-sit", "6"],
         ["spectrum", "--n0-rule", "even"],
+        ["spectrum", "--phase0", "0.3"],
     ])
     def test_unread_or_abbreviated_flag_exit_2(self, tmp_path, capsys, argv):
         out = tmp_path / "out"
@@ -368,7 +384,7 @@ class TestSettingsTable:
     def test_config_with_every_key_matches_flags(self, tmp_path, method, size):
         settings = {"n_sites": 6, "tunneling": 1.1, "lambda": 0.4, "phi_dim": "0.3pi",
                     "gamma": 0.05, "impurity_site": 2, "kappa": 0.3, "omega": "2pi",
-                    "phase0": "0.1pi", "method": method,
+                    "method": method,
                     "n_floquet": 4, "n_steps": 400}
         assert set(settings) | {"kappa_omega"} == set(_FLAGS)
         from_flags = _spectrum_csv(tmp_path, "flags", _as_flags(settings))

@@ -11,6 +11,7 @@ from floquet_ssh import (
     Method,
     ModelParams,
     ParameterError,
+    SolverError,
     build_floquet_matrix,
     build_static_hamiltonian,
     converge_nf,
@@ -28,12 +29,12 @@ from floquet_ssh.floquet import (
     DIM_CAP,
     MAX_PROPAGATOR_STEPS,
     MIN_PROPAGATOR_STEPS,
+    PROPAGATOR_SITE_CAP,
     SELECTION_GAP,
     _min_cost_assignment,
     _select_physical_modes,
     compute_spectrum,
     default_n_steps,
-    drive_fourier_coefficients,
 )
 from floquet_ssh.linalg import Spectrum
 
@@ -42,7 +43,7 @@ def fourier_component_quadrature(params, harmonic, nodes=20000):
     """Oracle: (1/Z_p) * integral f(z) exp(-i*harmonic*omega*z) dz."""
     zp = 2 * np.pi / params.omega
     z = zp * (np.arange(nodes) + 0.5) / nodes
-    f = params.kappa * params.omega * np.sin(params.omega * z + params.phase0)
+    f = params.kappa * params.omega * np.sin(params.omega * z)
     return (f * np.exp(-1j * harmonic * params.omega * z)).mean()
 
 
@@ -64,22 +65,25 @@ class TestFoldReal:
 
 class TestBuildFloquetMatrix:
     def test_fourier_coefficients_against_quadrature(self):
-        p = ModelParams(n_sites=2, kappa=0.37, omega=1.7, phase0=0.6)
-        c_plus, c_minus = drive_fourier_coefficients(p)
-        assert abs(c_plus - fourier_component_quadrature(p, +1)) < 1e-12
-        assert abs(c_minus - fourier_component_quadrature(p, -1)) < 1e-12
+        p = ModelParams(n_sites=3, kappa=0.37, omega=1.7)
+        hf = build_floquet_matrix(p, 1)
+        d = drive_operator(p)
+        # block (row m, col m') carries harmonic m - m' of f times D
+        above, below = hf[3:6, 0:3], hf[0:3, 3:6]
+        assert np.abs(above - fourier_component_quadrature(p, +1) * d).max() < 1e-12
+        assert np.abs(below - fourier_component_quadrature(p, -1) * d).max() < 1e-12
         # f real makes the pair Hermitian partners
-        assert abs(c_plus - np.conj(c_minus)) < 1e-15
+        assert np.array_equal(above, below.conj())
 
     def test_block_layout(self):
-        p = ModelParams(n_sites=2, tunneling=1.0, lam=0.0, kappa=0.3, omega=1.7,
-                        phase0=0.4)
+        p = ModelParams(n_sites=2, tunneling=1.0, lam=0.0, kappa=0.3, omega=1.7)
         nf = 1
         hf = build_floquet_matrix(p, nf)
         assert hf.shape == (6, 6)
         h_static = build_static_hamiltonian(p)
         d = drive_operator(p)
-        c_plus, c_minus = drive_fourier_coefficients(p)
+        c_plus = 0.3 * 1.7 / 2j
+        c_minus = np.conj(c_plus)
         for i, m in enumerate((-1, 0, 1)):
             block = hf[2 * i:2 * i + 2, 2 * i:2 * i + 2]
             assert_allclose(block, h_static + m * 1.7 * np.eye(2), atol=1e-15)
@@ -102,7 +106,7 @@ class TestBuildFloquetMatrix:
 
     def test_hermitian_for_gamma_zero(self):
         p = ModelParams(n_sites=4, lam=0.4, phi_dim=1.1, gamma=0.0, kappa=0.8,
-                        omega=2.0, phase0=0.9)
+                        omega=2.0)
         hf = build_floquet_matrix(p, 3)
         assert np.abs(hf - hf.conj().T).max() < 1e-15
 
@@ -112,6 +116,12 @@ class TestBuildFloquetMatrix:
             build_floquet_matrix(p, 300)
         with pytest.raises(ParameterError):
             build_floquet_matrix(p, 0)
+
+    def test_overflowing_diagonal_is_a_solver_error(self):
+        # m*omega is inf at m = 2; ParameterError would pass a ValueError check
+        p = ModelParams(n_sites=4, omega=1e308)
+        with pytest.raises(SolverError, match="overflows"):
+            quasi_energies_extended(p, 2)
 
     def test_dimension_just_above_cap_raises_without_allocating(self, monkeypatch):
         import tracemalloc
@@ -260,9 +270,9 @@ class TestQuasiEnergiesPropagator:
         assert spectral_distance(ext, prop) < 1e-6
 
     def test_cross_method_agreement_low_frequency_broken(self):
-        p = ModelParams(n_sites=6, tunneling=1.0, lam=0.3, phi_dim=2.0,
-                        gamma=0.15, impurity_site=2, kappa=0.5, omega=1.5,
-                        phase0=0.7)
+        # an odd chain, so the propagator takes the full-period product
+        p = ModelParams(n_sites=7, tunneling=1.0, lam=0.3, phi_dim=2.0,
+                        gamma=0.15, impurity_site=2, kappa=0.5, omega=1.5)
         nf = converge_nf(p, 1e-8)
         ext = quasi_energies_extended(p, nf)
         prop = quasi_energies_propagator(p, converge_tol=1e-8)
@@ -314,6 +324,41 @@ class TestQuasiEnergiesPropagator:
         with pytest.raises(ParameterError, match=str(MAX_PROPAGATOR_STEPS)):
             one_period_propagator(p, MAX_PROPAGATOR_STEPS + 1)
 
+    @pytest.mark.parametrize("kappa, omega", [(1e307, 3.0), (1e300, 3.0), (0.05 / 1e-5, 1e-5)])
+    def test_default_step_count_above_cap_names_the_rule(self, kappa, omega):
+        # 1e307 overflows ||H||_1; 1e300 once printed a 300-digit count
+        p = ModelParams(n_sites=40, lam=0.4, kappa=kappa, omega=omega)
+        with pytest.raises(ParameterError) as excinfo:
+            quasi_energies_propagator(p)
+        message = str(excinfo.value)
+        assert "ceil(1.35 * ||H||_1 * Z_p)" in message
+        assert f"MAX_PROPAGATOR_STEPS = {MAX_PROPAGATOR_STEPS}" in message
+        assert len(message) < 200
+
+    @pytest.mark.parametrize("route, cap", [
+        (static_spectrum, DIM_CAP),
+        (lambda p: compute_spectrum(p, Method.STATIC_EFFECTIVE), DIM_CAP),
+        (lambda p: quasi_energies_propagator(p, 20), PROPAGATOR_SITE_CAP),
+        (quasi_energies_propagator, PROPAGATOR_SITE_CAP),
+    ], ids=["static", "effective", "propagator", "default-steps"])
+    def test_chain_length_cap_raises_without_allocating(self, monkeypatch, route, cap):
+        import floquet_ssh.effective as effective
+        import floquet_ssh.floquet as floquet
+
+        class Assembled(Exception):
+            pass
+
+        def assemble(*args):
+            raise Assembled
+
+        for module, name in [(floquet, "build_static_hamiltonian"), (floquet, "hamiltonian_at"),
+                             (effective, "build_static_hamiltonian")]:
+            monkeypatch.setattr(module, name, assemble)
+        with pytest.raises(DimensionCapError, match=f"N={cap + 1} exceeds"):
+            route(ModelParams(n_sites=cap + 1, kappa=0.1))
+        with pytest.raises(Assembled):  # a chain at the cap gets past the check
+            route(ModelParams(n_sites=cap, kappa=0.1))
+
     @pytest.mark.parametrize("converge_tol", [0.0, -1.0, math.nan, math.inf])
     def test_converge_tol_validation(self, converge_tol):
         p = ModelParams(n_sites=6, lam=0.4, impurity_site=2, kappa=0.3, omega=3.0)
@@ -322,18 +367,17 @@ class TestQuasiEnergiesPropagator:
 
     def test_split_step_is_fourth_order_against_midpoint_product(self):
         # oracle: time-ordered product of scipy.linalg.expm steps sampled at
-        # the step midpoints, fine enough that its own error is negligible
-        p = ModelParams(n_sites=6, tunneling=1.0, lam=0.3, phi_dim=2.0,
-                        gamma=0.15, impurity_site=2, kappa=0.5, omega=1.5,
-                        phase0=0.7)
+        # the step midpoints, fine enough that its own error is negligible;
+        # an odd chain, so the propagator takes the full-period product
+        p = ModelParams(n_sites=7, tunneling=1.0, lam=0.3, phi_dim=2.0,
+                        gamma=0.15, impurity_site=2, kappa=0.5, omega=1.5)
         ref_steps = 1 << 16
         dz = p.drive_period / ref_steps
         z = (np.arange(ref_steps) + 0.5) * dz
         generators = np.repeat(build_static_hamiltonian(p)[None], ref_steps, axis=0)
-        generators[:, np.arange(6), np.arange(6)] += (
-            p.kappa * p.omega * np.sin(p.omega * z + p.phase0))[:, None] \
-            * np.diag(drive_operator(p))
-        reference = np.eye(6, dtype=complex)
+        generators[:, np.arange(7), np.arange(7)] += (
+            p.kappa * p.omega * np.sin(p.omega * z))[:, None] * np.diag(drive_operator(p))
+        reference = np.eye(7, dtype=complex)
         for step in scipy.linalg.expm(-1j * dz * generators):
             reference = step @ reference
         errors = [np.abs(one_period_propagator(p, n) - reference).max()
@@ -399,7 +443,7 @@ class TestQuasiEnergiesPropagator:
         d = np.diag(drive_operator(p))
         s = np.concatenate(([0.0], ((np.arange(n_steps)[:, None] + _S6_NODES) * dz).ravel(),
                             [p.drive_period]))
-        increments = np.diff(p.kappa * (math.cos(p.phase0) - np.cos(p.omega * s + p.phase0)))
+        increments = np.diff(p.kappa * (1.0 - np.cos(p.omega * s)))
         plain = np.diag(np.exp(-1j * increments[0] * d))
         for k, delta in enumerate(increments[1:]):
             plain = np.exp(-1j * delta * d)[:, None] * (stages[k % len(stages)] @ plain)
@@ -422,7 +466,7 @@ def _full_period(monkeypatch):
 
 
 class TestQuarterPeriodPropagator:
-    """Even chains with phase0 in {0, pi}: U from a quarter period, solved in real form."""
+    """Even chains: U from a quarter period, solved in real form."""
 
     @pytest.mark.parametrize("params", [
         _fig1_chain(),
@@ -443,9 +487,7 @@ class TestQuarterPeriodPropagator:
 
     @pytest.mark.parametrize("changes, quarter", [
         ({}, True),
-        ({"phase0": math.pi}, True),
         ({"n_sites": 41}, False),
-        ({"phase0": 0.3}, False),
     ])
     def test_which_chains_take_the_quarter_period(self, monkeypatch, changes, quarter):
         import floquet_ssh.floquet as floquet
@@ -513,6 +555,13 @@ class TestQuarterPeriodPropagator:
         fs = quasi_energies_propagator(p, steps)
         _full_period(monkeypatch)
         assert matched_distance(fs, quasi_energies_propagator(p, steps)) < 1e-11
+
+    def test_very_high_frequency(self):
+        # ||C||_1 is about 1e-7 here while C's rounding is about 1e-16
+        p = _fig1_chain(phi_dim=0.3, omega=1e8)
+        fs = quasi_energies_propagator(p)
+        assert np.all(fs.quasi_energies.imag == 0.0)
+        assert matched_distance(fs, static_spectrum(p)) < 1e-9
 
     def test_propagator_without_the_relation_raises(self):
         from floquet_ssh.errors import SolverError

@@ -106,24 +106,30 @@ def test_integer_fields_reject_fractions_and_booleans(field, value):
 def test_drive_value():
     p = ModelParams(n_sites=4, kappa=0.1, omega=2 * math.pi)
     assert drive_value(0.0, p) == 0.0
-    # omega*z + phase0 = pi/2 -> amplitude kappa*omega
+    # omega*z = pi/2 -> amplitude kappa*omega
     assert_allclose(drive_value(0.25, p), 0.1 * 2 * math.pi, rtol=1e-14)
     p0 = ModelParams(n_sites=4, kappa=0.0, omega=3.0)
     assert drive_value(1.7, p0) == 0.0
 
 
 def test_drive_periodicity():
-    p = ModelParams(n_sites=4, kappa=0.7, omega=1.9, phase0=0.3)
+    p = ModelParams(n_sites=4, kappa=0.7, omega=1.9)
     period = 2 * math.pi / 1.9
     for z in np.linspace(0, 10, 37):
         assert abs(drive_value(z, p) - drive_value(z + period, p)) < 1e-12
+
+
+def test_drive_has_no_start_phase():
+    # another start time only conjugates U(Z_p), a Floquet gauge
+    with pytest.raises(TypeError):
+        ModelParams(n_sites=4, phase0=0.3)
 
 
 def test_hamiltonian_at_reduces_to_static():
     p = ModelParams(n_sites=6, lam=0.4, gamma=0.1, impurity_site=2,
                     kappa=0.0, omega=2.0)
     assert_allclose(hamiltonian_at(0.37, p), build_static_hamiltonian(p))
-    # sin(omega*z) = 0 at z = pi/omega with phase0 = 0
+    # sin(omega*z) = 0 at z = pi/omega
     pd = ModelParams(n_sites=6, lam=0.4, gamma=0.1, impurity_site=2,
                      kappa=0.5, omega=2.0)
     assert_allclose(hamiltonian_at(math.pi / 2.0, pd), build_static_hamiltonian(pd),
@@ -132,7 +138,7 @@ def test_hamiltonian_at_reduces_to_static():
 
 def test_hamiltonian_at_stacks_an_array_of_z():
     p = ModelParams(n_sites=6, lam=0.4, phi_dim=0.9, gamma=0.1, impurity_site=2,
-                    kappa=0.7, omega=1.9, phase0=0.3)
+                    kappa=0.7, omega=1.9)
     z = np.linspace(-2.0, 5.0, 12).reshape(3, 4)
     stacked = hamiltonian_at(z, p)
     assert stacked.shape == (3, 4, 6, 6)

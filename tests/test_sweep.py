@@ -17,7 +17,7 @@ from floquet_ssh import (
     run_sweep,
 )
 from floquet_ssh.floquet import MAX_PROPAGATOR_STEPS
-from floquet_ssh.sweep import spectrum_rows
+from floquet_ssh.sweep import MAX_GRID_POINTS, spectrum_rows
 
 
 def _base(**overrides):
@@ -45,6 +45,9 @@ class TestSweepSpec:
             with pytest.raises(ParameterError, match="kappa_omega"):
                 SweepSpec(base=_base(), axes=(("phi_dim", (0.1, 0.2)),), kappa_omega=kappa_omega)
         SweepSpec(base=_base(), axes=(("phi_dim", (0.1, 0.2)),), kappa_omega=0.0)
+        with pytest.raises(ParameterError, match=f"more than {MAX_GRID_POINTS}"):
+            SweepSpec(base=_base(), axes=(("gamma", (0.1,) * 1000),
+                                          ("omega", (1.0,) * (MAX_GRID_POINTS // 1000 + 1))))
 
     @pytest.mark.parametrize("field", ["nf_tol", "tol_im"])
     @pytest.mark.parametrize("value", [math.nan, 0.0, -1e-8, math.inf])
