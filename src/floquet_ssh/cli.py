@@ -41,8 +41,8 @@ from .errors import ParameterError, SolverError
 from .floquet import NF_TOL, Method, compare_with_effective, compute_spectrum
 from .model import ModelParams
 from .svgplot import spectrum_svg
-from .sweep import (MAX_GRID_POINTS, PhaseRow, SpectrumRow, SweepSpec, run_phase_diagram,
-                    run_sweep, spectrum_rows)
+from .sweep import (MAX_GRID_POINTS, ROW_BYTES, PhaseRow, SpectrumRow, SweepSpec,
+                    require_rows_within_budget, run_phase_diagram, run_sweep, spectrum_rows)
 
 # CSV columns are the row fields minus grid_index; validate parses them
 # back with the field types.
@@ -52,6 +52,10 @@ _SPECTRUM_FIELDS, _PHASE_FIELDS = (
     for row in (SpectrumRow, PhaseRow))
 SPECTRUM_HEADER = ",".join(_SPECTRUM_FIELDS)
 PHASE_HEADER = ",".join(_PHASE_FIELDS)
+
+#: Peak bytes that writing a row as indented JSON adds to its ROW_BYTES
+#: (tracemalloc: 2255-2785 B per row with CSV and JSON, 533-582 B without).
+_JSON_ROW_BYTES = 2200
 
 _FIG1_BASE = {
     "n_sites": 40, "tunneling": 1.0, "lambda": 0.4,
@@ -225,6 +229,12 @@ def rows_json(rows, fields) -> str:
     return _json_text([{name: getattr(r, name) for name in fields} for r in rows])
 
 
+def _require_output_within_budget(args, n_rows: int):
+    """With ``--json``, check ``n_rows`` rows against the budget at their JSON cost."""
+    if args.json:
+        require_rows_within_budget(n_rows, ROW_BYTES + _JSON_ROW_BYTES)
+
+
 def _write_rows(args, rows, fields):
     _write_text(args.output, rows_csv(rows, fields))
     if args.json:
@@ -265,6 +275,7 @@ def cmd_spectrum(args) -> int:
 
 def cmd_sweep_phi(args) -> int:
     spec = _with_axes(_merge_layers(args), ("phi_dim", parse_grid(args.phi_grid)))
+    _require_output_within_budget(args, spec.n_spectrum_rows())
     result = run_sweep(spec)
     _write_rows(args, result.rows, _SPECTRUM_FIELDS)
     if args.plot:
@@ -296,6 +307,7 @@ def _sweep_svg(result, spec: SweepSpec) -> str:
 def cmd_phase_diagram(args) -> int:
     spec = _with_axes(_merge_layers(args), ("gamma", parse_grid(args.gamma_grid)),
                       ("omega", parse_grid(args.omega_grid)))
+    _require_output_within_budget(args, spec.n_points())
     result = run_phase_diagram(spec)
     _write_rows(args, result.rows, _PHASE_FIELDS)
     print(f"wrote {args.output} ({len(result.rows)} rows, "

@@ -44,10 +44,10 @@ from .model import ModelParams, build_static_hamiltonian, drive_operator, hamilt
 #: cap stays near 3.8 GiB, inside a 7 GB machine.  A static or effective
 #: solve peaks at about 65 B per N^2, so it takes chains up to DIM_CAP sites.
 DIM_CAP = 7700
-#: Longest chain the propagator route takes.  With the default step count
-#: it peaks at about 384 B per N^2 (the 16 stacked H(z) of default_n_steps
-#: and their magnitudes), so one at the cap also stays near 3.8 GiB.
-PROPAGATOR_SITE_CAP = 3200
+#: Longest chain the propagator route takes.  A solve peaks at about 200 B
+#: per N^2 (the Pade temporaries; tracemalloc at N = 200-600, even and odd,
+#: given or default step count), so one at the cap also stays near 3.8 GiB.
+PROPAGATOR_SITE_CAP = 4500
 #: Cap for the N_F convergence search.
 NF_CAP = 512
 #: Last N_F the convergence search reaches by unit steps; it doubles from there.
@@ -315,7 +315,7 @@ def default_n_steps(params: ModelParams) -> int:
     z_period = params.drive_period
     grid = (np.arange(16) + 0.5) * (z_period / 16)
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow is reported below
-        norm = float(matrix_norm_1(hamiltonian_at(grid, params)).max())
+        norm = float(np.max([matrix_norm_1(hamiltonian_at(z, params)) for z in grid]))
     steps = 1.35 * norm * z_period
     if not steps < math.inf:
         raise _default_steps_error(steps)
@@ -465,10 +465,10 @@ def _pt_real_eig(u: np.ndarray, z_period: float) -> tuple[np.ndarray, np.ndarray
     r = 0.5 * (c + c[::-1, ::-1] + 1j * (c[:, ::-1] - c[::-1]))
     defect = float(np.abs(r.imag).max())
     # C's rounding is absolute, about 1e-16, so the bound stops scaling below ||C||_1 = 1
-    scale = max(float(matrix_norm_1(c)), 1.0)
-    if defect > _REAL_FORM_TOL * scale:
+    norm = float(matrix_norm_1(c))
+    if defect > _REAL_FORM_TOL * max(norm, 1.0):
         raise SolverError(f"U lacks the relation P conj(U) P = U^-1 to rounding (max |Im R| "
-                          f"= {defect:.3e}, ||C||_1 = {scale:.3e}): at very low drive "
+                          f"= {defect:.3e}, ||C||_1 = {norm:.3e}): at very low drive "
                           f"frequency the quarter-period product is ill-conditioned")
     spectrum = eig_dense(r.real)
     eps = (alpha - 2.0 * np.arctan(spectrum.eigenvalues)) / z_period

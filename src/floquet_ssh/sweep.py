@@ -24,9 +24,23 @@ from .floquet import (NF_TOL, FloquetSpectrum, Method, compute_spectrum,
 from .model import ModelParams
 
 _AXIS_FIELDS = {f.name for f in dataclasses.fields(ModelParams)}
-#: Most grid points per axis and per sweep.  Every point costs a Python
-#: float, a dict and its output rows before or while it is solved.
-MAX_GRID_POINTS = 100_000
+#: Memory a sweep's rows and their output text may take: the 3.8 GiB near
+#: which a solve at floquet.DIM_CAP peaks.
+ROW_BUDGET = 3.8 * 2**30
+#: Peak bytes per row of a sweep written as CSV.  tracemalloc on static
+#: sweep-phi and phase-diagram runs (N = 10 and 40, 200 to 1200 points)
+#: gave 533-582 B, grid point, row and CSV line together; the rows alone
+#: take 270 B.
+ROW_BYTES = 600
+#: Most grid points per axis and per grid: every point makes at least one row.
+MAX_GRID_POINTS = int(ROW_BUDGET // ROW_BYTES)
+
+
+def require_rows_within_budget(n_rows: int, row_bytes: int = ROW_BYTES) -> None:
+    """Raise ParameterError if ``n_rows`` rows of ``row_bytes`` each exceed ROW_BUDGET."""
+    if n_rows * row_bytes > ROW_BUDGET:
+        raise ParameterError(f"the sweep makes {n_rows} rows of about {row_bytes} B each, "
+                             f"more than {ROW_BUDGET / 2**30:.1f} GiB")
 
 
 def resolve_threads() -> int:
@@ -40,10 +54,10 @@ class SweepSpec:
 
     ``axes`` holds zero to two (field name, grid values) pairs; fields
     must be distinct ModelParams fields.  Zero axes mean the base point
-    alone, and the grid holds at most MAX_GRID_POINTS points.  With
-    ``kappa_omega`` set (nonnegative and finite), kappa is re-derived as
-    kappa_omega/omega at every grid point (drive specified by amplitude),
-    so a kappa axis is then rejected.
+    alone, and the grid holds at most MAX_GRID_POINTS points, one row
+    each within ROW_BUDGET.  With ``kappa_omega`` set (nonnegative and
+    finite), kappa is re-derived as kappa_omega/omega at every grid point
+    (drive specified by amplitude), so a kappa axis is then rejected.
     ``n_floquet`` None means auto: converge_nf once at the smallest-omega
     grid corner, reused for the whole sweep.  That corner is the worst
     case in omega only; another Phi or gamma at the same omega can need a
@@ -81,7 +95,7 @@ class SweepSpec:
                 raise ParameterError(f"axis {name!r} has an empty grid")
             if not np.all(np.isfinite(grid)):
                 raise ParameterError(f"axis {name!r} has non-finite grid values")
-        count = math.prod(len(grid) for _, grid in self.axes)
+        count = self.n_points()
         if count > MAX_GRID_POINTS:
             raise ParameterError(f"the grid has {count} points, more than {MAX_GRID_POINTS}")
         for name in ("nf_tol", "tol_im"):
@@ -91,6 +105,14 @@ class SweepSpec:
             raise ParameterError(f"n_floquet must be >= 1, got {self.n_floquet}")
         if self.method is Method.PROPAGATOR and self.n_steps is not None:
             require_propagator_steps(self.n_steps)
+
+    def n_points(self) -> int:
+        return math.prod(len(grid) for _, grid in self.axes)
+
+    def n_spectrum_rows(self) -> int:
+        """Rows of ``run_sweep``: one per site at every grid point."""
+        sites = dict(self.axes).get("n_sites", (self.base.n_sites,))
+        return self.n_points() // len(sites) * int(sum(sites))
 
     def grid_points(self) -> list[dict[str, float]]:
         """Axis-value dicts in row-major order (first axis outermost)."""
@@ -212,7 +234,11 @@ def _run_grid(spec: SweepSpec, rows_of) -> SweepResult:
 
 
 def run_sweep(spec: SweepSpec) -> SweepResult:
-    """Spectrum rows (one per mode per grid point), ordered by grid index."""
+    """Spectrum rows (one per mode per grid point), ordered by grid index.
+
+    Raises ParameterError before solving if the rows would exceed ROW_BUDGET.
+    """
+    require_rows_within_budget(spec.n_spectrum_rows())
     return _run_grid(spec, spectrum_rows)
 
 

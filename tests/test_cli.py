@@ -23,6 +23,7 @@ from floquet_ssh.cli import (
     parse_angle,
     parse_grid,
 )
+from floquet_ssh.sweep import MAX_GRID_POINTS
 
 
 class TestParsing:
@@ -299,7 +300,7 @@ class TestSweepConfigErrors:
         (["--gamma=-0.1:0.1:3", "--omega", "4pi:8pi:2"], "gamma must be nonnegative"),
         # rejected before linspace allocates the grid
         (["--gamma", "0:0.1:1000000000000000", "--omega", "4pi:8pi:2"],
-         "grid count must be between 1 and 100000"),
+         f"grid count must be between 1 and {MAX_GRID_POINTS}"),
     ])
     def test_invalid_grid_value_exit_2(self, tmp_path, capsys, grids, message):
         out = tmp_path / "out.csv"
@@ -308,6 +309,29 @@ class TestSweepConfigErrors:
                      "-o", str(out)]) == 2
         assert message in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("command, grids, runner", [
+        ("sweep-phi", ["--phi-grid", "0:1:50000"], "run_sweep"),  # 2e6 rows at N = 40
+        ("phase-diagram", ["--gamma", "0:0.1:1500", "--omega", "1:2:1000"], "run_phase_diagram"),
+    ])
+    def test_json_rows_over_budget_exit_2(self, tmp_path, capsys, monkeypatch,
+                                          command, grids, runner):
+        # the rows fit the budget as CSV (about 600 B each) but not as JSON (2800 B)
+        import floquet_ssh.cli as cli
+
+        class Solved(Exception):
+            pass
+
+        def run(spec):
+            raise Solved
+
+        monkeypatch.setattr(cli, runner, run)
+        argv = [command, "--n-sites", "40", "--kappa-omega", "0.05", *grids,
+                "-o", str(tmp_path / "out.csv")]
+        with pytest.raises(Solved):
+            main(argv)
+        assert main([*argv, "--json", str(tmp_path / "out.json")]) == 2
+        assert "rows of about 2800 B each" in capsys.readouterr().err
 
     def test_threads_flag_rejected(self, tmp_path, capsys):
         with pytest.raises(SystemExit) as excinfo:

@@ -49,6 +49,29 @@ class TestSweepSpec:
             SweepSpec(base=_base(), axes=(("gamma", (0.1,) * 1000),
                                           ("omega", (1.0,) * (MAX_GRID_POINTS // 1000 + 1))))
 
+    def test_grid_of_one_row_per_point_within_budget(self):
+        # a 400 x 400 phase diagram makes 160000 rows, about 0.1 GB
+        spec = SweepSpec(base=_base(), axes=(("gamma", (0.1,) * 400), ("omega", (1.0,) * 400)))
+        assert spec.n_points() == 160000
+
+    def test_spectrum_row_count(self):
+        spec = SweepSpec(base=_base(), axes=(("n_sites", (4, 6)), ("gamma", (0.1, 0.2, 0.3))))
+        assert spec.n_spectrum_rows() == 30
+        assert SweepSpec(base=_base(), axes=(("gamma", (0.1, 0.2)),)).n_spectrum_rows() == 20
+
+    def test_spectrum_rows_over_budget_raise_before_solving(self, monkeypatch):
+        import floquet_ssh.sweep as sweep
+
+        def solve(*args, **kwargs):
+            raise AssertionError("a grid point was solved")
+
+        monkeypatch.setattr(sweep, "compute_spectrum", solve)
+        points = MAX_GRID_POINTS // 7700 + 1  # 7700 rows per point
+        spec = SweepSpec(base=_base(n_sites=7700), axes=(("phi_dim", (0.3,) * points),),
+                         method=Method.STATIC)
+        with pytest.raises(ParameterError, match="rows of about 600 B each"):
+            run_sweep(spec)
+
     @pytest.mark.parametrize("field", ["nf_tol", "tol_im"])
     @pytest.mark.parametrize("value", [math.nan, 0.0, -1e-8, math.inf])
     def test_tolerance_validation(self, field, value):
