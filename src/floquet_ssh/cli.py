@@ -53,9 +53,10 @@ _SPECTRUM_FIELDS, _PHASE_FIELDS = (
 SPECTRUM_HEADER = ",".join(_SPECTRUM_FIELDS)
 PHASE_HEADER = ",".join(_PHASE_FIELDS)
 
-#: Peak bytes that writing a row as indented JSON adds to its ROW_BYTES
-#: (tracemalloc: 2255-2785 B per row with CSV and JSON, 533-582 B without).
-_JSON_ROW_BYTES = 2200
+#: Peak bytes that writing a row as streamed, indented JSON adds to its
+#: ROW_BYTES (tracemalloc, static sweep-phi and phase-diagram at N = 10 and
+#: 40: 500-739 B per row with CSV and JSON, 412-586 B without).
+_JSON_ROW_BYTES = 300
 
 _FIG1_BASE = {
     "n_sites": 40, "tunneling": 1.0, "lambda": 0.4,
@@ -221,12 +222,11 @@ def rows_csv(rows, fields) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _json_text(payload) -> str:
-    return json.dumps(payload, indent=1) + "\n"
-
-
-def rows_json(rows, fields) -> str:
-    return _json_text([{name: getattr(r, name) for name in fields} for r in rows])
+def _write_json(path: str, payload):
+    """Write ``payload`` as indented JSON and a final newline, streamed to the file."""
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        json.dump(payload, fh, indent=1)
+        fh.write("\n")
 
 
 def _require_output_within_budget(args, n_rows: int):
@@ -238,7 +238,7 @@ def _require_output_within_budget(args, n_rows: int):
 def _write_rows(args, rows, fields):
     _write_text(args.output, rows_csv(rows, fields))
     if args.json:
-        _write_text(args.json, rows_json(rows, fields))
+        _write_json(args.json, [{name: getattr(r, name) for name in fields} for r in rows])
 
 
 def _with_axes(spec: SweepSpec, *axes) -> SweepSpec:
@@ -333,7 +333,7 @@ def cmd_effective_compare(args) -> int:
             "omega": spec.base.omega,
             "n_floquet": nf,
         }
-        _write_text(args.output, _json_text(payload))
+        _write_json(args.output, payload)
         print(f"wrote {args.output}")
     return 0
 
@@ -356,7 +356,7 @@ def cmd_pt_threshold(args) -> int:
             "monotone": result.monotone,
             "scan": [{"gamma": g, "broken": b} for g, b in result.scan],
         }
-        _write_text(args.output, _json_text(payload))
+        _write_json(args.output, payload)
         print(f"wrote {args.output}")
     return 0
 

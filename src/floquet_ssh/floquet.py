@@ -37,7 +37,8 @@ from .effective import effective_hamiltonian, effective_tunneling
 from .errors import (AliasingError, ConvergenceCapError, DimensionCapError, ParameterError,
                      SolverError, require_positive_finite)
 from .linalg import Spectrum, eig_dense, expm, matrix_norm_1, principal_log_eigenvalues
-from .model import ModelParams, build_static_hamiltonian, drive_operator, hamiltonian_at
+from .model import (ModelParams, build_static_hamiltonian, drive_operator, drive_value,
+                    hamiltonian_at)
 
 #: Hard cap on the extended matrix dimension N*(2*N_F+1).  A solve peaks at
 #: about 68 B per dim^2 (+65 MiB at dim 1000, +141 MiB at 1480), so one at the
@@ -54,6 +55,10 @@ NF_CAP = 512
 _NF_UNIT_STEPS = 16
 #: Default tolerance of the N_F convergence search.
 NF_TOL = 1e-8
+#: Rounding floor of delta(N_F), the N_F search's distance, in units of eps
+#: times the parameter bound on ||H_F||_1 at N_F + 2 (``_extended_norm_bound``).
+#: Measured at the floor: 0.27-16 over N = 8-40, omega = 45pi-1e9, N_F = 2-6.
+_NF_ROUNDING_FLOOR = 0.25
 #: Most propagator steps per period, requested or reached by doubling.
 MAX_PROPAGATOR_STEPS = 1 << 21
 #: Fewest propagator steps per period a caller may request.
@@ -308,14 +313,22 @@ def quasi_energies_extended(params: ModelParams, n_floquet: int) -> FloquetSpect
 def default_n_steps(params: ModelParams) -> int:
     """max(MIN_PROPAGATOR_STEPS, ceil(1.35 * ||H||_1 * Z_p)), ||H||_1 the max over 16 z.
 
-    The count is of fourth-order splitting steps (six static products
-    each, see ``one_period_propagator``).  Raises ParameterError when
+    The 16 z are the midpoints of sixteen equal parts of the period.
+    Column j of |H(z)| sums a fixed off-diagonal part and
+    |H_static[j, j] + f(z) * D[j, j]|, and each of those rounded operations
+    is monotone in |f(z)|, so ||H(z)||_1 never falls as |f(z)| grows and
+    the maximum over the 16 z is, to the last bit, the norm at the z with
+    the largest |f|.  That one H(z) is assembled, picked by the scalar f
+    that ``hamiltonian_at`` computes.  The count is of fourth-order
+    splitting steps (six static products each, see
+    ``one_period_propagator``).  Raises ParameterError when
     ||H||_1 * Z_p overflows, so that no count exists.
     """
     z_period = params.drive_period
     grid = (np.arange(16) + 0.5) * (z_period / 16)
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow is reported below
-        norm = float(np.max([matrix_norm_1(hamiltonian_at(z, params)) for z in grid]))
+        z_peak = max(grid, key=lambda z: abs(drive_value(z, params)))
+        norm = float(matrix_norm_1(hamiltonian_at(z_peak, params)))
     steps = 1.35 * norm * z_period
     if not steps < math.inf:
         raise _default_steps_error(steps)
@@ -363,11 +376,12 @@ def _s6_product(params: ModelParams, h_static: np.ndarray, d_diag: np.ndarray,
                         [z_end]))
     phase_args = -1j * np.diff(params.kappa * (1.0 - np.cos(params.omega * s)))
     u = np.diag(np.exp(phase_args[0] * d_diag))
+    product = np.empty_like(u)  # u and this buffer are the only N x N arrays of the loop
     for start in range(0, len(stages) * n_steps, _PHASE_CHUNK):
         rows = np.exp(np.multiply.outer(phase_args[start + 1:start + 1 + _PHASE_CHUNK], d_diag))
-        for k, row in enumerate(rows, start):
-            u = stages[k % len(stages)] @ u
-            u *= row[:, None]
+        for k, row in enumerate(rows[:, :, None], start):
+            np.matmul(stages[k % len(stages)], u, out=product)
+            np.multiply(product, row, out=u)
             if flush:
                 _flush_tiny(u)
     return u
@@ -425,8 +439,8 @@ def one_period_propagator(params: ModelParams, n_steps: int) -> np.ndarray:
     return np.linalg.solve(half.conj(), half[::-1])[::-1]
 
 
-def _cayley(u: np.ndarray) -> tuple[float, np.ndarray]:
-    """(alpha, C) with C = i(I - M)(I + M)^-1 the Cayley transform of M = e^{i alpha} U.
+def _cayley(u: np.ndarray) -> tuple[float, np.ndarray, float]:
+    """(alpha, C, ||C||_1), C = i(I - M)(I + M)^-1 the Cayley transform of M = e^{i alpha} U.
 
     C is singular where M has an eigenvalue at -1, the zone edge.  alpha
     is the first of _EDGE_ROTATIONS with ||C||_1 <= _CAYLEY_NORM_MAX, or
@@ -442,12 +456,11 @@ def _cayley(u: np.ndarray) -> tuple[float, np.ndarray]:
             continue
         norm = float(matrix_norm_1(c))
         if norm <= _CAYLEY_NORM_MAX:
-            return alpha, c
-        tried.append((norm, alpha, c))
+            return alpha, c, norm
+        tried.append((alpha, c, norm))
     if not tried:
         raise SolverError("I + e^{i alpha} U is singular at every edge rotation")
-    _, alpha, c = min(tried, key=lambda t: t[0])
-    return alpha, c
+    return min(tried, key=lambda t: t[2])
 
 
 def _pt_real_eig(u: np.ndarray, z_period: float) -> tuple[np.ndarray, np.ndarray]:
@@ -461,11 +474,10 @@ def _pt_real_eig(u: np.ndarray, z_period: float) -> tuple[np.ndarray, np.ndarray
     if R's imaginary part is above rounding, which means U lacks the
     relation.
     """
-    alpha, c = _cayley(u)
+    alpha, c, norm = _cayley(u)
     r = 0.5 * (c + c[::-1, ::-1] + 1j * (c[:, ::-1] - c[::-1]))
     defect = float(np.abs(r.imag).max())
     # C's rounding is absolute, about 1e-16, so the bound stops scaling below ||C||_1 = 1
-    norm = float(matrix_norm_1(c))
     if defect > _REAL_FORM_TOL * max(norm, 1.0):
         raise SolverError(f"U lacks the relation P conj(U) P = U^-1 to rounding (max |Im R| "
                           f"= {defect:.3e}, ||C||_1 = {norm:.3e}): at very low drive "
@@ -637,6 +649,13 @@ def matched_distance(a: FloquetSpectrum, b: FloquetSpectrum) -> float:
 spectral_distance = matched_distance
 
 
+def _extended_norm_bound(params: ModelParams, n_floquet: int) -> float:
+    """Bound on ||H_F||_1 from the parameters: ||H_static||_1 + N_F*omega + kappa*omega*max|D|."""
+    static = 2.0 * abs(params.tunneling) * (1.0 + abs(params.lam)) + params.gamma
+    reach = max(params.n0 - 1.0, params.n_sites - params.n0)
+    return static + n_floquet * params.omega + params.kappa * params.omega * reach
+
+
 def converge_nf(params: ModelParams, tol: float,
                 spectra: dict[int, FloquetSpectrum] | None = None) -> int:
     """Smallest N_F at which the physical spectrum is stable under N_F -> N_F+2.
@@ -649,8 +668,11 @@ def converge_nf(params: ModelParams, tol: float,
     N_F = 7, 0.25-0.35x at 9-10, at most 1.20x at 16).  Above 16 the
     probes are powers of two, so a search that never converges raises
     ConvergenceCapError (``NF_CAP``) or DimensionCapError (``DIM_CAP``)
-    at the same probe as plain doubling.  Every spectrum solved, the
-    returned N_F's included, goes into the ``spectra`` dict by N_F.
+    at the same probe as plain doubling.  It raises ConvergenceCapError
+    before a probe whose delta cannot fall below ``tol``: delta never fell
+    below _NF_ROUNDING_FLOOR * eps * ||H_F||_1, with ||H_F||_1 bounded from
+    the parameters (at omega = 1e8, delta stays near 1e-7).  Every spectrum
+    solved, the returned N_F's included, goes into the ``spectra`` dict by N_F.
     """
     require_positive_finite("tol", tol)
     cache = {} if spectra is None else spectra
@@ -661,6 +683,11 @@ def converge_nf(params: ModelParams, tol: float,
         return cache[nf]
 
     def delta(nf: int) -> float:
+        floor = _NF_ROUNDING_FLOOR * np.finfo(float).eps * _extended_norm_bound(params, nf + 2)
+        if tol < floor < math.inf:  # an overflowing diagonal is build_floquet_matrix's error
+            raise ConvergenceCapError(f"N_F search cannot reach tol {tol:g}: at N_F={nf} "
+                                      f"rounding alone moves the spectrum by about "
+                                      f"{floor:.1e} or more (omega = {params.omega:.3g})")
         return matched_distance(spectrum(nf), spectrum(nf + 2))
 
     lo, hi = 1, 2  # hi is the probe; delta(lo) >= tol once lo >= 2

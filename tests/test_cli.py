@@ -1,6 +1,7 @@
 import csv
 import json
 import math
+import time
 import warnings
 
 import numpy as np
@@ -176,6 +177,16 @@ class TestSpectrumCommand:
         assert code == 2
         assert "omega must be positive" in capsys.readouterr().err
 
+    def test_nf_tol_below_rounding_exit_1(self, tmp_path, capsys):
+        # at omega = 1e8 delta(N_F) stays near 1e-7, out of the default 1e-8's reach,
+        # so the search stops before its first solve
+        start = time.perf_counter()
+        code = main(["spectrum", "--preset", "fig1-highfreq", "--omega", "1e8",
+                     "-o", str(tmp_path / "x.csv")])
+        assert code == 1
+        assert time.perf_counter() - start < 10
+        assert "N_F search cannot reach tol 1e-08" in capsys.readouterr().err
+
     def test_solver_failure_exit_1(self, capsys):
         # folding window too narrow for the effective spectrum -> aliasing
         code = main(["effective-compare", "--n-sites", "6", "--lambda", "0.4",
@@ -311,12 +322,13 @@ class TestSweepConfigErrors:
         assert not out.exists()
 
     @pytest.mark.parametrize("command, grids, runner", [
-        ("sweep-phi", ["--phi-grid", "0:1:50000"], "run_sweep"),  # 2e6 rows at N = 40
-        ("phase-diagram", ["--gamma", "0:0.1:1500", "--omega", "1:2:1000"], "run_phase_diagram"),
+        ("sweep-phi", ["--n-sites", "400", "--phi-grid", "0:1:15000"], "run_sweep"),  # 6e6 rows
+        ("phase-diagram", ["--n-sites", "40", "--gamma", "0:0.1:2500", "--omega", "1:2:2400"],
+         "run_phase_diagram"),
     ])
     def test_json_rows_over_budget_exit_2(self, tmp_path, capsys, monkeypatch,
                                           command, grids, runner):
-        # the rows fit the budget as CSV (about 600 B each) but not as JSON (2800 B)
+        # the rows fit the budget as CSV (about 600 B each) but not as JSON (900 B)
         import floquet_ssh.cli as cli
 
         class Solved(Exception):
@@ -326,12 +338,11 @@ class TestSweepConfigErrors:
             raise Solved
 
         monkeypatch.setattr(cli, runner, run)
-        argv = [command, "--n-sites", "40", "--kappa-omega", "0.05", *grids,
-                "-o", str(tmp_path / "out.csv")]
+        argv = [command, "--kappa-omega", "0.05", *grids, "-o", str(tmp_path / "out.csv")]
         with pytest.raises(Solved):
             main(argv)
         assert main([*argv, "--json", str(tmp_path / "out.json")]) == 2
-        assert "rows of about 2800 B each" in capsys.readouterr().err
+        assert "rows of about 900 B each" in capsys.readouterr().err
 
     def test_threads_flag_rejected(self, tmp_path, capsys):
         with pytest.raises(SystemExit) as excinfo:

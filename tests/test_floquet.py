@@ -1,8 +1,11 @@
 import math
+import re
 
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from floquet_ssh import (
@@ -36,7 +39,8 @@ from floquet_ssh.floquet import (
     compute_spectrum,
     default_n_steps,
 )
-from floquet_ssh.linalg import Spectrum
+from floquet_ssh.linalg import Spectrum, matrix_norm_1
+from floquet_ssh.model import hamiltonian_at
 
 
 def fourier_component_quadrature(params, harmonic, nodes=20000):
@@ -407,6 +411,54 @@ class TestQuasiEnergiesPropagator:
                         gamma=0.2, impurity_site=2, kappa=0.05 / omega, omega=omega)
         assert default_n_steps(p) <= 200
 
+    @settings(max_examples=300, deadline=None)
+    @given(n_sites=st.integers(2, 80), lam=st.floats(-1.0, 1.0), phi=st.floats(0.0, 7.0),
+           gamma=st.one_of(st.just(0.0), st.floats(0.0, 2.0)),
+           log_kappa=st.one_of(st.floats(-3.0, 3.0), st.floats(290.0, 308.0)),
+           log_omega=st.floats(-2.0, 2.5), tunneling=st.floats(0.1, 3.0), data=st.data())
+    def test_default_step_count_equals_the_16_point_scan(self, n_sites, lam, phi, gamma,
+                                                         log_kappa, log_omega, tunneling,
+                                                         data):
+        # the oracle assembles H(z) at all 16 midpoints; large kappa overflows the count
+        j = data.draw(st.integers(1, n_sites // 2))
+        p = ModelParams(n_sites=n_sites, tunneling=tunneling, lam=lam, phi_dim=phi,
+                        gamma=gamma, impurity_site=j, kappa=10.0 ** log_kappa,
+                        omega=10.0 ** log_omega)
+        want = _scanned_n_steps(p)
+        if isinstance(want, str):
+            with pytest.raises(ParameterError, match=re.escape(f"Z_p) = {want} exceeds")):
+                default_n_steps(p)
+        else:
+            assert default_n_steps(p) == want
+
+    def test_one_hamiltonian_assembly_per_spectrum(self, monkeypatch):
+        import floquet_ssh.floquet as floquet
+
+        calls = []
+
+        def counting(z, params):
+            calls.append(z)
+            return hamiltonian_at(z, params)
+
+        monkeypatch.setattr(floquet, "hamiltonian_at", counting)
+        quasi_energies_propagator(_fig1_chain())
+        assert len(calls) == 1
+
+    # the benchmark chain; N=140, where the product is flushed; N=41, the full period
+    @pytest.mark.parametrize("n_sites, flushed", [(40, False), (140, True), (41, False)])
+    def test_product_bits_match_plain_loop(self, monkeypatch, n_sites, flushed):
+        import floquet_ssh.floquet as floquet
+
+        p = _fig1_chain(n_sites=n_sites)
+        steps = default_n_steps(p)
+        got = one_period_propagator(p, steps)
+        flushes = []
+        monkeypatch.setattr(floquet, "_s6_product",
+                            lambda *args: _plain_s6_product(*args, flushes=flushes))
+        want = one_period_propagator(p, steps)
+        assert flushes == [flushed]
+        assert got.tobytes() == want.tobytes()
+
     def test_static_products_per_period_at_low_frequency(self, monkeypatch):
         import floquet_ssh.floquet as floquet
         from floquet_ssh.linalg import expm
@@ -414,10 +466,13 @@ class TestQuasiEnergiesPropagator:
         products = 0
 
         class Counting(np.ndarray):
-            def __matmul__(self, other):
+            # counts products by either spelling, a @ b and np.matmul(a, b, out=c)
+            def __array_ufunc__(self, ufunc, method, *inputs, out=None, **kwargs):
                 nonlocal products
-                products += 1
-                return np.asarray(self) @ other
+                products += ufunc is np.matmul
+                if out is not None:
+                    kwargs["out"] = tuple(np.asarray(o) for o in out)
+                return getattr(ufunc, method)(*(np.asarray(x) for x in inputs), **kwargs)
 
         monkeypatch.setattr(floquet, "expm", lambda m: expm(m).view(Counting))
         # the chain and drive of the propagator_sweep benchmark workload
@@ -448,6 +503,42 @@ class TestQuasiEnergiesPropagator:
         for k, delta in enumerate(increments[1:]):
             plain = np.exp(-1j * delta * d)[:, None] * (stages[k % len(stages)] @ plain)
         assert np.abs(one_period_propagator(p, n_steps) - plain).max() < 1e-13
+
+
+def _scanned_n_steps(params):
+    """Default step count from ||H(z)||_1 at all 16 midpoints; as text if it overflows."""
+    z_period = params.drive_period
+    grid = (np.arange(16) + 0.5) * (z_period / 16)
+    with np.errstate(over="ignore", invalid="ignore"):
+        norm = float(np.max([matrix_norm_1(hamiltonian_at(z, params)) for z in grid]))
+    steps = 1.35 * norm * z_period
+    if not steps < math.inf:
+        return f"{steps:.3g}"
+    return max(MIN_PROPAGATOR_STEPS, math.ceil(steps))
+
+
+def _plain_s6_product(params, h_static, d_diag, z_end, n_steps, flushes):
+    """The S6 product with a new array per stage, u = stage @ u and u *= row."""
+    from floquet_ssh.floquet import _PHASE_CHUNK, _S6_NODES, _S6_STAGES, _flush_tiny
+    from floquet_ssh.linalg import expm
+
+    dz = z_end / n_steps
+    half = [expm(-1j * a * dz * h_static) for a in _S6_STAGES[:3]]
+    flush = any([_flush_tiny(e) for e in half])
+    flushes.append(flush)
+    stages = half + half[::-1]
+    s = np.concatenate(([0.0], ((np.arange(n_steps)[:, None] + _S6_NODES) * dz).ravel(),
+                        [z_end]))
+    phase_args = -1j * np.diff(params.kappa * (1.0 - np.cos(params.omega * s)))
+    u = np.diag(np.exp(phase_args[0] * d_diag))
+    for start in range(0, len(stages) * n_steps, _PHASE_CHUNK):
+        rows = np.exp(np.multiply.outer(phase_args[start + 1:start + 1 + _PHASE_CHUNK], d_diag))
+        for k, row in enumerate(rows, start):
+            u = stages[k % len(stages)] @ u
+            u *= row[:, None]
+            if flush:
+                _flush_tiny(u)
+    return u
 
 
 def _fig1_chain(**changes):
@@ -667,6 +758,31 @@ class TestConvergeNf:
         p = ModelParams(n_sites=4, lam=0.4, kappa=0.1, omega=3.0)
         with pytest.raises(ParameterError):
             converge_nf(p, tol)
+
+    @pytest.mark.parametrize("omega, tol, solved", [
+        (1e8, 1e-8, []),         # delta(2) near 1e-7: fails before any solve
+        (1e8, 1e-6, [2, 4]),     # within reach: converges at the first probe
+        (45 * math.pi, 1e-14, []),
+    ])
+    def test_tolerance_below_rounding_fails_fast(self, monkeypatch, omega, tol, solved):
+        import floquet_ssh.floquet as floquet
+
+        p = ModelParams(n_sites=8, lam=0.4, phi_dim=0.3, gamma=0.2, impurity_site=2,
+                        kappa=0.05 / omega, omega=omega)
+        calls = []
+        original = floquet.quasi_energies_extended
+
+        def counting(params, n_floquet):
+            calls.append(n_floquet)
+            return original(params, n_floquet)
+
+        monkeypatch.setattr(floquet, "quasi_energies_extended", counting)
+        if solved:
+            assert converge_nf(p, tol) == 2
+        else:
+            with pytest.raises(ConvergenceCapError, match="N_F search cannot reach tol"):
+                converge_nf(p, tol)
+        assert calls == solved
 
     def test_cap(self, monkeypatch):
         import floquet_ssh.floquet as floquet
