@@ -85,11 +85,10 @@ def find_zero_modes(spectrum: FloquetSpectrum) -> list[ZeroMode]:
             if is_zero_mode(eps.real, edge, spectrum.params.tunneling)]
 
 
-def classify_pt(spectrum: FloquetSpectrum, tol_im: float = TOL_IM) -> PhasePoint:
-    """Unbroken iff max |Im eps| < tol_im; zero modes listed alongside."""
-    require_positive_finite("tol_im", tol_im)
+def classify_pt(spectrum: FloquetSpectrum) -> PhasePoint:
+    """Unbroken iff max |Im eps| < TOL_IM; zero modes listed alongside."""
     max_im = spectrum.max_imag
-    phase = Phase.UNBROKEN if max_im < tol_im else Phase.BROKEN
+    phase = Phase.UNBROKEN if max_im < TOL_IM else Phase.BROKEN
     modes = tuple(find_zero_modes(spectrum))
     return PhasePoint(max_im=max_im, phase=phase, zero_modes=modes)
 
@@ -109,7 +108,6 @@ def gamma_pt_threshold(params: ModelParams, gamma_max: float,
                        method: Method = Method.STATIC,
                        n_floquet: int | None = None,
                        n_steps: int | None = None,
-                       tol_im: float = TOL_IM,
                        nf_tol: float = NF_TOL) -> GammaThreshold:
     """Bisect the unbroken-to-broken transition in gamma on [0, gamma_max].
 
@@ -134,7 +132,7 @@ def gamma_pt_threshold(params: ModelParams, gamma_max: float,
     def is_broken(gamma: float) -> bool:
         spectrum = top if gamma == gamma_max else compute_spectrum(
             replace(params, gamma=gamma), method, n_floquet=top.n_floquet, n_steps=n_steps)
-        return classify_pt(spectrum, tol_im).phase is Phase.BROKEN
+        return classify_pt(spectrum).phase is Phase.BROKEN
 
     if is_broken(0.0):
         raise ParameterError("spectrum is already broken at gamma=0; "

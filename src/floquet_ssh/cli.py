@@ -10,9 +10,9 @@ sweep), ``phase-diagram`` (gamma-omega grid), ``effective-compare``
 flag and its parser.  A subcommand registers only the flags it reads:
 ``sweep-phi`` has no ``--phi`` (its grid replaces it), ``pt-threshold``
 no ``--gamma`` (the bisection replaces it) and no ``--method`` (its route
-is ``--threshold-method``), and ``effective-compare`` no ``--method``,
-``--n-steps`` or ``--tol-im``.  Flags are never abbreviated, so an
-unread or abbreviated flag is a usage error (exit 2).
+is ``--threshold-method``), and ``effective-compare`` no ``--method``
+or ``--n-steps``.  Flags are never abbreviated, so an unread or
+abbreviated flag is a usage error (exit 2).
 
 Values merge in the order defaults < preset < config file < flags, and
 every layer's values go through the same parsers, so a config value
@@ -36,7 +36,7 @@ from typing import get_type_hints
 
 import numpy as np
 
-from .analysis import TOL_GAMMA, TOL_IM, classify_pt, gamma_pt_threshold, is_zero_mode
+from .analysis import TOL_GAMMA, classify_pt, gamma_pt_threshold, is_zero_mode
 from .errors import ParameterError, SolverError
 from .floquet import NF_TOL, Method, compare_with_effective, compute_spectrum
 from .model import ModelParams
@@ -182,8 +182,7 @@ def _merge_layers(args, method: Method | None = None) -> SweepSpec:
         params = replace(params, kappa=settings["kappa_omega"] / params.omega)
     settings["method"] = method or settings["method"] or (
         Method.STATIC if params.kappa == 0.0 else Method.EXTENDED)
-    return SweepSpec(base=params, axes=(), nf_tol=float(args.nf_tol),
-                     tol_im=float(getattr(args, "tol_im", TOL_IM)), **settings)
+    return SweepSpec(base=params, axes=(), nf_tol=float(args.nf_tol), **settings)
 
 
 def _preset_layer(name) -> dict:
@@ -261,7 +260,7 @@ def cmd_spectrum(args) -> int:
     spec = _merge_layers(args)
     spectrum = compute_spectrum(spec.base, spec.method, n_floquet=spec.n_floquet,
                                 n_steps=spec.n_steps, nf_tol=spec.nf_tol)
-    point = classify_pt(spectrum, spec.tol_im)
+    point = classify_pt(spectrum)
     rows = spectrum_rows(spectrum, point, 0)
     _write_rows(args, rows, _SPECTRUM_FIELDS)
     print(f"phase: {point.phase.value} (max|Im eps| = {point.max_im:.6g})")
@@ -343,7 +342,7 @@ def cmd_pt_threshold(args) -> int:
     result = gamma_pt_threshold(
         spec.base, gamma_max=args.gamma_max, tol_gamma=args.tol_gamma,
         method=spec.method, n_floquet=spec.n_floquet, n_steps=spec.n_steps,
-        tol_im=spec.tol_im, nf_tol=spec.nf_tol)
+        nf_tol=spec.nf_tol)
     print(f"gamma_pt = {result.value:.12g}")
     print(f"status: {result.status}")
     if not result.monotone:
@@ -401,9 +400,9 @@ def _round_trip_problem(line: str, fields) -> str | None:
 
 
 def _add_model_arguments(parser: argparse.ArgumentParser, omit=(), grid_axes=()):
-    """The settings flags a subcommand reads: _SETTINGS plus --nf-tol and
-    --tol-im, minus the dests in omit.  A key in grid_axes becomes a
-    required start:stop:count flag with dest KEY_grid."""
+    """The settings flags a subcommand reads: _SETTINGS plus --nf-tol,
+    minus the dests in omit.  A key in grid_axes becomes a required
+    start:stop:count flag with dest KEY_grid."""
     group = parser.add_argument_group("model and solver settings")
     group.add_argument("--preset", help="named parameter preset "
                        f"({', '.join(sorted(PRESETS))})")
@@ -415,8 +414,6 @@ def _add_model_arguments(parser: argparse.ArgumentParser, omit=(), grid_axes=())
         elif key not in omit:
             group.add_argument(flag, dest=key, help=help_text)
     group.add_argument("--nf-tol", dest="nf_tol", type=float, default=NF_TOL)
-    if "tol_im" not in omit:
-        group.add_argument("--tol-im", dest="tol_im", type=float, default=TOL_IM)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -451,7 +448,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_eff = command("effective-compare", cmd_effective_compare,
                     "compare quasi-energies to the effective chain")
-    _add_model_arguments(p_eff, omit=("method", "n_steps", "tol_im"))
+    _add_model_arguments(p_eff, omit=("method", "n_steps"))
     p_eff.add_argument("--output", "-o", help="write comparison JSON")
 
     p_thr = command("pt-threshold", cmd_pt_threshold, "bisect the PT threshold in gamma")

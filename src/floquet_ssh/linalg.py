@@ -8,9 +8,12 @@ residual bound.  ``expm`` is a single-matrix scaling-and-squaring
 exponential with one Pade degree (13) at every norm; the split-step
 propagator in :mod:`floquet_ssh.floquet` calls it three times per
 propagator, once for each distinct static stage of its splitting.
-``logm_eig`` extracts principal eigenvalue logarithms with a fixed
-branch, Im(log) in (-pi, pi] and -pi mapped to +pi, so propagator
-quasi-energies are deterministic.
+``principal_log_eigenvalues`` takes eigenvalue logarithms on a fixed
+branch, Im(log) in (-pi, pi] and -pi mapped to +pi; odd-chain
+propagator quasi-energies come from it, while even chains are solved in
+the real Cayley form of ``floquet._pt_real_eig`` and take no logarithm.
+``logm_eig`` adds an eigensolve and a conditioning warning in front of
+it; no solver path calls it.
 """
 
 from __future__ import annotations

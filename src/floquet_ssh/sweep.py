@@ -17,7 +17,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .analysis import TOL_IM, Phase, PhasePoint, classify_pt, edge_weight
+from .analysis import Phase, PhasePoint, classify_pt, edge_weight
 from .errors import ParameterError, SolverError, require_positive_finite
 from .floquet import (NF_TOL, FloquetSpectrum, Method, compute_spectrum,
                       require_propagator_steps)
@@ -61,10 +61,10 @@ class SweepSpec:
     ``n_floquet`` None means auto: converge_nf once at the smallest-omega
     grid corner, reused for the whole sweep.  That corner is the worst
     case in omega only; another Phi or gamma at the same omega can need a
-    larger N_F.  The tolerances ``nf_tol`` and ``tol_im`` must be
-    positive and finite.  The solver sizes are checked only for the
-    method that uses them: ``n_floquet`` must be >= 1 on the extended
-    route, and ``n_steps`` must pass ``require_propagator_steps``.
+    larger N_F.  The tolerance ``nf_tol`` must be positive and finite.
+    The solver sizes are checked only for the method that uses them:
+    ``n_floquet`` must be >= 1 on the extended route, and ``n_steps``
+    must pass ``require_propagator_steps``.
     """
 
     base: ModelParams
@@ -74,7 +74,6 @@ class SweepSpec:
     n_floquet: int | None = None
     nf_tol: float = NF_TOL
     n_steps: int | None = None
-    tol_im: float = TOL_IM
 
     def __post_init__(self):
         if len(self.axes) > 2:
@@ -98,8 +97,7 @@ class SweepSpec:
         count = self.n_points()
         if count > MAX_GRID_POINTS:
             raise ParameterError(f"the grid has {count} points, more than {MAX_GRID_POINTS}")
-        for name in ("nf_tol", "tol_im"):
-            require_positive_finite(name, getattr(self, name))
+        require_positive_finite("nf_tol", self.nf_tol)
         if (self.method is Method.EXTENDED and self.n_floquet is not None
                 and self.n_floquet < 1):
             raise ParameterError(f"n_floquet must be >= 1, got {self.n_floquet}")
@@ -222,7 +220,7 @@ def _run_grid(spec: SweepSpec, rows_of) -> SweepResult:
             else:
                 spectrum = compute_spectrum(params, spec.method, n_floquet=n_floquet,
                                             n_steps=spec.n_steps, nf_tol=spec.nf_tol)
-            phase_point = classify_pt(spectrum, spec.tol_im)
+            phase_point = classify_pt(spectrum)
             all_rows.extend(rows_of(spectrum, phase_point, index))
         except (SolverError, ParameterError) as exc:
             failures.append(Failure(index, point, type(exc).__name__, str(exc)))

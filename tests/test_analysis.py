@@ -50,12 +50,6 @@ class TestClassifyPt:
                          gamma=0.2, impurity_site=3)
         assert classify_pt(static_spectrum(p3)).phase is Phase.BROKEN
 
-    @pytest.mark.parametrize("tol_im", [math.nan, 0.0, -1e-8, math.inf])
-    def test_rejects_nan_and_nonpositive_tol_im(self, tol_im):
-        spectrum = static_spectrum(ModelParams(n_sites=8, lam=0.4))
-        with pytest.raises(ParameterError):
-            classify_pt(spectrum, tol_im=tol_im)
-
 
 class TestFindZeroModes:
     def test_topological_window_hosts_two_edge_modes(self):

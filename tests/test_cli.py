@@ -233,13 +233,13 @@ _CHAIN = ["--n-sites", "6", "--lambda", "0.4", "--impurity-site", "2"]
 # static spectrum and threshold routes, and effective-compare at a given N_F.
 _TOLERANCE_COMMANDS = (
     (["spectrum", "--kappa", "0.3", "--gamma", "0.1", "--omega", "2pi"],
-     ("--nf-tol", "--tol-im")),
+     ("--nf-tol",)),
     (["sweep-phi", "--kappa", "0.3", "--gamma", "0.1", "--omega", "2pi",
-      "--phi-grid", "0:pi:2"], ("--nf-tol", "--tol-im")),
+      "--phi-grid", "0:pi:2"], ("--nf-tol",)),
     (["phase-diagram", "--kappa", "0.3", "--gamma", "0:0.1:2", "--omega", "2pi:4pi:2"],
-     ("--nf-tol", "--tol-im")),
+     ("--nf-tol",)),
     (["pt-threshold", "--kappa", "0.3", "--threshold-method", "extended", "--omega", "2pi"],
-     ("--nf-tol", "--tol-im")),
+     ("--nf-tol",)),
     (["spectrum"], ("--nf-tol",)),
     (["pt-threshold"], ("--nf-tol",)),
     (["effective-compare", "--preset", "fig1-highfreq", "--n-floquet", "2"], ("--nf-tol",)),
@@ -405,6 +405,10 @@ class TestSettingsTable:
         ["spectrum", "--n-sit", "6"],
         ["spectrum", "--n0-rule", "even"],
         ["spectrum", "--phase0", "0.3"],
+        ["spectrum", "--tol-im", "1e-6"],
+        ["sweep-phi", "--tol-im", "1e-6"],
+        ["phase-diagram", "--gamma", "0:0.1:2", "--omega", "2pi:4pi:2", "--tol-im", "1e-6"],
+        ["pt-threshold", "--tol-im", "1e-6"],
     ])
     def test_unread_or_abbreviated_flag_exit_2(self, tmp_path, capsys, argv):
         out = tmp_path / "out"

@@ -1,3 +1,4 @@
+import argparse
 import importlib.util
 import os
 import pathlib
@@ -47,6 +48,27 @@ def test_readme_lists_the_config_keys():
     sentence = re.search(r"The config file is a flat JSON object with the model keys(.*?)\.\s",
                          text, re.S).group(1)
     assert set(re.findall(r"`(\w+)`", sentence)) == set(cli._SETTINGS)
+
+
+def _subparsers() -> dict:
+    parser = cli.build_parser()
+    action, = (a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    return action.choices
+
+
+def test_readme_solver_flag_table_matches_the_parser():
+    solver_flags = {"--method", "--n-floquet", "--n-steps", "--nf-tol"}
+    text = ROOT.joinpath("README.md").read_text(encoding="utf-8")
+    table = text.split("Each subcommand takes only the solver flags it reads:", 1)[1]
+    rows = table.strip().split("\n\n", 1)[0].splitlines()[2:]
+    documented = {}
+    for row in rows:
+        commands, flags = row.split("|")[1:3]
+        for command in re.findall(r"`([\w-]+)`", commands):
+            documented[command] = set(re.findall(r"--[\w-]+", flags))
+    registered = {name: solver_flags & set(sub._option_string_actions)
+                  for name, sub in _subparsers().items()}
+    assert documented == {name: flags for name, flags in registered.items() if flags}
 
 
 def test_digest_first_line_records_the_thread_settings(monkeypatch, capsys):

@@ -72,7 +72,7 @@ class TestSweepSpec:
         with pytest.raises(ParameterError, match="rows of about 600 B each"):
             run_sweep(spec)
 
-    @pytest.mark.parametrize("field", ["nf_tol", "tol_im"])
+    @pytest.mark.parametrize("field", ["nf_tol"])
     @pytest.mark.parametrize("value", [math.nan, 0.0, -1e-8, math.inf])
     def test_tolerance_validation(self, field, value):
         with pytest.raises(ParameterError):
@@ -128,7 +128,7 @@ class TestRunSweep:
     def test_zero_axes_solve_the_base_point(self):
         spec = SweepSpec(base=_base(), axes=(), method=Method.STATIC)
         spectrum = compute_spectrum(_base(), Method.STATIC)
-        want = spectrum_rows(spectrum, classify_pt(spectrum, spec.tol_im), 0)
+        want = spectrum_rows(spectrum, classify_pt(spectrum), 0)
         assert spec.grid_points() == [{}]
         assert run_sweep(spec).rows == tuple(want)
 
