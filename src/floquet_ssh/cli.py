@@ -28,6 +28,7 @@ configuration error, found before any point is solved.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import math
 import sys
@@ -41,8 +42,8 @@ from .errors import ParameterError, SolverError
 from .floquet import NF_TOL, Method, compare_with_effective, compute_spectrum
 from .model import ModelParams
 from .svgplot import spectrum_svg
-from .sweep import (MAX_GRID_POINTS, ROW_BYTES, PhaseRow, SpectrumRow, SweepSpec,
-                    require_rows_within_budget, run_phase_diagram, run_sweep, spectrum_rows)
+from .sweep import (MAX_GRID_POINTS, PhaseRow, SpectrumRow, SweepSpec, run_phase_diagram,
+                    run_sweep, spectrum_rows)
 
 # CSV columns are the row fields minus grid_index; validate parses them
 # back with the field types.
@@ -53,10 +54,8 @@ _SPECTRUM_FIELDS, _PHASE_FIELDS = (
 SPECTRUM_HEADER = ",".join(_SPECTRUM_FIELDS)
 PHASE_HEADER = ",".join(_PHASE_FIELDS)
 
-#: Peak bytes that writing a row as streamed, indented JSON adds to its
-#: ROW_BYTES (tracemalloc, static sweep-phi and phase-diagram at N = 10 and
-#: 40: 500-739 B per row with CSV and JSON, 412-586 B without).
-_JSON_ROW_BYTES = 300
+#: Most rows ``sweep-phi --plot`` keeps: it draws the SVG after the last point.
+MAX_PLOT_ROWS = 10**6
 
 _FIG1_BASE = {
     "n_sites": 40, "tunneling": 1.0, "lambda": 0.4,
@@ -121,11 +120,11 @@ _SETTINGS = {
 }
 
 
-def parse_grid(text: str) -> np.ndarray:
+def parse_grid(text: str) -> tuple[float, ...]:
     """Parse 'start:stop:count' (angles allowed) or a scalar as 1-point grid."""
     s = str(text).strip()
     if ":" not in s:
-        return np.array([parse_angle(s)])
+        return (parse_angle(s),)
     parts = s.split(":")
     if len(parts) != 3:
         raise ParameterError(f"grid must be start:stop:count, got {text!r}")
@@ -136,7 +135,7 @@ def parse_grid(text: str) -> np.ndarray:
         raise ParameterError(f"grid count must be an integer, got {parts[2]!r}") from None
     if not 1 <= count <= MAX_GRID_POINTS:
         raise ParameterError(f"grid count must be between 1 and {MAX_GRID_POINTS}, got {count}")
-    return np.linspace(start, stop, count)
+    return tuple(np.linspace(start, stop, count).tolist())
 
 
 def fmt(value: float) -> str:
@@ -210,40 +209,66 @@ def _file_layer(path) -> dict:
     return values
 
 
-def _write_text(path: str, text: str):
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(text)
+def _open_output(path: str):
+    return open(path, "w", encoding="utf-8", newline="")
 
 
-def rows_csv(rows, fields) -> str:
-    lines = [",".join(fields)]
-    lines.extend(",".join(_cell(getattr(r, name)) for name in fields) for r in rows)
-    return "\n".join(lines) + "\n"
+def _write_text(fh, text: str):
+    """Write ``text`` to the open file ``fh`` and flush it, so the file ends on whole lines."""
+    fh.write(text)
+    fh.flush()
 
 
-def _write_json(path: str, payload):
-    """Write ``payload`` as indented JSON and a final newline, streamed to the file."""
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        json.dump(payload, fh, indent=1)
-        fh.write("\n")
+def rows_csv(rows, fields, header: bool = True) -> str:
+    lines = [",".join(fields) + "\n"] if header else []
+    lines.extend(",".join(_cell(getattr(r, name)) for name in fields) + "\n" for r in rows)
+    return "".join(lines)
 
 
-def _require_output_within_budget(args, n_rows: int):
-    """With ``--json``, check ``n_rows`` rows against the budget at their JSON cost."""
-    if args.json:
-        require_rows_within_budget(n_rows, ROW_BYTES + _JSON_ROW_BYTES)
+def _write_file(path: str, text: str):
+    with _open_output(path) as fh:
+        _write_text(fh, text)
+    print(f"wrote {path}")
 
 
-def _write_rows(args, rows, fields):
-    _write_text(args.output, rows_csv(rows, fields))
-    if args.json:
-        _write_json(args.json, [{name: getattr(r, name) for name in fields} for r in rows])
+class _RowFiles(contextlib.AbstractContextManager):
+    """A command's CSV and ``--json`` files and ``--plot`` data, fed one grid point at a time.
+
+    The files open when the first rows arrive and hold the bytes of
+    ``rows_csv`` and ``json.dump(rows, indent=1)`` plus a newline; the
+    JSON list is closed only if the command succeeds.
+    """
+
+    def __init__(self, args, fields):
+        self.paths = [args.output, args.json] if args.json else [args.output]
+        self.fields, self.files, self.n_rows, self.n_broken = fields, [], 0, 0
+        self.plotted = [] if getattr(args, "plot", None) else None
+
+    def __call__(self, rows):
+        first = not self.files
+        if first:  # extend keeps a file that opened before another failed, for __exit__
+            self.files.extend(map(_open_output, self.paths))
+        texts = [rows_csv(rows, self.fields, header=first)]
+        if len(self.files) == 2:  # the list's items as json.dump writes them, one space in
+            texts.append(("[\n" if first else ",\n") + json.dumps(
+                [{name: getattr(r, name) for name in self.fields} for r in rows], indent=1)[2:-2])
+        for fh, text in zip(self.files, texts):
+            _write_text(fh, text)
+        self.n_rows += len(rows)
+        self.n_broken += sum(r.phase == "broken" for r in rows)
+        if self.plotted is not None:
+            self.plotted.extend((r.phi, r.mode, r.re_eps, r.edge_weight) for r in rows)
+
+    def __exit__(self, exc_type, exc, tb):
+        if exc_type is None and len(self.files) == 2:
+            _write_text(self.files[1], "\n]\n")
+        for fh in self.files:
+            fh.close()
 
 
 def _with_axes(spec: SweepSpec, *axes) -> SweepSpec:
     """``spec`` over the (name, grid) ``axes``; each grid value must give valid params."""
-    spec = replace(spec, axes=tuple((name, tuple(float(v) for v in grid))
-                                    for name, grid in axes))
+    spec = replace(spec, axes=axes)
     for name, grid in spec.axes:
         for value in grid:
             spec.params_at({name: value})
@@ -261,44 +286,42 @@ def cmd_spectrum(args) -> int:
     spectrum = compute_spectrum(spec.base, spec.method, n_floquet=spec.n_floquet,
                                 n_steps=spec.n_steps, nf_tol=spec.nf_tol)
     point = classify_pt(spectrum)
-    rows = spectrum_rows(spectrum, point, 0)
-    _write_rows(args, rows, _SPECTRUM_FIELDS)
+    with _RowFiles(args, _SPECTRUM_FIELDS) as files:
+        files(spectrum_rows(spectrum, point, 0))
     print(f"phase: {point.phase.value} (max|Im eps| = {point.max_im:.6g})")
     print(f"zero modes: {len(point.zero_modes)}")
     for zm in point.zero_modes:
         print(f"  mode {zm.mode}: Re = {zm.re_eps:.6g}  Im = {zm.im_eps:.6g}  "
               f"edge_weight = {zm.edge_weight:.4f}")
-    print(f"wrote {args.output} ({len(rows)} rows)")
+    print(f"wrote {args.output} ({files.n_rows} rows)")
     return 0
 
 
 def cmd_sweep_phi(args) -> int:
     spec = _with_axes(_merge_layers(args), ("phi_dim", parse_grid(args.phi_grid)))
-    _require_output_within_budget(args, spec.n_spectrum_rows())
-    result = run_sweep(spec)
-    _write_rows(args, result.rows, _SPECTRUM_FIELDS)
+    if args.plot and spec.n_points() * spec.base.n_sites > MAX_PLOT_ROWS:
+        raise ParameterError(f"--plot keeps every row; this sweep makes more than {MAX_PLOT_ROWS}")
+    with _RowFiles(args, _SPECTRUM_FIELDS) as files:
+        result = run_sweep(spec, files)
     if args.plot:
-        _write_text(args.plot, _sweep_svg(result, spec))
-        print(f"wrote {args.plot}")
-    n_broken = sum(1 for r in result.rows if r.phase == "broken") \
-        // max(spec.base.n_sites, 1)
-    print(f"wrote {args.output} ({len(result.rows)} rows, "
-          f"{len(result.failures)} failed points, ~{n_broken} broken points)")
+        _write_file(args.plot, _sweep_svg(files.plotted, spec))
+    print(f"wrote {args.output} ({files.n_rows} rows, {len(result.failures)} failed points, "
+          f"~{files.n_broken // spec.base.n_sites} broken points)")
     _report_failures(result)
     return 0
 
 
-def _sweep_svg(result, spec: SweepSpec) -> str:
-    rows = result.rows
-    xs = sorted({r.phi for r in rows})
+def _sweep_svg(plotted, spec: SweepSpec) -> str:
+    """Re eps against Phi from (phi, mode, re_eps, edge_weight) tuples."""
+    xs = sorted({phi for phi, _, _, _ in plotted})
     index = {x: i for i, x in enumerate(xs)}
-    n_modes = max(r.mode for r in rows) + 1
+    n_modes = max(mode for _, mode, _, _ in plotted) + 1
     series = [[math.nan] * len(xs) for _ in range(n_modes)]
     zero_points = []
-    for r in rows:
-        series[r.mode][index[r.phi]] = r.re_eps
-        if is_zero_mode(r.re_eps, r.edge_weight, spec.base.tunneling):
-            zero_points.append((r.phi, r.re_eps))
+    for phi, mode, re_eps, edge in plotted:
+        series[mode][index[phi]] = re_eps
+        if is_zero_mode(re_eps, edge, spec.base.tunneling):
+            zero_points.append((phi, re_eps))
     return spectrum_svg(xs, series, zero_points, x_label="Phi",
                         y_label="Re eps", title=f"method: {spec.method.value}")
 
@@ -306,11 +329,9 @@ def _sweep_svg(result, spec: SweepSpec) -> str:
 def cmd_phase_diagram(args) -> int:
     spec = _with_axes(_merge_layers(args), ("gamma", parse_grid(args.gamma_grid)),
                       ("omega", parse_grid(args.omega_grid)))
-    _require_output_within_budget(args, spec.n_points())
-    result = run_phase_diagram(spec)
-    _write_rows(args, result.rows, _PHASE_FIELDS)
-    print(f"wrote {args.output} ({len(result.rows)} rows, "
-          f"{len(result.failures)} failed points)")
+    with _RowFiles(args, _PHASE_FIELDS) as files:
+        result = run_phase_diagram(spec, files)
+    print(f"wrote {args.output} ({files.n_rows} rows, {len(result.failures)} failed points)")
     _report_failures(result)
     return 0
 
@@ -325,15 +346,13 @@ def cmd_effective_compare(args) -> int:
     print(f"max quasi-energy deviation = {comparison.max_quasi_energy_deviation:.6g}")
     print(f"n_floquet = {nf}")
     if args.output:
-        payload = {
+        _write_file(args.output, json.dumps({
             "t_eff": comparison.t_eff,
             "max_quasi_energy_deviation": comparison.max_quasi_energy_deviation,
             "per_mode_deviation": [float(v) for v in comparison.per_mode_deviation],
             "omega": spec.base.omega,
             "n_floquet": nf,
-        }
-        _write_json(args.output, payload)
-        print(f"wrote {args.output}")
+        }, indent=1) + "\n")
     return 0
 
 
@@ -349,38 +368,36 @@ def cmd_pt_threshold(args) -> int:
         print("warning: pre-scan saw non-monotonic breaking in gamma",
               file=sys.stderr)
     if args.output:
-        payload = {
+        _write_file(args.output, json.dumps({
             "gamma_pt": result.value,
             "status": result.status,
             "monotone": result.monotone,
             "scan": [{"gamma": g, "broken": b} for g, b in result.scan],
-        }
-        _write_json(args.output, payload)
-        print(f"wrote {args.output}")
+        }, indent=1) + "\n")
     return 0
 
 
 def cmd_validate(args) -> int:
     try:
-        with open(args.from_csv, encoding="utf-8") as fh:
-            content = fh.read()
+        fh = open(args.from_csv, encoding="utf-8", newline="")
     except OSError as exc:
         raise ParameterError(f"cannot read {args.from_csv}: {exc}") from exc
-    lines = content.splitlines()
-    if not lines:
+    fields, diffs, bad_ending, lineno = None, 0, False, 0
+    with fh:
+        for lineno, line in enumerate(fh, start=1):
+            text = line.rstrip("\r\n")
+            bad_ending = bad_ending or text + "\n" != line  # CRLF, CR or no final newline
+            if lineno == 1:
+                fields = {SPECTRUM_HEADER: _SPECTRUM_FIELDS, PHASE_HEADER: _PHASE_FIELDS}.get(text)
+                if fields is None:
+                    raise ParameterError(f"unrecognized CSV header: {text!r}")
+            elif (problem := _round_trip_problem(text, fields)) is not None:
+                print(f"line {lineno}: {problem}", file=sys.stderr)
+                diffs += 1
+    if lineno == 0:
         raise ParameterError("empty CSV file")
-    fields = {SPECTRUM_HEADER: _SPECTRUM_FIELDS, PHASE_HEADER: _PHASE_FIELDS}.get(lines[0])
-    if fields is None:
-        raise ParameterError(f"unrecognized CSV header: {lines[0]!r}")
-    diffs = 0
-    for lineno, line in enumerate(lines[1:], start=2):
-        problem = _round_trip_problem(line, fields)
-        if problem is not None:
-            print(f"line {lineno}: {problem}", file=sys.stderr)
-            diffs += 1
-    if "\n".join(lines) + "\n" != content:  # line endings or a missing final newline
-        diffs = max(diffs, 1)
-    print(f"{args.from_csv}: {len(lines) - 1} rows, {diffs} diffs")
+    diffs = max(diffs, int(bad_ending))
+    print(f"{args.from_csv}: {lineno - 1} rows, {diffs} diffs")
     return 0 if diffs == 0 else 1
 
 

@@ -5,7 +5,9 @@ on the calling thread; the eigensolves use the cores through LAPACK's
 threaded BLAS.  The output is therefore a pure function of the sweep
 specification.  Per-point failures become failure records carrying a
 machine-readable code instead of aborting the sweep.  A result is its
-rows and failures; each row carries the N_F it was solved at.
+rows and failures; each row carries the N_F it was solved at.  The grid
+is walked lazily, and a caller's ``emit`` receives each point's rows as
+the point finishes, so a sweep holds one point's rows at a time.
 """
 
 from __future__ import annotations
@@ -13,6 +15,7 @@ from __future__ import annotations
 import dataclasses
 import itertools
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -24,23 +27,9 @@ from .floquet import (NF_TOL, FloquetSpectrum, Method, compute_spectrum,
 from .model import ModelParams
 
 _AXIS_FIELDS = {f.name for f in dataclasses.fields(ModelParams)}
-#: Memory a sweep's rows and their output text may take: the 3.8 GiB near
-#: which a solve at floquet.DIM_CAP peaks.
-ROW_BUDGET = 3.8 * 2**30
-#: Peak bytes per row of a sweep written as CSV.  tracemalloc on static
-#: sweep-phi and phase-diagram runs (N = 10 and 40, 200 to 1200 points)
-#: gave 533-582 B, grid point, row and CSV line together; the rows alone
-#: take 270 B.
-ROW_BYTES = 600
-#: Most grid points per axis and per grid: every point makes at least one row.
-MAX_GRID_POINTS = int(ROW_BUDGET // ROW_BYTES)
-
-
-def require_rows_within_budget(n_rows: int, row_bytes: int = ROW_BYTES) -> None:
-    """Raise ParameterError if ``n_rows`` rows of ``row_bytes`` each exceed ROW_BUDGET."""
-    if n_rows * row_bytes > ROW_BUDGET:
-        raise ParameterError(f"the sweep makes {n_rows} rows of about {row_bytes} B each, "
-                             f"more than {ROW_BUDGET / 2**30:.1f} GiB")
+#: Most grid points per axis and per grid.  It bounds ``linspace`` and the
+#: grid product; rows are streamed, so it is not a memory budget.
+MAX_GRID_POINTS = 10**7
 
 
 def resolve_threads() -> int:
@@ -54,10 +43,10 @@ class SweepSpec:
 
     ``axes`` holds zero to two (field name, grid values) pairs; fields
     must be distinct ModelParams fields.  Zero axes mean the base point
-    alone, and the grid holds at most MAX_GRID_POINTS points, one row
-    each within ROW_BUDGET.  With ``kappa_omega`` set (nonnegative and
-    finite), kappa is re-derived as kappa_omega/omega at every grid point
-    (drive specified by amplitude), so a kappa axis is then rejected.
+    alone, and the grid holds at most MAX_GRID_POINTS points.  With
+    ``kappa_omega`` set (nonnegative and finite), kappa is re-derived as
+    kappa_omega/omega at every grid point (drive specified by amplitude),
+    so a kappa axis is then rejected.
     ``n_floquet`` None means auto: converge_nf once at the smallest-omega
     grid corner, reused for the whole sweep.  That corner is the worst
     case in omega only; another Phi or gamma at the same omega can need a
@@ -107,16 +96,11 @@ class SweepSpec:
     def n_points(self) -> int:
         return math.prod(len(grid) for _, grid in self.axes)
 
-    def n_spectrum_rows(self) -> int:
-        """Rows of ``run_sweep``: one per site at every grid point."""
-        sites = dict(self.axes).get("n_sites", (self.base.n_sites,))
-        return self.n_points() // len(sites) * int(sum(sites))
-
-    def grid_points(self) -> list[dict[str, float]]:
-        """Axis-value dicts in row-major order (first axis outermost)."""
+    def grid_points(self) -> Iterator[dict[str, float]]:
+        """Axis-value dicts in row-major order (first axis outermost), made lazily."""
         names = [name for name, _ in self.axes]
-        grids = [grid for _, grid in self.axes]
-        return [dict(zip(names, combo)) for combo in itertools.product(*grids)]
+        return (dict(zip(names, combo))
+                for combo in itertools.product(*(grid for _, grid in self.axes)))
 
     def params_at(self, point: dict[str, float]) -> ModelParams:
         params = replace(self.base, **point)
@@ -194,25 +178,26 @@ def _phase_rows(spectrum: FloquetSpectrum, point: PhasePoint, index: int) -> lis
                  zero_mode_count=len(point.zero_modes))]
 
 
-def _run_grid(spec: SweepSpec, rows_of) -> SweepResult:
+def _run_grid(spec: SweepSpec, rows_of, emit) -> SweepResult:
     """Solve and classify every grid point in grid order, building its rows.
 
     ``rows_of(spectrum, point, index)`` turns one classified grid point
-    into its output rows.  On the extended route without ``n_floquet``,
+    into its output rows, passed to ``emit`` when it is given and kept in
+    the result otherwise.  On the extended route without ``n_floquet``,
     every point is solved at the corner spectrum's N_F, and the corner
     itself is not solved again.
     """
-    points = spec.grid_points()
+    kept: list = []
+    emit = emit or kept.extend
     corner = None
     if spec.method is Method.EXTENDED and spec.n_floquet is None:
         # N_F converges at the smallest-omega corner, the worst case in omega only.
-        low_omega = {name: min(grid) for name, grid in spec.axes if name == "omega"}
-        corner = compute_spectrum(spec.params_at({**points[0], **low_omega}), Method.EXTENDED,
+        low_corner = {name: min(grid) if name == "omega" else grid[0] for name, grid in spec.axes}
+        corner = compute_spectrum(spec.params_at(low_corner), Method.EXTENDED,
                                   nf_tol=spec.nf_tol)
     n_floquet = spec.n_floquet if corner is None else corner.n_floquet
-    all_rows: list = []
     failures: list[Failure] = []
-    for index, point in enumerate(points):
+    for index, point in enumerate(spec.grid_points()):
         try:
             params = spec.params_at(point)
             if corner is not None and params == corner.params:
@@ -220,31 +205,28 @@ def _run_grid(spec: SweepSpec, rows_of) -> SweepResult:
             else:
                 spectrum = compute_spectrum(params, spec.method, n_floquet=n_floquet,
                                             n_steps=spec.n_steps, nf_tol=spec.nf_tol)
-            phase_point = classify_pt(spectrum)
-            all_rows.extend(rows_of(spectrum, phase_point, index))
+            rows = rows_of(spectrum, classify_pt(spectrum), index)
         except (SolverError, ParameterError) as exc:
             failures.append(Failure(index, point, type(exc).__name__, str(exc)))
-    if points and len(failures) == len(points):
+        else:
+            emit(rows)
+    if len(failures) == spec.n_points():
         raise SolverError(
-            f"all {len(points)} grid points failed; first: {failures[0].message}"
+            f"all {len(failures)} grid points failed; first: {failures[0].message}"
         )
-    return SweepResult(rows=tuple(all_rows), failures=tuple(failures))
+    return SweepResult(rows=tuple(kept), failures=tuple(failures))
 
 
-def run_sweep(spec: SweepSpec) -> SweepResult:
-    """Spectrum rows (one per mode per grid point), ordered by grid index.
-
-    Raises ParameterError before solving if the rows would exceed ROW_BUDGET.
-    """
-    require_rows_within_budget(spec.n_spectrum_rows())
-    return _run_grid(spec, spectrum_rows)
+def run_sweep(spec: SweepSpec, emit=None) -> SweepResult:
+    """Spectrum rows (one per mode per grid point) in grid order; ``emit`` as in _run_grid."""
+    return _run_grid(spec, spectrum_rows, emit)
 
 
-def run_phase_diagram(spec: SweepSpec) -> SweepResult:
-    """One phase row per grid point of a (gamma, omega) grid."""
+def run_phase_diagram(spec: SweepSpec, emit=None) -> SweepResult:
+    """One phase row per grid point of a (gamma, omega) grid; ``emit`` as in _run_grid."""
     names = {name for name, _ in spec.axes}
     if len(spec.axes) != 2 or names != {"gamma", "omega"}:
         raise ParameterError(
             f"phase diagram requires exactly the axes gamma and omega, got {sorted(names)}"
         )
-    return _run_grid(spec, _phase_rows)
+    return _run_grid(spec, _phase_rows, emit)

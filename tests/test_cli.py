@@ -2,6 +2,7 @@ import csv
 import json
 import math
 import time
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -16,6 +17,9 @@ from floquet_ssh import (
     matched_distance,
 )
 from floquet_ssh.cli import (
+    _PHASE_FIELDS,
+    _SPECTRUM_FIELDS,
+    MAX_PLOT_ROWS,
     PHASE_HEADER,
     PRESETS,
     SPECTRUM_HEADER,
@@ -23,8 +27,10 @@ from floquet_ssh.cli import (
     main,
     parse_angle,
     parse_grid,
+    rows_csv,
 )
-from floquet_ssh.sweep import MAX_GRID_POINTS
+from floquet_ssh.errors import SolverError
+from floquet_ssh.sweep import MAX_GRID_POINTS, run_sweep
 
 
 class TestParsing:
@@ -321,29 +327,6 @@ class TestSweepConfigErrors:
         assert message in capsys.readouterr().err
         assert not out.exists()
 
-    @pytest.mark.parametrize("command, grids, runner", [
-        ("sweep-phi", ["--n-sites", "400", "--phi-grid", "0:1:15000"], "run_sweep"),  # 6e6 rows
-        ("phase-diagram", ["--n-sites", "40", "--gamma", "0:0.1:2500", "--omega", "1:2:2400"],
-         "run_phase_diagram"),
-    ])
-    def test_json_rows_over_budget_exit_2(self, tmp_path, capsys, monkeypatch,
-                                          command, grids, runner):
-        # the rows fit the budget as CSV (about 600 B each) but not as JSON (900 B)
-        import floquet_ssh.cli as cli
-
-        class Solved(Exception):
-            pass
-
-        def run(spec):
-            raise Solved
-
-        monkeypatch.setattr(cli, runner, run)
-        argv = [command, "--kappa-omega", "0.05", *grids, "-o", str(tmp_path / "out.csv")]
-        with pytest.raises(Solved):
-            main(argv)
-        assert main([*argv, "--json", str(tmp_path / "out.json")]) == 2
-        assert "rows of about 900 B each" in capsys.readouterr().err
-
     def test_threads_flag_rejected(self, tmp_path, capsys):
         with pytest.raises(SystemExit) as excinfo:
             main(["sweep-phi", "--n-sites", "6", "--phi-grid", "0:pi:2",
@@ -538,6 +521,120 @@ class TestPtThresholdCommand:
         assert "broken_at_zero" in captured.out
 
 
+_STREAMED = (
+    (["spectrum", "--n-sites", "6", "--lambda", "0.4", "--gamma", "0.1",
+      "--impurity-site", "2", "--phi", "0.3"], None, _SPECTRUM_FIELDS),
+    (["sweep-phi", "--n-sites", "6", "--lambda", "0.4", "--gamma", "0.1",
+      "--impurity-site", "2", "--kappa-omega", "0.05", "--omega", "4pi",
+      "--phi-grid", "0:2pi:9"], "run_sweep", _SPECTRUM_FIELDS),
+    (["phase-diagram", "--n-sites", "6", "--lambda", "0.4", "--impurity-site", "2",
+      "--kappa-omega", "0.05", "--gamma", "0:0.2:3", "--omega", "4pi:8pi:2"],
+     "run_phase_diagram", _PHASE_FIELDS),
+)
+
+
+class TestStreamedOutput:
+    """Rows are written point by point, in the bytes of the whole-result formats."""
+
+    @pytest.mark.parametrize("command, runner, fields", _STREAMED,
+                             ids=[c[0][0] for c in _STREAMED])
+    def test_files_equal_the_library_result(self, tmp_path, monkeypatch,
+                                            command, runner, fields):
+        import floquet_ssh.cli as cli
+        import floquet_ssh.sweep as sweep
+
+        solve = sweep.compute_spectrum
+        failing_phi = float(parse_grid("0:2pi:9")[3])
+
+        def fail_one_point(params, *args, **kwargs):
+            if command[0] == "sweep-phi" and params.phi_dim == failing_phi:
+                raise SolverError("injected failure")
+            return solve(params, *args, **kwargs)
+
+        monkeypatch.setattr(sweep, "compute_spectrum", fail_one_point)
+        specs = []
+        if runner is not None:
+            run = getattr(cli, runner)
+
+            def recording(spec, emit):
+                specs.append(spec)
+                return run(spec, emit)
+
+            monkeypatch.setattr(cli, runner, recording)
+        out, js = tmp_path / "out.csv", tmp_path / "out.json"
+        assert main([*command, "-o", str(out), "--json", str(js)]) == 0
+        if runner is None:
+            args = cli.build_parser().parse_args(command)
+            result = run_sweep(cli._merge_layers(args))
+        else:
+            result = getattr(sweep, runner)(*specs)
+        assert len(result.failures) == (command[0] == "sweep-phi")
+        assert out.read_bytes() == rows_csv(result.rows, fields).encode()
+        dicts = [{name: getattr(r, name) for name in fields} for r in result.rows]
+        assert js.read_bytes() == (json.dumps(dicts, indent=1) + "\n").encode()
+
+    def test_all_failed_sweep_leaves_no_files(self, tmp_path, monkeypatch, capsys):
+        import floquet_ssh.sweep as sweep
+
+        def fail(*args, **kwargs):
+            raise SolverError("injected failure")
+
+        monkeypatch.setattr(sweep, "compute_spectrum", fail)
+        out, js = tmp_path / "out.csv", tmp_path / "out.json"
+        assert main(["sweep-phi", "--n-sites", "6", "--phi-grid", "0:2pi:9",
+                     "-o", str(out), "--json", str(js)]) == 1
+        assert "all 9 grid points failed" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
+    def test_grid_size_is_not_bounded_by_its_rows(self, tmp_path, monkeypatch):
+        # 8000000 rows, which no longer have to fit in memory
+        import floquet_ssh.sweep as sweep
+
+        class Solving(Exception):
+            pass
+
+        def solve(*args, **kwargs):
+            raise Solving
+
+        monkeypatch.setattr(sweep, "compute_spectrum", solve)
+        with pytest.raises(Solving):
+            main(["sweep-phi", "--n-sites", "40", "--phi-grid", "0:2pi:200000",
+                  "-o", str(tmp_path / "out.csv")])
+
+    def test_plot_row_cap_exit_2_before_solving(self, tmp_path, monkeypatch, capsys):
+        import floquet_ssh.cli as cli
+
+        class Solving(Exception):
+            pass
+
+        def run(spec, emit):
+            raise Solving
+
+        monkeypatch.setattr(cli, "run_sweep", run)
+        argv = ["sweep-phi", "--n-sites", "40", "-o", str(tmp_path / "out.csv"),
+                "--plot", str(tmp_path / "out.svg")]
+        with pytest.raises(Solving):
+            main([*argv, "--phi-grid", f"0:1:{MAX_PLOT_ROWS // 40}"])
+        assert main([*argv, "--phi-grid", f"0:1:{MAX_PLOT_ROWS // 40 + 1}"]) == 2
+        assert "--plot keeps every row" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
+    def test_peak_memory_flat_in_grid_points(self, tmp_path):
+        def peak(points: int) -> int:
+            tracemalloc.start()
+            try:
+                assert main(["sweep-phi", "--n-sites", "2", "--phi-grid", f"0:2pi:{points}",
+                             "-o", str(tmp_path / "out.csv")]) == 0
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        peak(50)  # imports and caches outside the measurement
+        growth = (peak(2500) - peak(500)) / 2000
+        # the stored axis value costs 32-40 B per point; rows held in memory cost ~1 kB
+        assert growth < 200, f"{growth:.0f} B per grid point"
+
+
 class TestValidateCommand:
     def test_round_trip_spectrum_csv(self, tmp_path, capsys):
         out = tmp_path / "spec.csv"
@@ -563,6 +660,20 @@ class TestValidateCommand:
         content[1] = ",".join(cells)
         out.write_text("\n".join(content) + "\n")
         assert main(["validate", "--from-csv", str(out)]) == 1
+
+    def test_crlf_line_endings_exit_1(self, tmp_path, capsys):
+        out = tmp_path / "spec.csv"
+        assert main(["spectrum", "--n-sites", "4", "-o", str(out)]) == 0
+        out.write_bytes(out.read_bytes().replace(b"\n", b"\r\n"))
+        assert main(["validate", "--from-csv", str(out)]) == 1
+        assert f"{out}: 4 rows, 1 diffs" in capsys.readouterr().out
+
+    def test_missing_final_newline_exit_1(self, tmp_path, capsys):
+        out = tmp_path / "spec.csv"
+        assert main(["spectrum", "--n-sites", "4", "-o", str(out)]) == 0
+        out.write_bytes(out.read_bytes()[:-1])
+        assert main(["validate", "--from-csv", str(out)]) == 1
+        assert f"{out}: 4 rows, 1 diffs" in capsys.readouterr().out
 
     def test_unknown_header_exit_2(self, tmp_path):
         bad = tmp_path / "bad.csv"

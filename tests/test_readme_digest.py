@@ -5,7 +5,7 @@ import pathlib
 import re
 import shlex
 
-from floquet_ssh import cli
+from floquet_ssh import cli, floquet, sweep
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 
@@ -69,6 +69,15 @@ def test_readme_solver_flag_table_matches_the_parser():
     registered = {name: solver_flags & set(sub._option_string_actions)
                   for name, sub in _subparsers().items()}
     assert documented == {name: flags for name, flags in registered.items() if flags}
+
+
+def test_readme_caps_match_the_constants():
+    text = ROOT.joinpath("README.md").read_text(encoding="utf-8")
+    stated = {name: int(number) for number, name in
+              re.findall(r"(\d+)[^\d(]*\(`(MAX_\w+)`", text)}
+    assert stated == {"MAX_GRID_POINTS": sweep.MAX_GRID_POINTS,
+                      "MAX_PLOT_ROWS": cli.MAX_PLOT_ROWS,
+                      "MAX_PROPAGATOR_STEPS": floquet.MAX_PROPAGATOR_STEPS}
 
 
 def test_digest_first_line_records_the_thread_settings(monkeypatch, capsys):

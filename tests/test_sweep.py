@@ -54,24 +54,6 @@ class TestSweepSpec:
         spec = SweepSpec(base=_base(), axes=(("gamma", (0.1,) * 400), ("omega", (1.0,) * 400)))
         assert spec.n_points() == 160000
 
-    def test_spectrum_row_count(self):
-        spec = SweepSpec(base=_base(), axes=(("n_sites", (4, 6)), ("gamma", (0.1, 0.2, 0.3))))
-        assert spec.n_spectrum_rows() == 30
-        assert SweepSpec(base=_base(), axes=(("gamma", (0.1, 0.2)),)).n_spectrum_rows() == 20
-
-    def test_spectrum_rows_over_budget_raise_before_solving(self, monkeypatch):
-        import floquet_ssh.sweep as sweep
-
-        def solve(*args, **kwargs):
-            raise AssertionError("a grid point was solved")
-
-        monkeypatch.setattr(sweep, "compute_spectrum", solve)
-        points = MAX_GRID_POINTS // 7700 + 1  # 7700 rows per point
-        spec = SweepSpec(base=_base(n_sites=7700), axes=(("phi_dim", (0.3,) * points),),
-                         method=Method.STATIC)
-        with pytest.raises(ParameterError, match="rows of about 600 B each"):
-            run_sweep(spec)
-
     @pytest.mark.parametrize("field", ["nf_tol"])
     @pytest.mark.parametrize("value", [math.nan, 0.0, -1e-8, math.inf])
     def test_tolerance_validation(self, field, value):
@@ -101,7 +83,7 @@ class TestSweepSpec:
     def test_grid_points_row_major(self):
         spec = SweepSpec(base=_base(),
                          axes=(("gamma", (0.0, 0.1)), ("omega", (1.0, 2.0, 3.0))))
-        points = spec.grid_points()
+        points = list(spec.grid_points())
         assert len(points) == 6
         assert points[0] == {"gamma": 0.0, "omega": 1.0}
         assert points[1] == {"gamma": 0.0, "omega": 2.0}
@@ -129,7 +111,7 @@ class TestRunSweep:
         spec = SweepSpec(base=_base(), axes=(), method=Method.STATIC)
         spectrum = compute_spectrum(_base(), Method.STATIC)
         want = spectrum_rows(spectrum, classify_pt(spectrum), 0)
-        assert spec.grid_points() == [{}]
+        assert list(spec.grid_points()) == [{}]
         assert run_sweep(spec).rows == tuple(want)
 
     def test_rows_ordered_and_complete(self):
