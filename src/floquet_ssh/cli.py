@@ -31,6 +31,7 @@ import argparse
 import contextlib
 import json
 import math
+import os
 import sys
 from dataclasses import replace
 from typing import get_type_hints
@@ -210,7 +211,10 @@ def _file_layer(path) -> dict:
 
 
 def _open_output(path: str):
-    return open(path, "w", encoding="utf-8", newline="")
+    try:
+        return open(path, "w", encoding="utf-8", newline="")
+    except OSError as exc:
+        raise ParameterError(f"cannot write {path}: {exc.strerror}") from exc
 
 
 def _write_text(fh, text: str):
@@ -486,6 +490,10 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        # an output file in a missing directory fails before the first solve, not after it
+        for path in filter(None, (getattr(args, key, None) for key in ("output", "json", "plot"))):
+            if not os.path.isdir(os.path.dirname(path) or "."):
+                raise ParameterError(f"cannot write {path}: no directory {os.path.dirname(path)}")
         return args.func(args)
     except ParameterError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)

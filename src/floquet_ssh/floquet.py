@@ -7,11 +7,10 @@ of the drive f(z) = kappa*omega*sin(omega*z) times the gradient
 operator D.  Route two builds the one-period propagator U(Z_p) in the
 lab frame by the fourth-order Blanes-Moan splitting S6, with three
 static exponentials per period and exact diagonal drive phases, and
-takes eigenvalue logarithms.  On an even chain the drive's
-time-reversal and PT reflections build U from the product over the
-first quarter period, and U is solved through a real matrix (its Cayley
-transform in a real basis), so an unbroken spectrum is real to the last
-bit; an odd chain takes the full-period product.  Both routes fold
+takes eigenvalue logarithms.  The drive's symmetries build U from
+products over the first quarter period.  On an even chain U is solved
+through a real matrix (its Cayley transform in a real basis), so an
+unbroken spectrum is real to the last bit.  Both routes fold
 quasi-energy real parts into the first zone (-omega/2, omega/2] and
 select/weight the N physical modes; their agreement is the strongest
 correctness check in the package.
@@ -29,6 +28,7 @@ from __future__ import annotations
 
 import enum
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -45,9 +45,9 @@ from .model import (ModelParams, build_static_hamiltonian, drive_operator, drive
 #: cap stays near 3.8 GiB, inside a 7 GB machine.  A static or effective
 #: solve peaks at about 65 B per N^2, so it takes chains up to DIM_CAP sites.
 DIM_CAP = 7700
-#: Longest chain the propagator route takes.  A solve peaks at about 200 B
-#: per N^2 (the Pade temporaries; tracemalloc at N = 200-600, even and odd,
-#: given or default step count), so one at the cap also stays near 3.8 GiB.
+#: Longest chain the propagator route takes.  A solve peaks at about 192 B
+#: per N^2 (the Pade temporaries; tracemalloc at N = 200-401, even and odd,
+#: given or default step count), so one at the cap stays below 3.8 GiB.
 PROPAGATOR_SITE_CAP = 4500
 #: Cap for the N_F convergence search.
 NF_CAP = 512
@@ -357,7 +357,7 @@ def _flush_tiny(m: np.ndarray) -> bool:
 
 
 def _pt_reflection_applies(params: ModelParams) -> bool:
-    """True when the chain is PT symmetric, so that U follows from its first quarter period.
+    """True when the chain is PT symmetric, so that U follows from its first half period.
 
     The drive is always even about Z_p/4 and odd about 0; an odd chain
     breaks the site reversal through its hopping texture.
@@ -365,9 +365,10 @@ def _pt_reflection_applies(params: ModelParams) -> bool:
     return params.n_sites % 2 == 0
 
 
-def _s6_product(params: ModelParams, h_static: np.ndarray, d_diag: np.ndarray,
-                z_end: float, n_steps: int) -> np.ndarray:
-    """Time-ordered S6 product over [0, z_end] in ``n_steps`` steps (see one_period_propagator)."""
+def _s6_product(params: ModelParams, h_static: np.ndarray, d_diags: list[np.ndarray],
+                n_steps: int) -> Iterator[np.ndarray]:
+    """Yield the time-ordered S6 product over [0, Z_p/4] in ``n_steps`` steps for each diagonal."""
+    z_end = params.drive_period / 4
     dz = z_end / n_steps
     half = [expm(-1j * a * dz * h_static) for a in _S6_STAGES[:3]]
     flush = any([_flush_tiny(e) for e in half])  # a list, so that all three are flushed
@@ -375,16 +376,17 @@ def _s6_product(params: ModelParams, h_static: np.ndarray, d_diag: np.ndarray,
     s = np.concatenate(([0.0], ((np.arange(n_steps)[:, None] + _S6_NODES) * dz).ravel(),
                         [z_end]))
     phase_args = -1j * np.diff(params.kappa * (1.0 - np.cos(params.omega * s)))
-    u = np.diag(np.exp(phase_args[0] * d_diag))
-    product = np.empty_like(u)  # u and this buffer are the only N x N arrays of the loop
-    for start in range(0, len(stages) * n_steps, _PHASE_CHUNK):
-        rows = np.exp(np.multiply.outer(phase_args[start + 1:start + 1 + _PHASE_CHUNK], d_diag))
-        for k, row in enumerate(rows[:, :, None], start):
-            np.matmul(stages[k % len(stages)], u, out=product)
-            np.multiply(product, row, out=u)
-            if flush:
-                _flush_tiny(u)
-    return u
+    product = np.empty_like(half[0])  # with u, the only N x N array a product allocates
+    for d in d_diags:
+        u = np.diag(np.exp(phase_args[0] * d))
+        for start in range(0, len(stages) * n_steps, _PHASE_CHUNK):
+            rows = np.exp(np.multiply.outer(phase_args[start + 1:start + 1 + _PHASE_CHUNK], d))
+            for k, row in enumerate(rows[:, :, None], start):
+                np.matmul(stages[k % len(stages)], u, out=product)
+                np.multiply(product, row, out=u)
+                if flush:
+                    _flush_tiny(u)
+        yield u
 
 
 def one_period_propagator(params: ModelParams, n_steps: int) -> np.ndarray:
@@ -403,24 +405,24 @@ def one_period_propagator(params: ModelParams, n_steps: int) -> np.ndarray:
     row scalings, their rows computed a bounded chunk at a time, so
     memory beyond O(n_steps) scalars is independent of n_steps.
 
-    On an even chain two symmetries of the drive fix the period from its
-    first quarter (Asboth, Tarasinski & Delplace, PRB 90, 125143 (2014);
-    Bender, Rep. Prog. Phys. 70, 947 (2007)):
+    Symmetries of the drive fix the period from its first quarter
+    (Asboth, Tarasinski & Delplace, PRB 90, 125143 (2014); Bender,
+    Rep. Prog. Phys. 70, 947 (2007)), with the trace removed from D:
 
     - time reversal: H(z) is complex symmetric and f is even about
       Z_p/4, so the product over [0, Z_p/2] is V = V1^T V1, with V1 the
       product over [0, Z_p/4] in ceil(n_steps/4) steps;
-    - PT reflection: with the trace removed, D - (tr D/N) I, site
-      reversal P maps the gradient to minus itself and f is odd about 0,
-      so U = P conj(V)^-1 P V, one LU solve.
+    - PT reflection, on an even chain: site reversal P negates D and f is
+      odd about 0, so U = P conj(V)^-1 P V, one LU solve;
+    - half-period shift, on an odd chain: f(z + Z_p/2) = -f(z), so
+      U = W1^T W1 V, with W1 the product over [0, Z_p/4] for -D.
 
     The scalar trace part integrates to zero over a period, so U is
     unchanged by it, and S6 is symmetric, so this equals the full product
-    at 4*ceil(n_steps/4) steps to rounding.  An odd chain takes the full
-    product in ``n_steps`` steps.  On a long chain the far corners of the
-    exponentials underflow: parts below _FLUSH_BELOW are then zeroed in
-    them and in the product after every stage, which moves U by far less
-    than rounding does.  The propagator stays in the lab
+    at 4*ceil(n_steps/4) steps to rounding.  On a long chain the far
+    corners of the exponentials underflow: parts below _FLUSH_BELOW are
+    then zeroed in them and in the product after every stage, which moves
+    U by far less than rounding does.  The propagator stays in the lab
     frame.  ``n_steps`` must lie in [1, MAX_PROPAGATOR_STEPS], checked
     before anything is allocated.
     """
@@ -428,14 +430,15 @@ def one_period_propagator(params: ModelParams, n_steps: int) -> np.ndarray:
         raise ParameterError(f"n_steps must be between 1 and {MAX_PROPAGATOR_STEPS}, "
                              f"got {n_steps}")
     h_static = build_static_hamiltonian(params)
-    d_diag = np.diag(drive_operator(params))
-    if not _pt_reflection_applies(params):
-        return _s6_product(params, h_static, d_diag, params.drive_period, n_steps)
-    quarter = _s6_product(params, h_static, d_diag - d_diag.mean(), params.drive_period / 4,
-                          -(-n_steps // 4))
+    d = np.diag(drive_operator(params))  # a view that holds the N x N D
+    d = d - d.mean()  # a copy, so D is freed; on an odd chain the mean is 0.0 exactly
+    quarters = _s6_product(params, h_static, [d] if _pt_reflection_applies(params) else [d, -d],
+                           -(-n_steps // 4))
     # a contiguous copy of the transpose: numpy sends q.T @ q to BLAS syrk,
     # which OpenBLAS threads even at N=40, and its idle worker then spins
-    half = np.ascontiguousarray(quarter.T) @ quarter
+    half, *second = [np.ascontiguousarray(q.T) @ q for q in quarters]
+    if second:  # an odd chain: its second half period is the first for -D
+        return second[0] @ half
     return np.linalg.solve(half.conj(), half[::-1])[::-1]
 
 
@@ -493,8 +496,7 @@ def quasi_energies_propagator(params: ModelParams, n_steps: int | None = None,
     """Quasi-energies from the one-period propagator.
 
     eps = (i/Z_p) * log mu over the eigenvalues mu of U(Z_p).  On an
-    even chain ``one_period_propagator`` builds U from its first quarter,
-    U satisfies P conj(U) P = U^-1 and is solved in a real form by
+    even chain U satisfies P conj(U) P = U^-1 and is solved in a real form by
     ``_pt_real_eig``: unbroken spectra then have Im eps = 0.0 exactly.
     On an odd chain U is solved as it is, with the fixed principal
     branch of the logarithm.  Real parts are folded into

@@ -635,6 +635,50 @@ class TestStreamedOutput:
         assert growth < 200, f"{growth:.0f} B per grid point"
 
 
+class TestOutputPaths:
+    """An output file that cannot be written is a configuration error, not a traceback."""
+
+    @pytest.mark.parametrize("argv, path", [
+        (["spectrum", "--n-sites", "4", "--json", "missing_dir/b.json"], "missing_dir/b.json"),
+        (["sweep-phi", "--n-sites", "4", "--phi-grid", "0:1:3", "--json", "missing_dir/b.json"],
+         "missing_dir/b.json"),
+        (["sweep-phi", "--n-sites", "4", "--phi-grid", "0:1:3", "--plot", "missing_dir/p.svg"],
+         "missing_dir/p.svg"),
+        (["pt-threshold", "--n-sites", "4", "-o", "missing_dir/t.json"], "missing_dir/t.json"),
+    ], ids=["spectrum", "sweep-phi", "sweep-phi-plot", "pt-threshold"])
+    def test_missing_directory_exit_2_before_solving(self, tmp_path, monkeypatch, capsys,
+                                                      argv, path):
+        import floquet_ssh.analysis as analysis
+        import floquet_ssh.cli as cli
+        import floquet_ssh.sweep as sweep
+
+        solves = []
+
+        def spy(*args, **kwargs):
+            solves.append(args)
+            return compute_spectrum(*args, **kwargs)
+
+        for module in (cli, sweep, analysis):
+            monkeypatch.setattr(module, "compute_spectrum", spy)
+        monkeypatch.chdir(tmp_path)
+        if argv[0] != "pt-threshold":
+            argv = [*argv, "-o", "out.csv"]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.splitlines() == [
+            f"configuration error: cannot write {path}: no directory missing_dir"]
+        assert "Traceback" not in err
+        assert list(tmp_path.iterdir()) == []
+        assert solves == []
+
+    def test_unopenable_path_exit_2(self, tmp_path, capsys):
+        # a directory passes the check and fails at open; the OSError becomes exit 2
+        assert main(["spectrum", "--n-sites", "4", "-o", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.splitlines() == [f"configuration error: cannot write {tmp_path}: "
+                                    f"Is a directory"]
+
+
 class TestValidateCommand:
     def test_round_trip_spectrum_csv(self, tmp_path, capsys):
         out = tmp_path / "spec.csv"

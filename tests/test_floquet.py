@@ -1,5 +1,6 @@
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -274,9 +275,8 @@ class TestQuasiEnergiesPropagator:
         assert spectral_distance(ext, prop) < 1e-6
 
     def test_cross_method_agreement_low_frequency_broken(self):
-        # an odd chain, so the propagator takes the full-period product
-        p = ModelParams(n_sites=7, tunneling=1.0, lam=0.3, phi_dim=2.0,
-                        gamma=0.15, impurity_site=2, kappa=0.5, omega=1.5)
+        # an odd chain, so U is built from two quarter-period products, without the PT reflection
+        p = _N7_CHAIN
         nf = converge_nf(p, 1e-8)
         ext = quasi_energies_extended(p, nf)
         prop = quasi_energies_propagator(p, converge_tol=1e-8)
@@ -372,9 +372,8 @@ class TestQuasiEnergiesPropagator:
     def test_split_step_is_fourth_order_against_midpoint_product(self):
         # oracle: time-ordered product of scipy.linalg.expm steps sampled at
         # the step midpoints, fine enough that its own error is negligible;
-        # an odd chain, so the propagator takes the full-period product
-        p = ModelParams(n_sites=7, tunneling=1.0, lam=0.3, phi_dim=2.0,
-                        gamma=0.15, impurity_site=2, kappa=0.5, omega=1.5)
+        # an odd chain, so U is built from two quarter-period products
+        p = _N7_CHAIN
         ref_steps = 1 << 16
         dz = p.drive_period / ref_steps
         z = (np.arange(ref_steps) + 0.5) * dz
@@ -444,7 +443,7 @@ class TestQuasiEnergiesPropagator:
         quasi_energies_propagator(_fig1_chain())
         assert len(calls) == 1
 
-    # the benchmark chain; N=140, where the product is flushed; N=41, the full period
+    # the benchmark chain; N=140, where the product is flushed; N=41, two quarter products
     @pytest.mark.parametrize("n_sites, flushed", [(40, False), (140, True), (41, False)])
     def test_product_bits_match_plain_loop(self, monkeypatch, n_sites, flushed):
         import floquet_ssh.floquet as floquet
@@ -453,10 +452,11 @@ class TestQuasiEnergiesPropagator:
         steps = default_n_steps(p)
         got = one_period_propagator(p, steps)
         flushes = []
-        monkeypatch.setattr(floquet, "_s6_product",
-                            lambda *args: _plain_s6_product(*args, flushes=flushes))
+        monkeypatch.setattr(floquet, "_s6_product", lambda params, h, d_diags, n: [
+            _plain_s6_product(params, h, d, params.drive_period / 4, n, flushes)
+            for d in d_diags])
         want = one_period_propagator(p, steps)
-        assert flushes == [flushed]
+        assert flushes == [flushed] * (1 + n_sites % 2)
         assert got.tobytes() == want.tobytes()
 
     def test_static_products_per_period_at_low_frequency(self, monkeypatch):
@@ -541,6 +541,11 @@ def _plain_s6_product(params, h_static, d_diag, z_end, n_steps, flushes):
     return u
 
 
+# the odd chain of the N=7 tests: low frequency, broken spectrum
+_N7_CHAIN = ModelParams(n_sites=7, tunneling=1.0, lam=0.3, phi_dim=2.0, gamma=0.15,
+                        impurity_site=2, kappa=0.5, omega=1.5)
+
+
 def _fig1_chain(**changes):
     """The fig1 chain (N=40, lambda=0.4, gamma=0.2, j=2) at omega=0.2pi, kappa*omega=0.05."""
     omega = changes.pop("omega", 0.2 * math.pi)
@@ -549,53 +554,85 @@ def _fig1_chain(**changes):
     return ModelParams(**{**fields, **changes})
 
 
+def _full_period_product(params, n_steps):
+    """Reference U: the plain S6 product over the whole period in ``n_steps`` steps."""
+    return _plain_s6_product(params, build_static_hamiltonian(params),
+                             np.diag(drive_operator(params)), z_end=params.drive_period,
+                             n_steps=n_steps, flushes=[])
+
+
 def _full_period(monkeypatch):
-    """Make the propagator take the full-period product and complex eigensolve."""
+    """Make the propagator route solve the full-period reference with a complex eigensolve."""
     import floquet_ssh.floquet as floquet
 
+    monkeypatch.setattr(floquet, "one_period_propagator", _full_period_product)
     monkeypatch.setattr(floquet, "_pt_reflection_applies", lambda params: False)
 
 
 class TestQuarterPeriodPropagator:
-    """Even chains: U from a quarter period, solved in real form."""
+    """Every chain: U from quarter periods; even chains solved in real form."""
 
+    # even chains, then odd ones: N=7 and, at N=41, the drives of test_default_step_count_accuracy
     @pytest.mark.parametrize("params", [
         _fig1_chain(),
         _fig1_chain(phi_dim=0.3, omega=0.8 * math.pi),
         _fig1_chain(phi_dim=0.3, omega=3.0, kappa=2.0),
         _fig1_chain(n_sites=140),
-    ], ids=["0.2pi", "0.8pi", "strong", "N140"])
-    def test_matches_full_period_product(self, monkeypatch, params):
+        _N7_CHAIN,
+        _fig1_chain(n_sites=41),
+        _fig1_chain(n_sites=41, phi_dim=0.3, omega=0.8 * math.pi),
+        _fig1_chain(n_sites=41, phi_dim=0.3, omega=3.0, kappa=2.0),
+    ], ids=["0.2pi", "0.8pi", "strong", "N140", "N7", "N41-0.2pi", "N41-0.8pi", "N41-strong"])
+    def test_matches_full_period_product(self, params):
         steps = 4 * -(-default_n_steps(params) // 4)
         quarter = one_period_propagator(params, steps)
-        _full_period(monkeypatch)
-        full = one_period_propagator(params, steps)
+        full = _full_period_product(params, steps)
         assert np.abs(quarter - full).max() <= 1e-12 * np.abs(full).max()
 
     def test_step_count_rounds_up_to_a_multiple_of_four(self):
-        p = _fig1_chain(n_sites=6)
-        assert np.array_equal(one_period_propagator(p, 41), one_period_propagator(p, 44))
+        for n_sites in (6, 7):
+            p = _fig1_chain(n_sites=n_sites)
+            assert np.array_equal(one_period_propagator(p, 41), one_period_propagator(p, 44))
 
-    @pytest.mark.parametrize("changes, quarter", [
+    @pytest.mark.parametrize("changes, reflected", [
         ({}, True),
         ({"n_sites": 41}, False),
     ])
-    def test_which_chains_take_the_quarter_period(self, monkeypatch, changes, quarter):
+    def test_which_chains_take_the_quarter_period(self, monkeypatch, changes, reflected):
+        # every chain steps [0, Z_p/4] in n_steps/4 steps; an odd chain twice, for D and -D,
+        # and solves U with a complex eigensolve
         import floquet_ssh.floquet as floquet
 
-        ends, dtypes = [], []
+        calls, dtypes = [], []
         product, solve = floquet._s6_product, floquet.eig_dense
         monkeypatch.setattr(floquet, "_s6_product",
-                            lambda params, h, d, z_end, n: ends.append(z_end)
-                            or product(params, h, d, z_end, n))
+                            lambda params, h, d_diags, n: calls.append((d_diags, n))
+                            or product(params, h, d_diags, n))
         monkeypatch.setattr(floquet, "eig_dense", lambda m: dtypes.append(m.dtype) or solve(m))
         p = _fig1_chain(**changes)
         fs = quasi_energies_propagator(p, 40)
-        assert ends == [p.drive_period / 4 if quarter else p.drive_period]
-        assert dtypes == [np.float64 if quarter else np.complex128]
-        if quarter:  # same spectrum as the full period at the same step count
-            _full_period(monkeypatch)
-            assert matched_distance(fs, quasi_energies_propagator(p, 40)) < 1e-12
+        [(d_diags, n)] = calls
+        assert n == 10 and len(d_diags) == (1 if reflected else 2)
+        if not reflected:
+            assert np.array_equal(d_diags[1], -d_diags[0])
+        assert dtypes == [np.float64 if reflected else np.complex128]
+        # same spectrum as the full period at the same step count
+        _full_period(monkeypatch)
+        assert matched_distance(fs, quasi_energies_propagator(p, 40)) < 1e-12
+
+    @pytest.mark.parametrize("n_sites", [200, 201])
+    def test_peak_memory_per_site_squared(self, n_sites):
+        # the basis of PROPAGATOR_SITE_CAP: no more than 200 B per N^2, the Pade
+        # temporaries of the last static exponential included
+        p = _fig1_chain(n_sites=n_sites)
+        quasi_energies_propagator(p, 20)  # imports and caches outside the measurement
+        tracemalloc.start()
+        try:
+            quasi_energies_propagator(p, 20)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 200 * n_sites ** 2, f"{peak / n_sites ** 2:.1f} B per N^2"
 
     @pytest.mark.parametrize("params", [
         _fig1_chain(phi_dim=0.9),
