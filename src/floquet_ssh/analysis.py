@@ -21,7 +21,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import ParameterError, require_positive_finite
-from .floquet import NF_TOL, FloquetSpectrum, Method, compute_spectrum
+from .floquet import FloquetSpectrum, Method, compute_spectrum
 from .model import ModelParams, hamiltonian_at
 
 #: Max |Im eps| below which a spectrum counts as PT-unbroken.
@@ -107,8 +107,7 @@ def gamma_pt_threshold(params: ModelParams, gamma_max: float,
                        tol_gamma: float = TOL_GAMMA,
                        method: Method = Method.STATIC,
                        n_floquet: int | None = None,
-                       n_steps: int | None = None,
-                       nf_tol: float = NF_TOL) -> GammaThreshold:
+                       n_steps: int | None = None) -> GammaThreshold:
     """Bisect the unbroken-to-broken transition in gamma on [0, gamma_max].
 
     Monotonicity of the broken phase in gamma is an assumption; a
@@ -120,14 +119,14 @@ def gamma_pt_threshold(params: ModelParams, gamma_max: float,
     floats, whichever comes first.
     The caller picks the spectrum route through ``method``.  gamma_max is
     solved first, through ``compute_spectrum``; on the extended route
-    without ``n_floquet`` that converges N_F to ``nf_tol`` there.  Every
+    without ``n_floquet`` that converges N_F to ``NF_TOL`` there.  Every
     other gamma is solved at that spectrum's N_F, and the scan's last
     point reuses the gamma_max spectrum.
     """
     require_positive_finite("gamma_max", gamma_max)
     require_positive_finite("tol_gamma", tol_gamma)
     top = compute_spectrum(replace(params, gamma=gamma_max), method, n_floquet=n_floquet,
-                           n_steps=n_steps, nf_tol=nf_tol)
+                           n_steps=n_steps)
 
     def is_broken(gamma: float) -> bool:
         spectrum = top if gamma == gamma_max else compute_spectrum(

@@ -12,7 +12,8 @@ flag and its parser.  A subcommand registers only the flags it reads:
 no ``--gamma`` (the bisection replaces it) and no ``--method`` (its route
 is ``--threshold-method``), and ``effective-compare`` no ``--method``
 or ``--n-steps``.  Flags are never abbreviated, so an unread or
-abbreviated flag is a usage error (exit 2).
+abbreviated flag is a usage error (exit 2).  The extended route solves
+at ``--n-floquet`` or else at the N_F converged to ``floquet.NF_TOL``.
 
 Values merge in the order defaults < preset < config file < flags, and
 every layer's values go through the same parsers, so a config value
@@ -40,7 +41,7 @@ import numpy as np
 
 from .analysis import TOL_GAMMA, classify_pt, gamma_pt_threshold, is_zero_mode
 from .errors import ParameterError, SolverError
-from .floquet import NF_TOL, Method, compare_with_effective, compute_spectrum
+from .floquet import Method, compare_with_effective, compute_spectrum
 from .model import ModelParams
 from .svgplot import spectrum_svg
 from .sweep import (MAX_GRID_POINTS, PhaseRow, SpectrumRow, SweepSpec, run_phase_diagram,
@@ -182,7 +183,7 @@ def _merge_layers(args, method: Method | None = None) -> SweepSpec:
         params = replace(params, kappa=settings["kappa_omega"] / params.omega)
     settings["method"] = method or settings["method"] or (
         Method.STATIC if params.kappa == 0.0 else Method.EXTENDED)
-    return SweepSpec(base=params, axes=(), nf_tol=float(args.nf_tol), **settings)
+    return SweepSpec(base=params, axes=(), **settings)
 
 
 def _preset_layer(name) -> dict:
@@ -288,7 +289,7 @@ def _report_failures(result):
 def cmd_spectrum(args) -> int:
     spec = _merge_layers(args)
     spectrum = compute_spectrum(spec.base, spec.method, n_floquet=spec.n_floquet,
-                                n_steps=spec.n_steps, nf_tol=spec.nf_tol)
+                                n_steps=spec.n_steps)
     point = classify_pt(spectrum)
     with _RowFiles(args, _SPECTRUM_FIELDS) as files:
         files(spectrum_rows(spectrum, point, 0))
@@ -342,8 +343,7 @@ def cmd_phase_diagram(args) -> int:
 
 def cmd_effective_compare(args) -> int:
     spec = _merge_layers(args, Method.EXTENDED)
-    spectrum = compute_spectrum(spec.base, spec.method, n_floquet=spec.n_floquet,
-                                nf_tol=spec.nf_tol)
+    spectrum = compute_spectrum(spec.base, spec.method, n_floquet=spec.n_floquet)
     nf = spectrum.n_floquet
     comparison = compare_with_effective(spectrum)
     print(f"t_eff = {comparison.t_eff:.12g}")
@@ -364,8 +364,7 @@ def cmd_pt_threshold(args) -> int:
     spec = _merge_layers(args, Method(args.threshold_method))
     result = gamma_pt_threshold(
         spec.base, gamma_max=args.gamma_max, tol_gamma=args.tol_gamma,
-        method=spec.method, n_floquet=spec.n_floquet, n_steps=spec.n_steps,
-        nf_tol=spec.nf_tol)
+        method=spec.method, n_floquet=spec.n_floquet, n_steps=spec.n_steps)
     print(f"gamma_pt = {result.value:.12g}")
     print(f"status: {result.status}")
     if not result.monotone:
@@ -421,9 +420,9 @@ def _round_trip_problem(line: str, fields) -> str | None:
 
 
 def _add_model_arguments(parser: argparse.ArgumentParser, omit=(), grid_axes=()):
-    """The settings flags a subcommand reads: _SETTINGS plus --nf-tol,
-    minus the dests in omit.  A key in grid_axes becomes a required
-    start:stop:count flag with dest KEY_grid."""
+    """The settings flags a subcommand reads: _SETTINGS minus the dests
+    in omit.  A key in grid_axes becomes a required start:stop:count flag
+    with dest KEY_grid."""
     group = parser.add_argument_group("model and solver settings")
     group.add_argument("--preset", help="named parameter preset "
                        f"({', '.join(sorted(PRESETS))})")
@@ -434,7 +433,6 @@ def _add_model_arguments(parser: argparse.ArgumentParser, omit=(), grid_axes=())
                                metavar="START:STOP:COUNT", help=f"{help_text}, grid")
         elif key not in omit:
             group.add_argument(flag, dest=key, help=help_text)
-    group.add_argument("--nf-tol", dest="nf_tol", type=float, default=NF_TOL)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -490,8 +488,11 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        # an output file in a missing directory fails before the first solve, not after it
+        # an output file that is a directory or lies in a missing one fails before the
+        # first solve, so no other output file is opened
         for path in filter(None, (getattr(args, key, None) for key in ("output", "json", "plot"))):
+            if os.path.isdir(path):
+                raise ParameterError(f"cannot write {path}: Is a directory")
             if not os.path.isdir(os.path.dirname(path) or "."):
                 raise ParameterError(f"cannot write {path}: no directory {os.path.dirname(path)}")
         return args.func(args)

@@ -53,7 +53,7 @@ PROPAGATOR_SITE_CAP = 4500
 NF_CAP = 512
 #: Last N_F the convergence search reaches by unit steps; it doubles from there.
 _NF_UNIT_STEPS = 16
-#: Default tolerance of the N_F convergence search.
+#: Tolerance of the N_F convergence search when no N_F is given.
 NF_TOL = 1e-8
 #: Rounding floor of delta(N_F), the N_F search's distance, in units of eps
 #: times the parameter bound on ||H_F||_1 at N_F + 2 (``_extended_norm_bound``).
@@ -168,11 +168,10 @@ def static_spectrum(params: ModelParams) -> FloquetSpectrum:
 
 def compute_spectrum(params: ModelParams, method: Method,
                      n_floquet: int | None = None,
-                     n_steps: int | None = None,
-                     nf_tol: float = NF_TOL) -> FloquetSpectrum:
+                     n_steps: int | None = None) -> FloquetSpectrum:
     """Dispatch a single spectrum computation by method.
 
-    On the extended route ``n_floquet`` None means converge_nf(params, nf_tol);
+    On the extended route ``n_floquet`` None means converge_nf(params, NF_TOL);
     the spectrum that search solved at the converged N_F is returned as is.
     """
     if method is Method.STATIC:
@@ -185,7 +184,7 @@ def compute_spectrum(params: ModelParams, method: Method,
         if n_floquet is not None:
             return quasi_energies_extended(params, n_floquet)
         solved: dict[int, FloquetSpectrum] = {}
-        return solved[converge_nf(params, nf_tol, spectra=solved)]
+        return solved[converge_nf(params, NF_TOL, spectra=solved)]
     raise ParameterError(f"unknown method {method!r}")
 
 
@@ -689,7 +688,8 @@ def converge_nf(params: ModelParams, tol: float,
         if tol < floor < math.inf:  # an overflowing diagonal is build_floquet_matrix's error
             raise ConvergenceCapError(f"N_F search cannot reach tol {tol:g}: at N_F={nf} "
                                       f"rounding alone moves the spectrum by about "
-                                      f"{floor:.1e} or more (omega = {params.omega:.3g})")
+                                      f"{floor:.1e} or more (omega = {params.omega:.3g}); "
+                                      f"set n_floquet (--n-floquet) to solve at a fixed N_F")
         return matched_distance(spectrum(nf), spectrum(nf + 2))
 
     lo, hi = 1, 2  # hi is the probe; delta(lo) >= tol once lo >= 2
@@ -697,7 +697,8 @@ def converge_nf(params: ModelParams, tol: float,
         probe = hi + 1 if hi < _NF_UNIT_STEPS else 2 * hi
         if probe > NF_CAP:
             raise ConvergenceCapError(f"N_F search exceeded cap {NF_CAP}; "
-                                      f"last delta {last:.3e} at N_F={hi}")
+                                      f"last delta {last:.3e} at N_F={hi}; "
+                                      f"set n_floquet (--n-floquet) to solve at a fixed N_F")
         lo, hi = hi, probe
     while hi - lo > 1:
         mid = (lo + hi) // 2

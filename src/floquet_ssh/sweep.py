@@ -21,9 +21,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .analysis import Phase, PhasePoint, classify_pt, edge_weight
-from .errors import ParameterError, SolverError, require_positive_finite
-from .floquet import (NF_TOL, FloquetSpectrum, Method, compute_spectrum,
-                      require_propagator_steps)
+from .errors import ParameterError, SolverError
+from .floquet import FloquetSpectrum, Method, compute_spectrum, require_propagator_steps
 from .model import ModelParams
 
 _AXIS_FIELDS = {f.name for f in dataclasses.fields(ModelParams)}
@@ -47,10 +46,10 @@ class SweepSpec:
     ``kappa_omega`` set (nonnegative and finite), kappa is re-derived as
     kappa_omega/omega at every grid point (drive specified by amplitude),
     so a kappa axis is then rejected.
-    ``n_floquet`` None means auto: converge_nf once at the smallest-omega
-    grid corner, reused for the whole sweep.  That corner is the worst
-    case in omega only; another Phi or gamma at the same omega can need a
-    larger N_F.  The tolerance ``nf_tol`` must be positive and finite.
+    ``n_floquet`` None means auto: converge_nf to NF_TOL once at the
+    smallest-omega grid corner, reused for the whole sweep.  That corner
+    is the worst case in omega only; another Phi or gamma at the same
+    omega can need a larger N_F.
     The solver sizes are checked only for the method that uses them:
     ``n_floquet`` must be >= 1 on the extended route, and ``n_steps``
     must pass ``require_propagator_steps``.
@@ -61,7 +60,6 @@ class SweepSpec:
     method: Method = Method.EXTENDED
     kappa_omega: float | None = None
     n_floquet: int | None = None
-    nf_tol: float = NF_TOL
     n_steps: int | None = None
 
     def __post_init__(self):
@@ -86,7 +84,6 @@ class SweepSpec:
         count = self.n_points()
         if count > MAX_GRID_POINTS:
             raise ParameterError(f"the grid has {count} points, more than {MAX_GRID_POINTS}")
-        require_positive_finite("nf_tol", self.nf_tol)
         if (self.method is Method.EXTENDED and self.n_floquet is not None
                 and self.n_floquet < 1):
             raise ParameterError(f"n_floquet must be >= 1, got {self.n_floquet}")
@@ -193,8 +190,7 @@ def _run_grid(spec: SweepSpec, rows_of, emit) -> SweepResult:
     if spec.method is Method.EXTENDED and spec.n_floquet is None:
         # N_F converges at the smallest-omega corner, the worst case in omega only.
         low_corner = {name: min(grid) if name == "omega" else grid[0] for name, grid in spec.axes}
-        corner = compute_spectrum(spec.params_at(low_corner), Method.EXTENDED,
-                                  nf_tol=spec.nf_tol)
+        corner = compute_spectrum(spec.params_at(low_corner), Method.EXTENDED)
     n_floquet = spec.n_floquet if corner is None else corner.n_floquet
     failures: list[Failure] = []
     for index, point in enumerate(spec.grid_points()):
@@ -204,7 +200,7 @@ def _run_grid(spec: SweepSpec, rows_of, emit) -> SweepResult:
                 spectrum = corner
             else:
                 spectrum = compute_spectrum(params, spec.method, n_floquet=n_floquet,
-                                            n_steps=spec.n_steps, nf_tol=spec.nf_tol)
+                                            n_steps=spec.n_steps)
             rows = rows_of(spectrum, classify_pt(spectrum), index)
         except (SolverError, ParameterError) as exc:
             failures.append(Failure(index, point, type(exc).__name__, str(exc)))

@@ -184,14 +184,16 @@ class TestSpectrumCommand:
         assert "omega must be positive" in capsys.readouterr().err
 
     def test_nf_tol_below_rounding_exit_1(self, tmp_path, capsys):
-        # at omega = 1e8 delta(N_F) stays near 1e-7, out of the default 1e-8's reach,
+        # at omega = 1e8 delta(N_F) stays near 1e-7, out of NF_TOL = 1e-8's reach,
         # so the search stops before its first solve
         start = time.perf_counter()
         code = main(["spectrum", "--preset", "fig1-highfreq", "--omega", "1e8",
                      "-o", str(tmp_path / "x.csv")])
         assert code == 1
         assert time.perf_counter() - start < 10
-        assert "N_F search cannot reach tol 1e-08" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "N_F search cannot reach tol 1e-08" in err
+        assert err.rstrip().endswith("set n_floquet (--n-floquet) to solve at a fixed N_F")
 
     def test_solver_failure_exit_1(self, capsys):
         # folding window too narrow for the effective spectrum -> aliasing
@@ -234,37 +236,7 @@ class TestSweepPhiCommand:
         assert sweep_out.read_text() == spec_out.read_text()
 
 
-_CHAIN = ["--n-sites", "6", "--lambda", "0.4", "--impurity-site", "2"]
-# (command, flags checked).  The last three never read --nf-tol: the
-# static spectrum and threshold routes, and effective-compare at a given N_F.
-_TOLERANCE_COMMANDS = (
-    (["spectrum", "--kappa", "0.3", "--gamma", "0.1", "--omega", "2pi"],
-     ("--nf-tol",)),
-    (["sweep-phi", "--kappa", "0.3", "--gamma", "0.1", "--omega", "2pi",
-      "--phi-grid", "0:pi:2"], ("--nf-tol",)),
-    (["phase-diagram", "--kappa", "0.3", "--gamma", "0:0.1:2", "--omega", "2pi:4pi:2"],
-     ("--nf-tol",)),
-    (["pt-threshold", "--kappa", "0.3", "--threshold-method", "extended", "--omega", "2pi"],
-     ("--nf-tol",)),
-    (["spectrum"], ("--nf-tol",)),
-    (["pt-threshold"], ("--nf-tol",)),
-    (["effective-compare", "--preset", "fig1-highfreq", "--n-floquet", "2"], ("--nf-tol",)),
-)
-
-
 class TestToleranceFlags:
-    @pytest.mark.parametrize("command, flag, value", [
-        pytest.param(command, flag, value, id=f"command{i}-{value}-{flag}")
-        for i, (command, flags) in enumerate(_TOLERANCE_COMMANDS)
-        for flag in flags
-        for value in ("nan", "0", "-1e-8", "inf")])
-    def test_nan_or_nonpositive_tolerance_exit_2(self, tmp_path, capsys,
-                                                 command, flag, value):
-        out = tmp_path / "out.csv"
-        assert main([*command, *_CHAIN, f"{flag}={value}", "-o", str(out)]) == 2
-        assert "configuration error" in capsys.readouterr().err
-        assert not out.exists()
-
     @pytest.mark.parametrize("value", ["nan", "0", "-1e-4", "inf"])
     def test_nan_or_nonpositive_tol_gamma_exit_2(self, capsys, value):
         assert main(["pt-threshold", "--preset", "fig1-static", "--phi", "0.3",
@@ -392,6 +364,11 @@ class TestSettingsTable:
         ["sweep-phi", "--tol-im", "1e-6"],
         ["phase-diagram", "--gamma", "0:0.1:2", "--omega", "2pi:4pi:2", "--tol-im", "1e-6"],
         ["pt-threshold", "--tol-im", "1e-6"],
+        ["spectrum", "--nf-tol", "1e-6"],
+        ["sweep-phi", "--nf-tol", "1e-6"],
+        ["phase-diagram", "--gamma", "0:0.1:2", "--omega", "2pi:4pi:2", "--nf-tol", "1e-6"],
+        ["effective-compare", "--nf-tol", "1e-6"],
+        ["pt-threshold", "--nf-tol", "1e-6"],
     ])
     def test_unread_or_abbreviated_flag_exit_2(self, tmp_path, capsys, argv):
         out = tmp_path / "out"
@@ -638,6 +615,23 @@ class TestStreamedOutput:
 class TestOutputPaths:
     """An output file that cannot be written is a configuration error, not a traceback."""
 
+    @pytest.fixture
+    def solves(self, monkeypatch):
+        """The compute_spectrum calls that the commands make, through any module."""
+        import floquet_ssh.analysis as analysis
+        import floquet_ssh.cli as cli
+        import floquet_ssh.sweep as sweep
+
+        calls = []
+
+        def spy(*args, **kwargs):
+            calls.append(args)
+            return compute_spectrum(*args, **kwargs)
+
+        for module in (cli, sweep, analysis):
+            monkeypatch.setattr(module, "compute_spectrum", spy)
+        return calls
+
     @pytest.mark.parametrize("argv, path", [
         (["spectrum", "--n-sites", "4", "--json", "missing_dir/b.json"], "missing_dir/b.json"),
         (["sweep-phi", "--n-sites", "4", "--phi-grid", "0:1:3", "--json", "missing_dir/b.json"],
@@ -647,19 +641,7 @@ class TestOutputPaths:
         (["pt-threshold", "--n-sites", "4", "-o", "missing_dir/t.json"], "missing_dir/t.json"),
     ], ids=["spectrum", "sweep-phi", "sweep-phi-plot", "pt-threshold"])
     def test_missing_directory_exit_2_before_solving(self, tmp_path, monkeypatch, capsys,
-                                                      argv, path):
-        import floquet_ssh.analysis as analysis
-        import floquet_ssh.cli as cli
-        import floquet_ssh.sweep as sweep
-
-        solves = []
-
-        def spy(*args, **kwargs):
-            solves.append(args)
-            return compute_spectrum(*args, **kwargs)
-
-        for module in (cli, sweep, analysis):
-            monkeypatch.setattr(module, "compute_spectrum", spy)
+                                                      solves, argv, path):
         monkeypatch.chdir(tmp_path)
         if argv[0] != "pt-threshold":
             argv = [*argv, "-o", "out.csv"]
@@ -671,12 +653,30 @@ class TestOutputPaths:
         assert list(tmp_path.iterdir()) == []
         assert solves == []
 
+    @pytest.mark.parametrize("argv", [
+        ["spectrum", "-o", "out.csv", "--json", "a_dir"],
+        ["sweep-phi", "--phi-grid", "0:1:3", "-o", "out.csv", "--json", "a_dir"],
+        ["spectrum", "-o", "a_dir"],
+        ["sweep-phi", "--phi-grid", "0:1:3", "-o", "a_dir"],
+    ], ids=["spectrum-json", "sweep-phi-json", "spectrum-output", "sweep-phi-output"])
+    def test_directory_path_exit_2_before_solving(self, tmp_path, monkeypatch, capsys,
+                                                   solves, argv):
+        (tmp_path / "a_dir").mkdir()
+        monkeypatch.chdir(tmp_path)
+        assert main([*argv, "--n-sites", "4"]) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            "configuration error: cannot write a_dir: Is a directory"]
+        assert [path.name for path in tmp_path.iterdir()] == ["a_dir"]
+        assert list((tmp_path / "a_dir").iterdir()) == []
+        assert solves == []
+
     def test_unopenable_path_exit_2(self, tmp_path, capsys):
-        # a directory passes the check and fails at open; the OSError becomes exit 2
-        assert main(["spectrum", "--n-sites", "4", "-o", str(tmp_path)]) == 2
+        # an over-long file name passes the check and fails at open; the OSError becomes exit 2
+        path = tmp_path / ("x" * 300)
+        assert main(["spectrum", "--n-sites", "4", "-o", str(path)]) == 2
         err = capsys.readouterr().err
-        assert err.splitlines() == [f"configuration error: cannot write {tmp_path}: "
-                                    f"Is a directory"]
+        assert err.splitlines() == [f"configuration error: cannot write {path}: "
+                                    f"File name too long"]
 
 
 class TestValidateCommand:

@@ -16,16 +16,19 @@ from floquet_ssh import (
     ModelParams,
     ParameterError,
     SolverError,
+    SweepSpec,
     build_floquet_matrix,
     build_static_hamiltonian,
     converge_nf,
     drive_operator,
     eig_dense,
     fold_real,
+    gamma_pt_threshold,
     matched_distance,
     one_period_propagator,
     quasi_energies_extended,
     quasi_energies_propagator,
+    run_sweep,
     spectral_distance,
     static_spectrum,
 )
@@ -33,6 +36,7 @@ from floquet_ssh.floquet import (
     DIM_CAP,
     MAX_PROPAGATOR_STEPS,
     MIN_PROPAGATOR_STEPS,
+    NF_TOL,
     PROPAGATOR_SITE_CAP,
     SELECTION_GAP,
     _min_cost_assignment,
@@ -768,7 +772,8 @@ class TestConvergeNf:
         import floquet_ssh.floquet as floquet
         solved = self._scripted(monkeypatch, lambda nf: False)
         monkeypatch.setattr(floquet, "NF_CAP", 64)
-        with pytest.raises(ConvergenceCapError, match=r"cap 64; last delta 1\.000e\+00 at N_F=64"):
+        with pytest.raises(ConvergenceCapError, match=r"cap 64; last delta 1\.000e\+00 at N_F=64; "
+                                                      r"set n_floquet \(--n-floquet\)"):
             converge_nf(ModelParams(n_sites=4), 1e-8)
         assert sorted(nf for nf in solved if nf > 18) == [32, 34, 64, 66]
 
@@ -847,3 +852,21 @@ class TestConvergeNf:
         assert got.n_floquet == want.n_floquet
         assert np.array_equal(got.quasi_energies, want.quasi_energies)
         assert np.array_equal(got.mode_weights, want.mode_weights)
+
+    def test_every_caller_converges_to_nf_tol(self, monkeypatch):
+        # the extended route without n_floquet has one tolerance, NF_TOL
+        import floquet_ssh.floquet as floquet
+        p = ModelParams(n_sites=6, lam=0.4, phi_dim=0.3, gamma=0.1, impurity_site=2,
+                        kappa=0.3, omega=2 * math.pi)
+        tols = []
+        original = floquet.converge_nf
+
+        def spy(params, tol, spectra=None):
+            tols.append(tol)
+            return original(params, tol, spectra=spectra)
+
+        monkeypatch.setattr(floquet, "converge_nf", spy)
+        compute_spectrum(p, Method.EXTENDED)
+        run_sweep(SweepSpec(base=p, axes=(("phi_dim", (0.1, 0.2)),)))
+        gamma_pt_threshold(p, gamma_max=0.2, tol_gamma=0.05, method=Method.EXTENDED)
+        assert tols == [NF_TOL] * 3
