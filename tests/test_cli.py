@@ -236,7 +236,39 @@ class TestSweepPhiCommand:
         assert sweep_out.read_text() == spec_out.read_text()
 
 
+_CHAIN = ["--n-sites", "6", "--lambda", "0.4", "--impurity-site", "2"]
+# (command, flags checked).  --nf-tol is not a flag: an N_F search always
+# converges to floquet.NF_TOL, and a fixed N_F is --n-floquet.
+_TOLERANCE_COMMANDS = (
+    (["spectrum", "--kappa", "0.3", "--gamma", "0.1", "--omega", "2pi"],
+     ("--nf-tol",)),
+    (["sweep-phi", "--kappa", "0.3", "--gamma", "0.1", "--omega", "2pi",
+      "--phi-grid", "0:pi:2"], ("--nf-tol",)),
+    (["phase-diagram", "--kappa", "0.3", "--gamma", "0:0.1:2", "--omega", "2pi:4pi:2"],
+     ("--nf-tol",)),
+    (["pt-threshold", "--kappa", "0.3", "--threshold-method", "extended", "--omega", "2pi"],
+     ("--nf-tol",)),
+    (["spectrum"], ("--nf-tol",)),
+    (["pt-threshold"], ("--nf-tol",)),
+    (["effective-compare", "--preset", "fig1-highfreq", "--n-floquet", "2"], ("--nf-tol",)),
+)
+
+
 class TestToleranceFlags:
+    @pytest.mark.parametrize("command, flag, value", [
+        pytest.param(command, flag, value, id=f"command{i}-{value}-{flag}")
+        for i, (command, flags) in enumerate(_TOLERANCE_COMMANDS)
+        for flag in flags
+        for value in ("nan", "0", "-1e-8", "inf")])
+    def test_nan_or_nonpositive_tolerance_exit_2(self, tmp_path, capsys,
+                                                 command, flag, value):
+        out = tmp_path / "out.csv"
+        with pytest.raises(SystemExit) as excinfo:
+            main([*command, *_CHAIN, f"{flag}={value}", "-o", str(out)])
+        assert excinfo.value.code == 2
+        assert f"unrecognized arguments: {flag}={value}" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("value", ["nan", "0", "-1e-4", "inf"])
     def test_nan_or_nonpositive_tol_gamma_exit_2(self, capsys, value):
         assert main(["pt-threshold", "--preset", "fig1-static", "--phi", "0.3",

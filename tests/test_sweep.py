@@ -54,10 +54,13 @@ class TestSweepSpec:
         spec = SweepSpec(base=_base(), axes=(("gamma", (0.1,) * 400), ("omega", (1.0,) * 400)))
         assert spec.n_points() == 160000
 
-    def test_no_nf_tolerance_field(self):
-        # an N_F search always converges to floquet.NF_TOL; a fixed N_F is n_floquet
-        with pytest.raises(TypeError):
-            SweepSpec(base=_base(), axes=(("gamma", (0.1,)),), nf_tol=1e-6)
+    @pytest.mark.parametrize("field", ["nf_tol"])
+    @pytest.mark.parametrize("value", [math.nan, 0.0, -1e-8, math.inf])
+    def test_tolerance_validation(self, field, value):
+        # no tolerance is a field: an N_F search always converges to
+        # floquet.NF_TOL, and a fixed N_F is n_floquet
+        with pytest.raises(TypeError, match=field):
+            SweepSpec(base=_base(), axes=(("gamma", (0.1,)),), **{field: value})
 
     @pytest.mark.parametrize("n_floquet", [0, -1])
     def test_extended_n_floquet_validation(self, n_floquet):
