@@ -37,7 +37,7 @@ from .floquet import (
     spectral_distance,
     static_spectrum,
 )
-from .linalg import Spectrum, eig_dense, expm, logm_eig
+from .linalg import Spectrum, eig_dense, expm
 from .model import (
     ModelParams,
     build_static_hamiltonian,
@@ -59,7 +59,7 @@ __all__ = [
     "compare_floquet_effective", "compute_spectrum", "converge_nf",
     "drive_operator", "drive_value", "edge_weight", "effective_hamiltonian",
     "effective_tunneling", "eig_dense", "expm", "find_zero_modes",
-    "fold_real", "gamma_pt_threshold", "hamiltonian_at", "logm_eig",
+    "fold_real", "gamma_pt_threshold", "hamiltonian_at",
     "matched_distance", "one_period_propagator", "quasi_energies_extended",
     "quasi_energies_propagator", "run_phase_diagram", "run_sweep",
     "spectral_distance", "static_spectrum",

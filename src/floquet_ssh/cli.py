@@ -272,10 +272,17 @@ class _RowFiles(contextlib.AbstractContextManager):
 
 
 def _with_axes(spec: SweepSpec, *axes) -> SweepSpec:
-    """``spec`` over the (name, grid) ``axes``; each grid value must give valid params."""
+    """``spec`` over the (name, grid) ``axes``; each grid value must give valid params.
+
+    Only each axis's smallest and largest value are built.  The axes are
+    phi_dim, gamma and omega, and every ModelParams check on them is
+    monotone in the value: Phi must only be finite, which SweepSpec
+    checks; gamma >= 0; omega > 0 with a finite Z_p and a finite
+    kappa = kappa_omega/omega.
+    """
     spec = replace(spec, axes=axes)
     for name, grid in spec.axes:
-        for value in grid:
+        for value in (min(grid), max(grid)):
             spec.params_at({name: value})
     return spec
 
@@ -488,13 +495,19 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        # an output file that is a directory or lies in a missing one fails before the
-        # first solve, so no other output file is opened
-        for path in filter(None, (getattr(args, key, None) for key in ("output", "json", "plot"))):
+        # an output file that is a directory, lies in a missing one or is named by two
+        # outputs fails before the first solve, so no other output file is opened
+        outputs: dict[str, str] = {}
+        for key in ("output", "json", "plot"):
+            if not (path := getattr(args, key, None)):
+                continue
             if os.path.isdir(path):
                 raise ParameterError(f"cannot write {path}: Is a directory")
             if not os.path.isdir(os.path.dirname(path) or "."):
                 raise ParameterError(f"cannot write {path}: no directory {os.path.dirname(path)}")
+            first = outputs.setdefault(os.path.realpath(path), key)
+            if first != key:
+                raise ParameterError(f"cannot write {path} for --{key}: --{first} writes it")
         return args.func(args)
     except ParameterError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)

@@ -6,11 +6,13 @@ H_static + m*omega*I, first off-diagonal blocks the Fourier components
 of the drive f(z) = kappa*omega*sin(omega*z) times the gradient
 operator D.  Route two builds the one-period propagator U(Z_p) in the
 lab frame by the fourth-order Blanes-Moan splitting S6, with three
-static exponentials per period and exact diagonal drive phases, and
-takes eigenvalue logarithms.  The drive's symmetries build U from
-products over the first quarter period.  On an even chain U is solved
-through a real matrix (its Cayley transform in a real basis), so an
-unbroken spectrum is real to the last bit.  Both routes fold
+static exponentials per period and exact diagonal drive phases; its
+quasi-energies are eps = (i/Z_p) log mu over the eigenvalues mu of U.
+The drive's symmetries build U from products over the first quarter
+period.  On an even chain U is solved through a real matrix (its Cayley
+transform in a real basis), so an unbroken spectrum is real to the last
+bit; on an odd chain it takes a complex eigensolve and the principal
+logarithm (``principal_log_eigenvalues``).  Both routes fold
 quasi-energy real parts into the first zone (-omega/2, omega/2] and
 select/weight the N physical modes; their agreement is the strongest
 correctness check in the package.
@@ -35,8 +37,8 @@ import numpy as np
 
 from .effective import effective_hamiltonian, effective_tunneling
 from .errors import (AliasingError, ConvergenceCapError, DimensionCapError, ParameterError,
-                     SolverError, require_positive_finite)
-from .linalg import Spectrum, eig_dense, expm, matrix_norm_1, principal_log_eigenvalues
+                     PropagatorCollapseError, SolverError, require_positive_finite)
+from .linalg import Spectrum, eig_dense, expm, matrix_norm_1
 from .model import (ModelParams, build_static_hamiltonian, drive_operator, drive_value,
                     hamiltonian_at)
 
@@ -250,12 +252,10 @@ def _select_physical_modes(spectrum: Spectrum, params: ModelParams,
     """Pick the N modes with maximal m=0 Fourier weight, skipping replicas."""
     n = params.n_sites
     n_blocks = 2 * n_floquet + 1
-    dim = n * n_blocks
-    probs = np.abs(spectrum.eigenvectors) ** 2
-    site_weights_m0 = probs.reshape(n_blocks, n, dim)[n_floquet]  # (site, mode)
+    vectors = spectrum.eigenvectors
+    site_weights_m0 = np.abs(vectors[n_floquet * n:(n_floquet + 1) * n]) ** 2  # (site, mode)
     w0 = site_weights_m0.sum(axis=0)
     evals = spectrum.eigenvalues
-    vectors = spectrum.eigenvectors
     selected: list[int] = []
 
     def is_replica(idx) -> bool:
@@ -488,6 +488,18 @@ def _pt_real_eig(u: np.ndarray, z_period: float) -> tuple[np.ndarray, np.ndarray
     eps = (alpha - 2.0 * np.arctan(spectrum.eigenvalues)) / z_period
     vectors = spectrum.eigenvectors + 1j * spectrum.eigenvectors[::-1]
     return eps, vectors
+
+
+def principal_log_eigenvalues(mu: np.ndarray) -> np.ndarray:
+    """log of eigenvalues with branch Im(log) in (-pi, pi], -pi -> +pi."""
+    mu = np.asarray(mu, dtype=np.complex128)
+    if np.any(np.abs(mu) < 1e-14):
+        raise PropagatorCollapseError(
+            f"eigenvalue magnitude below 1e-14 (min |mu| = {np.abs(mu).min():.3e})"
+        )
+    angles = np.angle(mu)
+    angles = np.where(angles == -np.pi, np.pi, angles)
+    return np.log(np.abs(mu)) + 1j * angles
 
 
 def quasi_energies_propagator(params: ModelParams, n_steps: int | None = None,

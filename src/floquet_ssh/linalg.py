@@ -6,24 +6,17 @@ on: a deterministic eigenvalue ordering (ascending real part, ties by
 ascending imaginary part), unit-norm right eigenvectors, and an enforced
 residual bound.  ``expm`` is a single-matrix scaling-and-squaring
 exponential with one Pade degree (13) at every norm; the split-step
-propagator in :mod:`floquet_ssh.floquet` calls it three times per
-propagator, once for each distinct static stage of its splitting.
-``principal_log_eigenvalues`` takes eigenvalue logarithms on a fixed
-branch, Im(log) in (-pi, pi] and -pi mapped to +pi; odd-chain
-propagator quasi-energies come from it, while even chains are solved in
-the real Cayley form of ``floquet._pt_real_eig`` and take no logarithm.
-``logm_eig`` adds an eigensolve and a conditioning warning in front of
-it; no solver path calls it.
+solver in :mod:`floquet_ssh.floquet` calls it once for each distinct
+static stage of its splitting.
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import EigenConvergenceError, PropagatorCollapseError, SolverError
+from .errors import EigenConvergenceError, SolverError
 
 #: Relative residual bound enforced by eig_dense, scaled by the matrix 1-norm.
 TOL_EIG = 1e-10
@@ -136,34 +129,3 @@ def expm(m: np.ndarray) -> np.ndarray:
     if not np.all(np.isfinite(result)):
         raise SolverError(f"overflow in matrix exponential (norm1={mu:.3e})")
     return result
-
-
-def principal_log_eigenvalues(mu: np.ndarray) -> np.ndarray:
-    """log of eigenvalues with branch Im(log) in (-pi, pi], -pi -> +pi."""
-    mu = np.asarray(mu, dtype=np.complex128)
-    if np.any(np.abs(mu) < 1e-14):
-        raise PropagatorCollapseError(
-            f"eigenvalue magnitude below 1e-14 (min |mu| = {np.abs(mu).min():.3e})"
-        )
-    angles = np.angle(mu)
-    angles = np.where(angles == -np.pi, np.pi, angles)
-    return np.log(np.abs(mu)) + 1j * angles
-
-
-def logm_eig(u: np.ndarray) -> np.ndarray:
-    """Principal logarithms of the eigenvalues of u, ordered as eig_dense.
-
-    Intended for one-period propagators.  Warns if the eigenvector matrix
-    is badly conditioned (u close to defective); fails on eigenvalues at
-    numerical zero, which signal propagator collapse.
-    """
-    spectrum = eig_dense(u)
-    cond = np.linalg.cond(spectrum.eigenvectors)
-    if cond > 1e12:
-        warnings.warn(
-            f"eigenvector matrix condition {cond:.3e}; matrix is close to "
-            "defective and eigenvalue logs may be inaccurate",
-            RuntimeWarning,
-            stacklevel=2,
-        )
-    return principal_log_eigenvalues(spectrum.eigenvalues)

@@ -30,7 +30,7 @@ from floquet_ssh.cli import (
     rows_csv,
 )
 from floquet_ssh.errors import SolverError
-from floquet_ssh.sweep import MAX_GRID_POINTS, run_sweep
+from floquet_ssh.sweep import MAX_GRID_POINTS, SweepSpec, run_sweep
 
 
 class TestParsing:
@@ -322,6 +322,9 @@ class TestSweepConfigErrors:
         # rejected before linspace allocates the grid
         (["--gamma", "0:0.1:1000000000000000", "--omega", "4pi:8pi:2"],
          f"grid count must be between 1 and {MAX_GRID_POINTS}"),
+        # only each axis's extremes are checked: a bad last value, a subnormal smallest omega
+        (["--gamma=0.1:-0.1:3", "--omega", "4pi:8pi:2"], "gamma must be nonnegative"),
+        (["--gamma", "0:0.1:2", "--omega", "1e-320:1:2"], "finite drive period"),
     ])
     def test_invalid_grid_value_exit_2(self, tmp_path, capsys, grids, message):
         out = tmp_path / "out.csv"
@@ -330,6 +333,27 @@ class TestSweepConfigErrors:
                      "-o", str(out)]) == 2
         assert message in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("argv, n_axes", [
+        (["sweep-phi", "--n-sites", "2", "--phi-grid", "0:2pi:1000"], 1),
+        (["phase-diagram", "--n-sites", "6", "--lambda", "0.4", "--impurity-site", "2",
+          "--kappa-omega", "0.05", "--gamma", "0:0.4:100", "--omega", "0.2pi:45pi:100"], 2),
+    ], ids=["sweep-phi", "phase-diagram"])
+    def test_grid_check_builds_only_the_axis_extremes(self, tmp_path, monkeypatch, argv, n_axes):
+        import floquet_ssh.cli as cli
+
+        calls = []
+        params_at = SweepSpec.params_at
+        monkeypatch.setattr(SweepSpec, "params_at",
+                            lambda spec, point: calls.append(point) or params_at(spec, point))
+
+        def stop(spec, emit):
+            raise SolverError("stopped before the first solve")
+
+        monkeypatch.setattr(cli, "run_sweep", stop)
+        monkeypatch.setattr(cli, "run_phase_diagram", stop)
+        assert main([*argv, "-o", str(tmp_path / "out.csv")]) == 1
+        assert 0 < len(calls) <= 2 * n_axes
 
     def test_threads_flag_rejected(self, tmp_path, capsys):
         with pytest.raises(SystemExit) as excinfo:
@@ -700,6 +724,22 @@ class TestOutputPaths:
             "configuration error: cannot write a_dir: Is a directory"]
         assert [path.name for path in tmp_path.iterdir()] == ["a_dir"]
         assert list((tmp_path / "a_dir").iterdir()) == []
+        assert solves == []
+
+    @pytest.mark.parametrize("argv, message", [
+        (["spectrum", "-o", "x.csv", "--json", "x.csv"], "x.csv for --json: --output"),
+        (["sweep-phi", "--phi-grid", "0:1:3", "-o", "x.csv", "--plot", "x.csv"],
+         "x.csv for --plot: --output"),
+        (["sweep-phi", "--phi-grid", "0:1:3", "-o", "out.csv", "--json", "x.csv",
+          "--plot", "./x.csv"], "./x.csv for --plot: --json"),
+    ], ids=["spectrum-output-json", "sweep-phi-output-plot", "sweep-phi-json-plot"])
+    def test_two_outputs_on_one_file_exit_2_before_solving(self, tmp_path, monkeypatch, capsys,
+                                                           solves, argv, message):
+        monkeypatch.chdir(tmp_path)
+        assert main([*argv, "--n-sites", "4"]) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            f"configuration error: cannot write {message} writes it"]
+        assert list(tmp_path.iterdir()) == []
         assert solves == []
 
     def test_unopenable_path_exit_2(self, tmp_path, capsys):

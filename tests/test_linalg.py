@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 import scipy.linalg
-from numpy.testing import assert_allclose
+from numpy.testing import assert_allclose, assert_array_equal
 
 from floquet_ssh import (
     EigenConvergenceError,
@@ -9,8 +9,8 @@ from floquet_ssh import (
     SolverError,
     eig_dense,
     expm,
-    logm_eig,
 )
+from floquet_ssh.floquet import principal_log_eigenvalues
 from floquet_ssh.linalg import TOL_EIG, matrix_norm_1
 
 
@@ -151,31 +151,30 @@ class TestExpm:
 
 
 class TestLogmEig:
+    """Eigenvalue logarithms: eig_dense followed by floquet.principal_log_eigenvalues."""
+
     def test_identity(self):
-        assert_allclose(logm_eig(np.eye(3, dtype=complex)), np.zeros(3), atol=1e-15)
+        assert_allclose(principal_log_eigenvalues(np.ones(3, dtype=complex)), np.zeros(3),
+                        atol=1e-15)
 
     def test_phase(self):
-        logs = logm_eig(np.diag([np.exp(1j * np.pi / 3)]))
+        logs = principal_log_eigenvalues(np.array([np.exp(1j * np.pi / 3)]))
         assert_allclose(logs, [1j * np.pi / 3], atol=1e-15)
 
     def test_branch_edge_maps_to_plus_pi(self):
-        logs = logm_eig(np.diag([-1.0 + 0j]))
-        assert_allclose(logs, [1j * np.pi])
+        mu = np.array([-1.0 + 0j, complex(-1.0, -0.0)])  # the second has np.angle -pi
+        assert_array_equal(np.angle(mu), [np.pi, -np.pi])
+        assert_array_equal(principal_log_eigenvalues(mu), [1j * np.pi, 1j * np.pi])
 
     def test_collapse_raises(self):
         with pytest.raises(PropagatorCollapseError):
-            logm_eig(np.diag([0.0 + 0j, 1.0]))
-
-    def test_near_defective_matrix_warns(self):
-        jordan = np.array([[1.0, 1.0], [0.0, 1.0]], dtype=complex)
-        with pytest.warns(RuntimeWarning, match="defective"):
-            logm_eig(jordan)
+            principal_log_eigenvalues(np.array([0.0 + 0j, 1.0]))
 
     def test_exp_log_round_trip(self):
         rng = np.random.default_rng(17)
         h = rng.standard_normal((8, 8))
         h = 0.2 * (h + h.T)  # modest Hermitian generator keeps logs in branch
         u = expm(1j * h)
-        logs = logm_eig(u)
+        logs = principal_log_eigenvalues(eig_dense(u).eigenvalues)
         assert np.abs(logs.real).max() < 1e-10
         assert np.abs(np.sort(logs.imag) - np.sort(np.linalg.eigvalsh(h))).max() < 1e-8

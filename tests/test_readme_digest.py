@@ -1,5 +1,7 @@
 import argparse
+import contextlib
 import importlib.util
+import io
 import os
 import pathlib
 import re
@@ -97,3 +99,14 @@ def test_digest_first_line_records_the_thread_settings(monkeypatch, capsys):
     assert digest.main([]) == 0
     assert capsys.readouterr().out.splitlines() == [
         f"# OPENBLAS_NUM_THREADS=1 OMP_NUM_THREADS=None cpu_count={os.cpu_count()}"]
+
+
+def test_readme_python_example_runs_and_prints_its_claims():
+    text = ROOT.joinpath("README.md").read_text(encoding="utf-8")
+    block = text.split("```python\n", 1)[1].split("```", 1)[0]
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        exec(compile(block, "README.md", "exec"), {})
+    distance, phase = out.getvalue().splitlines()
+    assert float(distance) < 1e-7
+    assert phase == "Phase.UNBROKEN"
