@@ -23,7 +23,7 @@ class EigenConvergenceError(SolverError):
 
 
 class PropagatorCollapseError(SolverError):
-    """One-period propagator has a (numerically) zero eigenvalue."""
+    """The propagator U has an eigenvalue mu lost in its rounding, |mu| <= eps * ||U||_1."""
 
 
 class DimensionCapError(SolverError):

@@ -9,10 +9,10 @@ lab frame by the fourth-order Blanes-Moan splitting S6, with three
 static exponentials per period and exact diagonal drive phases; its
 quasi-energies are eps = (i/Z_p) log mu over the eigenvalues mu of U.
 The drive's symmetries build U from products over the first quarter
-period.  On an even chain U is solved through a real matrix (its Cayley
-transform in a real basis), so an unbroken spectrum is real to the last
-bit; on an odd chain it takes a complex eigensolve and the principal
-logarithm (``principal_log_eigenvalues``).  Both routes fold
+period.  On every chain eps comes from the eigenvalues of U's Cayley
+transform, with one guard against |mu| lost in U's rounding
+(``_cayley_modes``); an even chain's is solved in a real basis, so an
+unbroken spectrum is real to the last bit.  Both routes fold
 quasi-energy real parts into the first zone (-omega/2, omega/2] and
 select/weight the N physical modes; their agreement is the strongest
 correctness check in the package.
@@ -61,6 +61,8 @@ NF_TOL = 1e-8
 #: times the parameter bound on ||H_F||_1 at N_F + 2 (``_extended_norm_bound``).
 #: Measured at the floor: 0.27-16 over N = 8-40, omega = 45pi-1e9, N_F = 2-6.
 _NF_ROUNDING_FLOOR = 0.25
+#: Top of that band: a delta(N_F) at or below it, in the same units, is rounding noise.
+_NF_ROUNDING_TOP = 16.0
 #: Most propagator steps per period, requested or reached by doubling.
 MAX_PROPAGATOR_STEPS = 1 << 21
 #: Fewest propagator steps per period a caller may request.
@@ -465,53 +467,50 @@ def _cayley(u: np.ndarray) -> tuple[float, np.ndarray, float]:
     return min(tried, key=lambda t: t[2])
 
 
-def _pt_real_eig(u: np.ndarray, z_period: float) -> tuple[np.ndarray, np.ndarray]:
-    """Quasi-energies and eigenvectors of a U with P conj(U) P = U^-1, by a real eigensolve.
+def _cayley_modes(u: np.ndarray, params: ModelParams) -> tuple[np.ndarray, np.ndarray]:
+    """Folded quasi-energies and eigenvectors of U, on every chain from its Cayley matrix.
 
-    The Cayley matrix C of U (see ``_cayley``) satisfies P conj(C) P = C,
-    so R = S^-1 C S with S = I + iP, S^-1 = (I - iP)/2 is real.  An
-    eigenvalue lambda of R gives eps = (alpha - 2 arctan lambda)/Z_p and
-    the eigenvector S x of U.  A real lambda gives a real eps to the last
-    bit; complex ones come in exact conjugate pairs.  Raises SolverError
-    if R's imaginary part is above rounding, which means U lacks the
-    relation.
+    An eigenvalue lambda of C (see ``_cayley``) gives U's eigenvalue
+    mu = e^{-i alpha}(1 + i lambda)/(1 - i lambda) and
+    eps = (i/Z_p) log mu = (alpha - 2 arctan lambda)/Z_p; C's eigenvectors
+    are U's.  On an even chain P conj(U) P = U^-1 makes R = S^-1 C S real
+    (S = I + iP): a real lambda gives a real eps to the last bit, complex
+    ones come in exact conjugate pairs, an eigenvector x of R gives Sx of U,
+    and an Im R above rounding (U lacks the relation) raises SolverError.
+    Raises PropagatorCollapseError if some |mu| <= eps * ||U||_1, U's rounding.
     """
     alpha, c, norm = _cayley(u)
-    r = 0.5 * (c + c[::-1, ::-1] + 1j * (c[:, ::-1] - c[::-1]))
-    defect = float(np.abs(r.imag).max())
-    # C's rounding is absolute, about 1e-16, so the bound stops scaling below ||C||_1 = 1
-    if defect > _REAL_FORM_TOL * max(norm, 1.0):
-        raise SolverError(f"U lacks the relation P conj(U) P = U^-1 to rounding (max |Im R| "
-                          f"= {defect:.3e}, ||C||_1 = {norm:.3e}): at very low drive "
-                          f"frequency the quarter-period product is ill-conditioned")
-    spectrum = eig_dense(r.real)
-    eps = (alpha - 2.0 * np.arctan(spectrum.eigenvalues)) / z_period
-    vectors = spectrum.eigenvectors + 1j * spectrum.eigenvectors[::-1]
-    return eps, vectors
-
-
-def principal_log_eigenvalues(mu: np.ndarray) -> np.ndarray:
-    """log of eigenvalues with branch Im(log) in (-pi, pi], -pi -> +pi."""
-    mu = np.asarray(mu, dtype=np.complex128)
-    if np.any(np.abs(mu) < 1e-14):
-        raise PropagatorCollapseError(
-            f"eigenvalue magnitude below 1e-14 (min |mu| = {np.abs(mu).min():.3e})"
-        )
-    angles = np.angle(mu)
-    angles = np.where(angles == -np.pi, np.pi, angles)
-    return np.log(np.abs(mu)) + 1j * angles
+    if _pt_reflection_applies(params):
+        r = 0.5 * (c + c[::-1, ::-1] + 1j * (c[:, ::-1] - c[::-1]))
+        defect = float(np.abs(r.imag).max())
+        # C's rounding is absolute, about 1e-16, so the bound stops scaling below ||C||_1 = 1
+        if defect > _REAL_FORM_TOL * max(norm, 1.0):
+            raise SolverError(f"U lacks the relation P conj(U) P = U^-1 to rounding (max |Im R| "
+                              f"= {defect:.3e}, ||C||_1 = {norm:.3e}): at very low drive "
+                              f"frequency the quarter-period product is ill-conditioned")
+        spectrum = eig_dense(r.real)
+        vectors = spectrum.eigenvectors + 1j * spectrum.eigenvectors[::-1]
+    else:
+        spectrum = eig_dense(c)
+        vectors = spectrum.eigenvectors
+    lam = spectrum.eigenvalues
+    with np.errstate(divide="ignore"):  # lambda = -i to the last bit is an infinite |mu|
+        smallest = float((np.abs(1.0 + 1j * lam) / np.abs(1.0 - 1j * lam)).min())
+    rounding = np.finfo(float).eps * float(matrix_norm_1(u))
+    if smallest <= rounding:
+        raise PropagatorCollapseError(f"an eigenvalue of U is lost in its rounding: min |mu| = "
+                                      f"{smallest:.3e} <= eps * ||U||_1 = {rounding:.3e}")
+    eps = (alpha - 2.0 * np.arctan(lam)) / params.drive_period
+    return fold_real(eps.real, params.omega) + 1j * eps.imag, vectors
 
 
 def quasi_energies_propagator(params: ModelParams, n_steps: int | None = None,
                               converge_tol: float | None = None) -> FloquetSpectrum:
     """Quasi-energies from the one-period propagator.
 
-    eps = (i/Z_p) * log mu over the eigenvalues mu of U(Z_p).  On an
-    even chain U satisfies P conj(U) P = U^-1 and is solved in a real form by
-    ``_pt_real_eig``: unbroken spectra then have Im eps = 0.0 exactly.
-    On an odd chain U is solved as it is, with the fixed principal
-    branch of the logarithm.  Real parts are folded into
-    (-omega/2, omega/2].  Mode weights come from the eigenvectors of U.
+    eps = (i/Z_p) * log mu over the eigenvalues mu of U(Z_p), folded, and
+    mode weights from U's eigenvectors, both by ``_cayley_modes``; on an
+    even chain an unbroken spectrum has Im eps = 0.0 exactly.
     With ``converge_tol`` set, n_steps is doubled until no quasi-energy
     moves by more than the tolerance under the optimal matching, and the
     refined spectrum is returned; ``converge_tol`` must be positive and
@@ -530,15 +529,7 @@ def quasi_energies_propagator(params: ModelParams, n_steps: int | None = None,
         require_positive_finite("converge_tol", converge_tol)
 
     def compute(steps: int) -> FloquetSpectrum:
-        u = one_period_propagator(params, steps)
-        z_period = params.drive_period
-        if _pt_reflection_applies(params):
-            eps, vectors = _pt_real_eig(u, z_period)
-        else:
-            spectrum = eig_dense(u)
-            eps = 1j * principal_log_eigenvalues(spectrum.eigenvalues) / z_period
-            vectors = spectrum.eigenvectors
-        eps = fold_real(eps.real, params.omega) + 1j * eps.imag
+        eps, vectors = _cayley_modes(one_period_propagator(params, steps), params)
         return _package(eps, (np.abs(vectors) ** 2).T, Method.PROPAGATOR, params)
 
     result = compute(n_steps)
@@ -684,8 +675,10 @@ def converge_nf(params: ModelParams, tol: float,
     at the same probe as plain doubling.  It raises ConvergenceCapError
     before a probe whose delta cannot fall below ``tol``: delta never fell
     below _NF_ROUNDING_FLOOR * eps * ||H_F||_1, with ||H_F||_1 bounded from
-    the parameters (at omega = 1e8, delta stays near 1e-7).  Every spectrum
-    solved, the returned N_F's included, goes into the ``spectra`` dict by N_F.
+    the parameters (at omega = 1e8, delta stays near 1e-7), and after a
+    probe whose delta >= tol is rounding noise, below _NF_ROUNDING_TOP in
+    those units.  Every spectrum solved, the returned N_F's included, goes
+    into the ``spectra`` dict by N_F.
     """
     require_positive_finite("tol", tol)
     cache = {} if spectra is None else spectra
@@ -695,17 +688,21 @@ def converge_nf(params: ModelParams, tol: float,
             cache[nf] = quasi_energies_extended(params, nf)
         return cache[nf]
 
+    def unreachable(nf: int, why: str) -> ConvergenceCapError:
+        return ConvergenceCapError(f"N_F search cannot reach tol {tol:g}: at N_F={nf} {why} "
+                                   f"(omega = {params.omega:.3g}); "
+                                   f"set n_floquet (--n-floquet) to solve at a fixed N_F")
+
     def delta(nf: int) -> float:
         floor = _NF_ROUNDING_FLOOR * np.finfo(float).eps * _extended_norm_bound(params, nf + 2)
         if tol < floor < math.inf:  # an overflowing diagonal is build_floquet_matrix's error
-            raise ConvergenceCapError(f"N_F search cannot reach tol {tol:g}: at N_F={nf} "
-                                      f"rounding alone moves the spectrum by about "
-                                      f"{floor:.1e} or more (omega = {params.omega:.3g}); "
-                                      f"set n_floquet (--n-floquet) to solve at a fixed N_F")
+            raise unreachable(nf, f"rounding alone moves the spectrum by {floor:.1e} or more")
         return matched_distance(spectrum(nf), spectrum(nf + 2))
 
     lo, hi = 1, 2  # hi is the probe; delta(lo) >= tol once lo >= 2
     while (last := delta(hi)) >= tol:
+        if last <= _NF_ROUNDING_TOP * np.finfo(float).eps * _extended_norm_bound(params, hi + 2):
+            raise unreachable(hi, f"delta = {last:.1e} is rounding noise")
         probe = hi + 1 if hi < _NF_UNIT_STEPS else 2 * hi
         if probe > NF_CAP:
             raise ConvergenceCapError(f"N_F search exceeded cap {NF_CAP}; "

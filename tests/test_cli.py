@@ -195,6 +195,41 @@ class TestSpectrumCommand:
         assert "N_F search cannot reach tol 1e-08" in err
         assert err.rstrip().endswith("set n_floquet (--n-floquet) to solve at a fixed N_F")
 
+    def test_nf_search_stops_on_rounding_noise_exit_1(self, tmp_path, capsys, monkeypatch):
+        # at omega = 1e7 delta(2) is about 1.3e-8: above NF_TOL, but inside the band
+        # rounding alone reaches, so the search stops after its first probe
+        import floquet_ssh.floquet as floquet
+
+        solved = []
+        original = floquet.quasi_energies_extended
+
+        def counting(params, n_floquet):
+            solved.append(n_floquet)
+            return original(params, n_floquet)
+
+        monkeypatch.setattr(floquet, "quasi_energies_extended", counting)
+        start = time.perf_counter()
+        code = main(["spectrum", "--preset", "fig1-highfreq", "--omega", "1e7",
+                     "-o", str(tmp_path / "x.csv")])
+        assert code == 1
+        assert time.perf_counter() - start < 3
+        assert solved == [2, 4]
+        err = capsys.readouterr().err
+        assert "N_F search cannot reach tol 1e-08: at N_F=2 delta = " in err
+        assert "is rounding noise" in err
+        assert err.rstrip().endswith("set n_floquet (--n-floquet) to solve at a fixed N_F")
+
+    @pytest.mark.parametrize("n_sites, gamma", [("7", "20"), ("41", "3")])
+    def test_propagator_eigenvalue_below_rounding_exit_1(self, tmp_path, capsys,
+                                                         n_sites, gamma):
+        out = tmp_path / "x.csv"
+        code = main(["spectrum", "--preset", "fig1-lowfreq", "--n-sites", n_sites,
+                     "--gamma", gamma, "--impurity-site", "1", "--phi", "0.35",
+                     "--method", "propagator", "-o", str(out)])
+        assert code == 1
+        assert "an eigenvalue of U is lost in its rounding" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_solver_failure_exit_1(self, capsys):
         # folding window too narrow for the effective spectrum -> aliasing
         code = main(["effective-compare", "--n-sites", "6", "--lambda", "0.4",

@@ -12,9 +12,11 @@ from numpy.testing import assert_allclose
 from floquet_ssh import (
     ConvergenceCapError,
     DimensionCapError,
+    FloquetSpectrum,
     Method,
     ModelParams,
     ParameterError,
+    PropagatorCollapseError,
     SolverError,
     SweepSpec,
     build_floquet_matrix,
@@ -447,12 +449,18 @@ class TestQuasiEnergiesPropagator:
         quasi_energies_propagator(_fig1_chain())
         assert len(calls) == 1
 
-    # the benchmark chain; N=140, where the product is flushed; N=41, two quarter products
-    @pytest.mark.parametrize("n_sites, flushed", [(40, False), (140, True), (41, False)])
-    def test_product_bits_match_plain_loop(self, monkeypatch, n_sites, flushed):
+    # the benchmark chain; N=140, where the product is flushed; N=41, two quarter products;
+    # N=40 at 45pi, flushed though no part of its exponentials is subnormal (min 8.7e-182)
+    @pytest.mark.parametrize("n_sites, flushed, omega", [
+        pytest.param(40, False, 0.2 * math.pi, id="40-False"),
+        pytest.param(140, True, 0.2 * math.pi, id="140-True"),
+        pytest.param(41, False, 0.2 * math.pi, id="41-False"),
+        pytest.param(40, True, 45 * math.pi, id="40-45pi-True"),
+    ])
+    def test_product_bits_match_plain_loop(self, monkeypatch, n_sites, flushed, omega):
         import floquet_ssh.floquet as floquet
 
-        p = _fig1_chain(n_sites=n_sites)
+        p = _fig1_chain(n_sites=n_sites, omega=omega)
         steps = default_n_steps(p)
         got = one_period_propagator(p, steps)
         flushes = []
@@ -660,23 +668,28 @@ class TestQuarterPeriodPropagator:
     def test_zone_edge(self):
         # undriven, with omega/2 equal to a static energy: U has an
         # eigenvalue at -1, where the unrotated Cayley transform is singular
-        static = ModelParams(n_sites=6, lam=0.4, phi_dim=0.7, gamma=0.1, impurity_site=2)
-        energies = static_spectrum(static).quasi_energies
-        assert np.abs(energies.imag).max() < 1e-12  # unbroken
-        energies = energies.real
-        omega = 2.0 * energies.max()
-        p = ModelParams(n_sites=6, lam=0.4, phi_dim=0.7, gamma=0.1, impurity_site=2,
-                        kappa=0.0, omega=omega)
         from floquet_ssh.floquet import _cayley
 
-        assert _cayley(one_period_propagator(p, 512))[0] != 0.0  # rotated off the edge
-        fs = quasi_energies_propagator(p, 512)
-        assert np.all(fs.quasi_energies.imag == 0.0)
-        # compare on the unit circle: a mode at the edge may fold to either side
-        z_period = p.drive_period
-        deviation = np.abs(np.exp(-1j * z_period * fs.quasi_energies[:, None])
-                           - np.exp(-1j * z_period * energies[None, :])).min(axis=1)
-        assert deviation.max() < 1e-10
+        for n_sites in (6, 7):
+            static = ModelParams(n_sites=n_sites, lam=0.4, phi_dim=0.7, gamma=0.1,
+                                 impurity_site=2)
+            energies = static_spectrum(static).quasi_energies
+            assert np.abs(energies.imag).max() < 1e-12  # unbroken
+            energies = energies.real
+            omega = 2.0 * energies.max()
+            p = ModelParams(n_sites=n_sites, lam=0.4, phi_dim=0.7, gamma=0.1, impurity_site=2,
+                            kappa=0.0, omega=omega)
+            assert _cayley(one_period_propagator(p, 512))[0] != 0.0  # rotated off the edge
+            fs = quasi_energies_propagator(p, 512)
+            if n_sites % 2 == 0:
+                assert np.all(fs.quasi_energies.imag == 0.0)
+            else:
+                assert fs.max_imag < 1e-12
+            # compare on the unit circle: a mode at the edge may fold to either side
+            z_period = p.drive_period
+            deviation = np.abs(np.exp(-1j * z_period * fs.quasi_energies[:, None])
+                               - np.exp(-1j * z_period * energies[None, :])).min(axis=1)
+            assert deviation.max() < 1e-10
 
     def test_ill_conditioned_half_period(self, monkeypatch):
         # cond(V) ~ 4e5 here; the reflection still agrees with the full period
@@ -697,11 +710,68 @@ class TestQuarterPeriodPropagator:
 
     def test_propagator_without_the_relation_raises(self):
         from floquet_ssh.errors import SolverError
-        from floquet_ssh.floquet import _pt_real_eig
+        from floquet_ssh.floquet import _cayley_modes
 
         u = np.random.default_rng(3).normal(size=(6, 6)) * (1 + 0.5j)
         with pytest.raises(SolverError, match=r"lacks the relation P conj\(U\) P = U\^-1"):
-            _pt_real_eig(u, 1.0)
+            _cayley_modes(u, ModelParams(n_sites=6))
+
+
+def _guard_chain(n_sites, gamma):
+    """The fig1-lowfreq drive (omega=0.2pi, kappa*omega=0.05, Phi=0.35) with gain at site 1."""
+    return _fig1_chain(n_sites=n_sites, gamma=gamma, impurity_site=1)
+
+
+def _rounding_ratio(u):
+    """min |mu| over the eigenvalues of U, in units of U's rounding eps * ||U||_1."""
+    return np.abs(np.linalg.eigvals(u)).min() / (np.finfo(float).eps * matrix_norm_1(u))
+
+
+class TestCayleyMap:
+    """One map from U to quasi-energies on both parities, with one rounding guard."""
+
+    @pytest.mark.parametrize("n_sites, gamma", [(7, 20.0), (41, 3.0)])
+    def test_eigenvalue_below_rounding_raises(self, n_sites, gamma):
+        # the deleted log route returned these, 34 and 5.9e-7 from the extended route
+        with pytest.raises(PropagatorCollapseError, match=r"eps \* \|\|U\|\|_1"):
+            quasi_energies_propagator(_guard_chain(n_sites, gamma))
+
+    @pytest.mark.parametrize("gamma, ratio_floor, tol", [(2.0, 1e3, 1e-7), (2.5, 1.0, 1e-5)])
+    def test_strongly_broken_odd_chain_still_returns(self, gamma, ratio_floor, tol):
+        # the growing mode (|mu| 1.2e8, 2.1e10) sits near lambda = -i, where lambda's
+        # rounding of about eps moves mu by eps*|mu| relative: measured 2.9e-8 and 1.9e-6
+        # from the extended route (the deleted log route: 5.9e-9 at both gamma)
+        p = _guard_chain(41, gamma)
+        assert _rounding_ratio(one_period_propagator(p, default_n_steps(p))) > ratio_floor
+        fs = quasi_energies_propagator(p)
+        assert matched_distance(fs, compute_spectrum(p, Method.EXTENDED)) < tol
+
+    def test_preset_like_chains_are_far_from_the_guard(self):
+        worst = math.inf
+        for n_sites in (7, 12, 40, 41):
+            for gamma in (0.2, 1.0):
+                for omega, kappa in [(0.2 * math.pi, None), (0.8 * math.pi, None),
+                                     (4 * math.pi, None), (45 * math.pi, None), (3.0, 2.0)]:
+                    p = _fig1_chain(n_sites=n_sites, gamma=gamma, omega=omega,
+                                    **({} if kappa is None else {"kappa": kappa}))
+                    u = one_period_propagator(p, default_n_steps(p))
+                    worst = min(worst, _rounding_ratio(u))
+        assert worst > 1e12
+
+    @pytest.mark.parametrize("n_sites", [7, 41])
+    @pytest.mark.parametrize("omega, kappa", [(0.2 * math.pi, None), (0.8 * math.pi, None),
+                                              (45 * math.pi, None), (3.0, 2.0)],
+                             ids=["0.2pi", "0.8pi", "45pi", "strong"])
+    def test_odd_chain_matches_the_logarithm_of_eigvals(self, n_sites, omega, kappa):
+        # the reference is the deleted route: (i/Z_p) log of U's eigenvalues, folded
+        p = _fig1_chain(n_sites=n_sites, omega=omega,
+                        **({} if kappa is None else {"kappa": kappa}))
+        steps = default_n_steps(p)
+        eps = 1j * np.log(np.linalg.eigvals(one_period_propagator(p, steps))) / p.drive_period
+        eps = fold_real(eps.real, p.omega) + 1j * eps.imag
+        reference = FloquetSpectrum(eps, np.ones((n_sites, n_sites)) / n_sites,
+                                    Method.PROPAGATOR, 0, p)
+        assert matched_distance(quasi_energies_propagator(p, steps), reference) < 1e-12
 
 
 class TestMatchedDistance:

@@ -1,16 +1,17 @@
 import numpy as np
 import pytest
 import scipy.linalg
-from numpy.testing import assert_allclose, assert_array_equal
+from numpy.testing import assert_allclose
 
 from floquet_ssh import (
     EigenConvergenceError,
+    ModelParams,
     PropagatorCollapseError,
     SolverError,
     eig_dense,
     expm,
+    quasi_energies_propagator,
 )
-from floquet_ssh.floquet import principal_log_eigenvalues
 from floquet_ssh.linalg import TOL_EIG, matrix_norm_1
 
 
@@ -151,30 +152,12 @@ class TestExpm:
 
 
 class TestLogmEig:
-    """Eigenvalue logarithms: eig_dense followed by floquet.principal_log_eigenvalues."""
-
-    def test_identity(self):
-        assert_allclose(principal_log_eigenvalues(np.ones(3, dtype=complex)), np.zeros(3),
-                        atol=1e-15)
-
-    def test_phase(self):
-        logs = principal_log_eigenvalues(np.array([np.exp(1j * np.pi / 3)]))
-        assert_allclose(logs, [1j * np.pi / 3], atol=1e-15)
-
-    def test_branch_edge_maps_to_plus_pi(self):
-        mu = np.array([-1.0 + 0j, complex(-1.0, -0.0)])  # the second has np.angle -pi
-        assert_array_equal(np.angle(mu), [np.pi, -np.pi])
-        assert_array_equal(principal_log_eigenvalues(mu), [1j * np.pi, 1j * np.pi])
+    """The propagator's eigenvalue logarithm, read off U's Cayley matrix."""
 
     def test_collapse_raises(self):
+        # fig1-lowfreq drive, N=41, j=1: gamma=5 puts an eigenvalue of U below its rounding
+        omega = 0.2 * np.pi
+        p = ModelParams(n_sites=41, lam=0.4, phi_dim=0.35, gamma=5.0, impurity_site=1,
+                        kappa=0.05 / omega, omega=omega)
         with pytest.raises(PropagatorCollapseError):
-            principal_log_eigenvalues(np.array([0.0 + 0j, 1.0]))
-
-    def test_exp_log_round_trip(self):
-        rng = np.random.default_rng(17)
-        h = rng.standard_normal((8, 8))
-        h = 0.2 * (h + h.T)  # modest Hermitian generator keeps logs in branch
-        u = expm(1j * h)
-        logs = principal_log_eigenvalues(eig_dense(u).eigenvalues)
-        assert np.abs(logs.real).max() < 1e-10
-        assert np.abs(np.sort(logs.imag) - np.sort(np.linalg.eigvalsh(h))).max() < 1e-8
+            quasi_energies_propagator(p)
