@@ -9,10 +9,10 @@ lab frame by the fourth-order Blanes-Moan splitting S6, with three
 static exponentials per period and exact diagonal drive phases; its
 quasi-energies are eps = (i/Z_p) log mu over the eigenvalues mu of U.
 The drive's symmetries build U from products over the first quarter
-period.  On every chain eps comes from the eigenvalues of U's Cayley
-transform, with one guard against |mu| lost in U's rounding
-(``_cayley_modes``); an even chain's is solved in a real basis, so an
-unbroken spectrum is real to the last bit.  Both routes fold
+period.  An even chain's U is solved through its Cayley transform in a
+real basis, so an unbroken spectrum is real to the last bit; an odd
+chain's U is solved as it is.  One guard on both raises when some |mu|
+is lost in U's rounding (``_propagator_modes``).  Both routes fold
 quasi-energy real parts into the first zone (-omega/2, omega/2] and
 select/weight the N physical modes; their agreement is the strongest
 correctness check in the package.
@@ -61,7 +61,7 @@ NF_TOL = 1e-8
 #: times the parameter bound on ||H_F||_1 at N_F + 2 (``_extended_norm_bound``).
 #: Measured at the floor: 0.27-16 over N = 8-40, omega = 45pi-1e9, N_F = 2-6.
 _NF_ROUNDING_FLOOR = 0.25
-#: Top of that band: a delta(N_F) at or below it, in the same units, is rounding noise.
+#: Top of that band: a delta(N_F) at or below it, in the same units, may be rounding noise.
 _NF_ROUNDING_TOP = 16.0
 #: Most propagator steps per period, requested or reached by doubling.
 MAX_PROPAGATOR_STEPS = 1 << 21
@@ -467,20 +467,18 @@ def _cayley(u: np.ndarray) -> tuple[float, np.ndarray, float]:
     return min(tried, key=lambda t: t[2])
 
 
-def _cayley_modes(u: np.ndarray, params: ModelParams) -> tuple[np.ndarray, np.ndarray]:
-    """Folded quasi-energies and eigenvectors of U, on every chain from its Cayley matrix.
+def _propagator_modes(u: np.ndarray, params: ModelParams) -> tuple[np.ndarray, np.ndarray]:
+    """Folded eps = (i/Z_p) log mu and eigenvectors over the eigenvalues mu of U.
 
-    An eigenvalue lambda of C (see ``_cayley``) gives U's eigenvalue
-    mu = e^{-i alpha}(1 + i lambda)/(1 - i lambda) and
-    eps = (i/Z_p) log mu = (alpha - 2 arctan lambda)/Z_p; C's eigenvectors
-    are U's.  On an even chain P conj(U) P = U^-1 makes R = S^-1 C S real
-    (S = I + iP): a real lambda gives a real eps to the last bit, complex
-    ones come in exact conjugate pairs, an eigenvector x of R gives Sx of U,
-    and an Im R above rounding (U lacks the relation) raises SolverError.
-    Raises PropagatorCollapseError if some |mu| <= eps * ||U||_1, U's rounding.
+    An even chain's P conj(U) P = U^-1 makes R = S^-1 C S real (C from
+    ``_cayley``, S = I + iP): its eigenvalue lambda gives mu = e^{-i alpha}
+    (1 + i lambda)/(1 - i lambda), eps real to the last bit or in exact
+    conjugate pairs, and its eigenvector x gives Sx; an Im R above rounding
+    (U lacks the relation) raises SolverError.  An odd chain solves U itself.
+    Both raise PropagatorCollapseError if some |mu| <= eps * ||U||_1.
     """
-    alpha, c, norm = _cayley(u)
     if _pt_reflection_applies(params):
+        alpha, c, norm = _cayley(u)
         r = 0.5 * (c + c[::-1, ::-1] + 1j * (c[:, ::-1] - c[::-1]))
         defect = float(np.abs(r.imag).max())
         # C's rounding is absolute, about 1e-16, so the bound stops scaling below ||C||_1 = 1
@@ -489,18 +487,22 @@ def _cayley_modes(u: np.ndarray, params: ModelParams) -> tuple[np.ndarray, np.nd
                               f"= {defect:.3e}, ||C||_1 = {norm:.3e}): at very low drive "
                               f"frequency the quarter-period product is ill-conditioned")
         spectrum = eig_dense(r.real)
+        lam = spectrum.eigenvalues
+        with np.errstate(divide="ignore"):  # lambda = -i to the last bit is an infinite |mu|
+            mu_abs = np.abs(1.0 + 1j * lam) / np.abs(1.0 - 1j * lam)
+        eps = (alpha - 2.0 * np.arctan(lam)) / params.drive_period
         vectors = spectrum.eigenvectors + 1j * spectrum.eigenvectors[::-1]
     else:
-        spectrum = eig_dense(c)
+        spectrum = eig_dense(u)
+        mu_abs = np.abs(spectrum.eigenvalues)
+        with np.errstate(divide="ignore"):  # mu = 0 to the last bit raises below
+            log_mu = np.log(mu_abs) + 1j * np.angle(spectrum.eigenvalues)
+        eps = 1j * log_mu / params.drive_period
         vectors = spectrum.eigenvectors
-    lam = spectrum.eigenvalues
-    with np.errstate(divide="ignore"):  # lambda = -i to the last bit is an infinite |mu|
-        smallest = float((np.abs(1.0 + 1j * lam) / np.abs(1.0 - 1j * lam)).min())
     rounding = np.finfo(float).eps * float(matrix_norm_1(u))
-    if smallest <= rounding:
+    if (smallest := float(mu_abs.min())) <= rounding:
         raise PropagatorCollapseError(f"an eigenvalue of U is lost in its rounding: min |mu| = "
                                       f"{smallest:.3e} <= eps * ||U||_1 = {rounding:.3e}")
-    eps = (alpha - 2.0 * np.arctan(lam)) / params.drive_period
     return fold_real(eps.real, params.omega) + 1j * eps.imag, vectors
 
 
@@ -509,7 +511,7 @@ def quasi_energies_propagator(params: ModelParams, n_steps: int | None = None,
     """Quasi-energies from the one-period propagator.
 
     eps = (i/Z_p) * log mu over the eigenvalues mu of U(Z_p), folded, and
-    mode weights from U's eigenvectors, both by ``_cayley_modes``; on an
+    mode weights from U's eigenvectors, both by ``_propagator_modes``; on an
     even chain an unbroken spectrum has Im eps = 0.0 exactly.
     With ``converge_tol`` set, n_steps is doubled until no quasi-energy
     moves by more than the tolerance under the optimal matching, and the
@@ -529,7 +531,7 @@ def quasi_energies_propagator(params: ModelParams, n_steps: int | None = None,
         require_positive_finite("converge_tol", converge_tol)
 
     def compute(steps: int) -> FloquetSpectrum:
-        eps, vectors = _cayley_modes(one_period_propagator(params, steps), params)
+        eps, vectors = _propagator_modes(one_period_propagator(params, steps), params)
         return _package(eps, (np.abs(vectors) ** 2).T, Method.PROPAGATOR, params)
 
     result = compute(n_steps)
@@ -676,9 +678,9 @@ def converge_nf(params: ModelParams, tol: float,
     before a probe whose delta cannot fall below ``tol``: delta never fell
     below _NF_ROUNDING_FLOOR * eps * ||H_F||_1, with ||H_F||_1 bounded from
     the parameters (at omega = 1e8, delta stays near 1e-7), and after a
-    probe whose delta >= tol is rounding noise, below _NF_ROUNDING_TOP in
-    those units.  Every spectrum solved, the returned N_F's included, goes
-    into the ``spectra`` dict by N_F.
+    probe whose delta >= tol is below _NF_ROUNDING_TOP in those units, where
+    one probe cannot tell it from rounding noise, so it may still be falling.
+    Every spectrum solved, the returned N_F's included, goes into ``spectra`` by N_F.
     """
     require_positive_finite("tol", tol)
     cache = {} if spectra is None else spectra
@@ -702,7 +704,7 @@ def converge_nf(params: ModelParams, tol: float,
     lo, hi = 1, 2  # hi is the probe; delta(lo) >= tol once lo >= 2
     while (last := delta(hi)) >= tol:
         if last <= _NF_ROUNDING_TOP * np.finfo(float).eps * _extended_norm_bound(params, hi + 2):
-            raise unreachable(hi, f"delta = {last:.1e} is rounding noise")
+            raise unreachable(hi, f"delta = {last:.1e} cannot be told from rounding noise")
         probe = hi + 1 if hi < _NF_UNIT_STEPS else 2 * hi
         if probe > NF_CAP:
             raise ConvergenceCapError(f"N_F search exceeded cap {NF_CAP}; "

@@ -216,7 +216,7 @@ class TestSpectrumCommand:
         assert solved == [2, 4]
         err = capsys.readouterr().err
         assert "N_F search cannot reach tol 1e-08: at N_F=2 delta = " in err
-        assert "is rounding noise" in err
+        assert "cannot be told from rounding noise" in err
         assert err.rstrip().endswith("set n_floquet (--n-floquet) to solve at a fixed N_F")
 
     @pytest.mark.parametrize("n_sites, gamma", [("7", "20"), ("41", "3")])

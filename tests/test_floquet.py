@@ -710,11 +710,11 @@ class TestQuarterPeriodPropagator:
 
     def test_propagator_without_the_relation_raises(self):
         from floquet_ssh.errors import SolverError
-        from floquet_ssh.floquet import _cayley_modes
+        from floquet_ssh.floquet import _propagator_modes
 
         u = np.random.default_rng(3).normal(size=(6, 6)) * (1 + 0.5j)
         with pytest.raises(SolverError, match=r"lacks the relation P conj\(U\) P = U\^-1"):
-            _cayley_modes(u, ModelParams(n_sites=6))
+            _propagator_modes(u, ModelParams(n_sites=6))
 
 
 def _guard_chain(n_sites, gamma):
@@ -727,24 +727,21 @@ def _rounding_ratio(u):
     return np.abs(np.linalg.eigvals(u)).min() / (np.finfo(float).eps * matrix_norm_1(u))
 
 
-class TestCayleyMap:
-    """One map from U to quasi-energies on both parities, with one rounding guard."""
+class TestRoundingGuard:
+    """One map from U to quasi-energies, with one rounding guard on both parities."""
 
     @pytest.mark.parametrize("n_sites, gamma", [(7, 20.0), (41, 3.0)])
     def test_eigenvalue_below_rounding_raises(self, n_sites, gamma):
-        # the deleted log route returned these, 34 and 5.9e-7 from the extended route
+        # the old absolute 1e-14 guard returned these, 34 and 5.9e-7 from the extended route
         with pytest.raises(PropagatorCollapseError, match=r"eps \* \|\|U\|\|_1"):
             quasi_energies_propagator(_guard_chain(n_sites, gamma))
 
-    @pytest.mark.parametrize("gamma, ratio_floor, tol", [(2.0, 1e3, 1e-7), (2.5, 1.0, 1e-5)])
-    def test_strongly_broken_odd_chain_still_returns(self, gamma, ratio_floor, tol):
-        # the growing mode (|mu| 1.2e8, 2.1e10) sits near lambda = -i, where lambda's
-        # rounding of about eps moves mu by eps*|mu| relative: measured 2.9e-8 and 1.9e-6
-        # from the extended route (the deleted log route: 5.9e-9 at both gamma)
+    @pytest.mark.parametrize("gamma, ratio_floor", [(2.0, 1e3), (2.5, 1.0)])
+    def test_strongly_broken_odd_chain_still_returns(self, gamma, ratio_floor):
         p = _guard_chain(41, gamma)
         assert _rounding_ratio(one_period_propagator(p, default_n_steps(p))) > ratio_floor
         fs = quasi_energies_propagator(p)
-        assert matched_distance(fs, compute_spectrum(p, Method.EXTENDED)) < tol
+        assert matched_distance(fs, compute_spectrum(p, Method.EXTENDED)) < 1e-8
 
     def test_preset_like_chains_are_far_from_the_guard(self):
         worst = math.inf
@@ -763,7 +760,7 @@ class TestCayleyMap:
                                               (45 * math.pi, None), (3.0, 2.0)],
                              ids=["0.2pi", "0.8pi", "45pi", "strong"])
     def test_odd_chain_matches_the_logarithm_of_eigvals(self, n_sites, omega, kappa):
-        # the reference is the deleted route: (i/Z_p) log of U's eigenvalues, folded
+        # the reference: (i/Z_p) log of np.linalg.eigvals(U), folded, with no branch rule
         p = _fig1_chain(n_sites=n_sites, omega=omega,
                         **({} if kappa is None else {"kappa": kappa}))
         steps = default_n_steps(p)

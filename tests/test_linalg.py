@@ -152,7 +152,7 @@ class TestExpm:
 
 
 class TestLogmEig:
-    """The propagator's eigenvalue logarithm, read off U's Cayley matrix."""
+    """The propagator's rounding guard on its eigenvalues."""
 
     def test_collapse_raises(self):
         # fig1-lowfreq drive, N=41, j=1: gamma=5 puts an eigenvalue of U below its rounding
