@@ -322,24 +322,23 @@ def default_n_steps(params: ModelParams) -> int:
     the largest |f|.  That one H(z) is assembled, picked by the scalar f
     that ``hamiltonian_at`` computes.  The count is of fourth-order
     splitting steps (six static products each, see
-    ``one_period_propagator``).  Raises ParameterError when
-    ||H||_1 * Z_p overflows, so that no count exists.
+    ``one_period_propagator``).  Chains longer than PROPAGATOR_SITE_CAP
+    raise DimensionCapError before H(z) is assembled, and a count above
+    MAX_PROPAGATOR_STEPS (or an overflowing one) raises ParameterError,
+    so every count returned is one the propagator takes.
     """
+    _require_sites_within(params, PROPAGATOR_SITE_CAP)
     z_period = params.drive_period
     grid = (np.arange(16) + 0.5) * (z_period / 16)
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow is reported below
         z_peak = max(grid, key=lambda z: abs(drive_value(z, params)))
         norm = float(matrix_norm_1(hamiltonian_at(z_peak, params)))
     steps = 1.35 * norm * z_period
-    if not steps < math.inf:
-        raise _default_steps_error(steps)
+    if not steps <= MAX_PROPAGATOR_STEPS:  # also inf and nan
+        raise ParameterError(f"the default step count ceil(1.35 * ||H||_1 * Z_p) = {steps:.3g} "
+                             f"exceeds MAX_PROPAGATOR_STEPS = {MAX_PROPAGATOR_STEPS}; "
+                             f"set n_steps to run with fewer steps")
     return max(MIN_PROPAGATOR_STEPS, math.ceil(steps))
-
-
-def _default_steps_error(steps: float) -> ParameterError:
-    return ParameterError(f"the default step count ceil(1.35 * ||H||_1 * Z_p) = {steps:.3g} "
-                          f"exceeds MAX_PROPAGATOR_STEPS = {MAX_PROPAGATOR_STEPS}; "
-                          f"set n_steps to run with fewer steps")
 
 
 def require_propagator_steps(n_steps: int) -> None:
@@ -424,12 +423,12 @@ def one_period_propagator(params: ModelParams, n_steps: int) -> np.ndarray:
     corners of the exponentials underflow: parts below _FLUSH_BELOW are
     then zeroed in them and in the product after every stage, which moves
     U by far less than rounding does.  The propagator stays in the lab
-    frame.  ``n_steps`` must lie in [1, MAX_PROPAGATOR_STEPS], checked
-    before anything is allocated.
+    frame.  Chains longer than PROPAGATOR_SITE_CAP raise DimensionCapError
+    and an ``n_steps`` that fails ``require_propagator_steps`` raises
+    ParameterError, both before anything is allocated.
     """
-    if not 1 <= n_steps <= MAX_PROPAGATOR_STEPS:
-        raise ParameterError(f"n_steps must be between 1 and {MAX_PROPAGATOR_STEPS}, "
-                             f"got {n_steps}")
+    _require_sites_within(params, PROPAGATOR_SITE_CAP)
+    require_propagator_steps(n_steps)
     h_static = build_static_hamiltonian(params)
     d = np.diag(drive_operator(params))  # a view that holds the N x N D
     d = d - d.mean()  # a copy, so D is freed; on an odd chain the mean is 0.0 exactly
@@ -484,8 +483,8 @@ def _propagator_modes(u: np.ndarray, params: ModelParams) -> tuple[np.ndarray, n
         # C's rounding is absolute, about 1e-16, so the bound stops scaling below ||C||_1 = 1
         if defect > _REAL_FORM_TOL * max(norm, 1.0):
             raise SolverError(f"U lacks the relation P conj(U) P = U^-1 to rounding (max |Im R| "
-                              f"= {defect:.3e}, ||C||_1 = {norm:.3e}): at very low drive "
-                              f"frequency the quarter-period product is ill-conditioned")
+                              f"= {defect:.3e}, ||C||_1 = {norm:.3e}): a very low drive frequency "
+                              f"or strong gain/loss leaves the half-period product ill-conditioned")
         spectrum = eig_dense(r.real)
         lam = spectrum.eigenvalues
         with np.errstate(divide="ignore"):  # lambda = -i to the last bit is an infinite |mu|
@@ -516,17 +515,12 @@ def quasi_energies_propagator(params: ModelParams, n_steps: int | None = None,
     With ``converge_tol`` set, n_steps is doubled until no quasi-energy
     moves by more than the tolerance under the optimal matching, and the
     refined spectrum is returned; ``converge_tol`` must be positive and
-    finite.  Chains longer than PROPAGATOR_SITE_CAP raise
-    DimensionCapError, and a default step count above
-    MAX_PROPAGATOR_STEPS raises ParameterError, both before anything is
-    stepped.
+    finite.  ``n_steps`` None means ``default_n_steps``.  The chain length
+    and the step count are checked by ``default_n_steps`` and
+    ``one_period_propagator``, before anything is stepped.
     """
-    _require_sites_within(params, PROPAGATOR_SITE_CAP)
     if n_steps is None:
         n_steps = default_n_steps(params)
-        if n_steps > MAX_PROPAGATOR_STEPS:
-            raise _default_steps_error(n_steps)
-    require_propagator_steps(n_steps)
     if converge_tol is not None:
         require_positive_finite("converge_tol", converge_tol)
 

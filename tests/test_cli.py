@@ -219,15 +219,21 @@ class TestSpectrumCommand:
         assert "cannot be told from rounding noise" in err
         assert err.rstrip().endswith("set n_floquet (--n-floquet) to solve at a fixed N_F")
 
-    @pytest.mark.parametrize("n_sites, gamma", [("7", "20"), ("41", "3")])
+    # the preset's N=40 at gamma=2.5: cond(V) = 2.4e10 from the gain/loss, far from any guard
+    # on U's rounding, so only the even chain's relation check stops it
+    @pytest.mark.parametrize("n_sites, gamma, message", [
+        pytest.param("7", "20", "an eigenvalue of U is lost in its rounding", id="7-20"),
+        pytest.param("41", "3", "an eigenvalue of U is lost in its rounding", id="41-3"),
+        pytest.param("40", "2.5", "lacks the relation P conj(U) P = U^-1", id="40-2.5"),
+    ])
     def test_propagator_eigenvalue_below_rounding_exit_1(self, tmp_path, capsys,
-                                                         n_sites, gamma):
+                                                         n_sites, gamma, message):
         out = tmp_path / "x.csv"
         code = main(["spectrum", "--preset", "fig1-lowfreq", "--n-sites", n_sites,
                      "--gamma", gamma, "--impurity-site", "1", "--phi", "0.35",
                      "--method", "propagator", "-o", str(out)])
         assert code == 1
-        assert "an eigenvalue of U is lost in its rounding" in capsys.readouterr().err
+        assert message in capsys.readouterr().err
         assert not out.exists()
 
     def test_solver_failure_exit_1(self, capsys):
