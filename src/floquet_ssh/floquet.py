@@ -51,8 +51,6 @@ DIM_CAP = 7700
 #: per N^2 (the Pade temporaries; tracemalloc at N = 200-401, even and odd,
 #: given or default step count), so one at the cap stays below 3.8 GiB.
 PROPAGATOR_SITE_CAP = 4500
-#: Cap for the N_F convergence search.
-NF_CAP = 512
 #: Last N_F the convergence search reaches by unit steps; it doubles from there.
 _NF_UNIT_STEPS = 16
 #: Tolerance of the N_F convergence search when no N_F is given.
@@ -236,24 +234,21 @@ def build_floquet_matrix(params: ModelParams, n_floquet: int) -> np.ndarray:
 
 
 def _block_shift_overlap(candidate: np.ndarray, selected: np.ndarray,
-                         shift: int, n_sites: int, n_blocks: int) -> float:
+                         shift: int, n_sites: int) -> float:
     """|<candidate, selected shifted by `shift` blocks>| for replica detection."""
-    if abs(shift) >= n_blocks:
+    offset = abs(shift) * n_sites
+    if offset >= candidate.size:  # no block overlaps, and a negative `end` would slice
         return 0.0
-    sel = selected.reshape(n_blocks, n_sites)
-    shifted = np.zeros_like(sel)
+    end = candidate.size - offset
     if shift >= 0:
-        shifted[shift:] = sel[:n_blocks - shift]
-    else:
-        shifted[:n_blocks + shift] = sel[-shift:]
-    return float(abs(np.vdot(candidate, shifted.reshape(-1))))
+        return float(abs(np.vdot(candidate[offset:], selected[:end])))
+    return float(abs(np.vdot(candidate[:end], selected[offset:])))
 
 
 def _select_physical_modes(spectrum: Spectrum, params: ModelParams,
                            n_floquet: int) -> tuple[np.ndarray, np.ndarray, tuple[str, ...]]:
     """Pick the N modes with maximal m=0 Fourier weight, skipping replicas."""
     n = params.n_sites
-    n_blocks = 2 * n_floquet + 1
     vectors = spectrum.eigenvectors
     site_weights_m0 = np.abs(vectors[n_floquet * n:(n_floquet + 1) * n]) ** 2  # (site, mode)
     w0 = site_weights_m0.sum(axis=0)
@@ -264,7 +259,7 @@ def _select_physical_modes(spectrum: Spectrum, params: ModelParams,
         for s in selected:
             shift = int(round((evals[idx].real - evals[s].real) / params.omega))
             if shift != 0 and _block_shift_overlap(
-                    vectors[:, idx], vectors[:, s], shift, n, n_blocks) > REPLICA_OVERLAP:
+                    vectors[:, idx], vectors[:, s], shift, n) > REPLICA_OVERLAP:
                 return True
         return False
 
@@ -666,11 +661,11 @@ def converge_nf(params: ModelParams, tol: float,
     doubling, assuming that delta falls monotonically.  Up to 16 a unit
     step costs less than doubling's overshoot (eigensolve work 0.72x at
     N_F = 7, 0.25-0.35x at 9-10, at most 1.20x at 16).  Above 16 the
-    probes are powers of two, so a search that never converges raises
-    ConvergenceCapError (``NF_CAP``) or DimensionCapError (``DIM_CAP``)
-    at the same probe as plain doubling.  It raises ConvergenceCapError
-    before a probe whose delta cannot fall below ``tol``: delta never fell
-    below _NF_ROUNDING_FLOOR * eps * ||H_F||_1, with ||H_F||_1 bounded from
+    probes are powers of two.  It raises ConvergenceCapError before a probe
+    whose N_F + 2 matrix would exceed ``DIM_CAP`` rows, so a search that
+    never converges solves nothing it cannot pair.  It raises it too before
+    a probe whose delta cannot fall below ``tol``: delta never fell below
+    _NF_ROUNDING_FLOOR * eps * ||H_F||_1, with ||H_F||_1 bounded from
     the parameters (at omega = 1e8, delta stays near 1e-7), and after a
     probe whose delta >= tol is below _NF_ROUNDING_TOP in those units, where
     one probe cannot tell it from rounding noise, so it may still be falling.
@@ -690,6 +685,9 @@ def converge_nf(params: ModelParams, tol: float,
                                    f"set n_floquet (--n-floquet) to solve at a fixed N_F")
 
     def delta(nf: int) -> float:
+        if (rows := params.n_sites * (2 * nf + 5)) > DIM_CAP:
+            raise unreachable(nf, f"the matrix at N_F+2 would have {rows} rows, "
+                                  f"more than DIM_CAP = {DIM_CAP}")
         floor = _NF_ROUNDING_FLOOR * np.finfo(float).eps * _extended_norm_bound(params, nf + 2)
         if tol < floor < math.inf:  # an overflowing diagonal is build_floquet_matrix's error
             raise unreachable(nf, f"rounding alone moves the spectrum by {floor:.1e} or more")
@@ -699,12 +697,7 @@ def converge_nf(params: ModelParams, tol: float,
     while (last := delta(hi)) >= tol:
         if last <= _NF_ROUNDING_TOP * np.finfo(float).eps * _extended_norm_bound(params, hi + 2):
             raise unreachable(hi, f"delta = {last:.1e} cannot be told from rounding noise")
-        probe = hi + 1 if hi < _NF_UNIT_STEPS else 2 * hi
-        if probe > NF_CAP:
-            raise ConvergenceCapError(f"N_F search exceeded cap {NF_CAP}; "
-                                      f"last delta {last:.3e} at N_F={hi}; "
-                                      f"set n_floquet (--n-floquet) to solve at a fixed N_F")
-        lo, hi = hi, probe
+        lo, hi = hi, hi + 1 if hi < _NF_UNIT_STEPS else 2 * hi
     while hi - lo > 1:
         mid = (lo + hi) // 2
         if delta(mid) < tol:

@@ -34,6 +34,8 @@ def _ticks(lo: float, hi: float, count: int = 6) -> list[float]:
     v = first
     while v <= hi + 1e-12 * abs(step):
         values.append(0.0 if abs(v) < 1e-12 * abs(step) else v)
+        if v + step == v:  # the step is below the float spacing at v: v would never move
+            break
         v += step
     return values or [lo]
 
@@ -55,8 +57,8 @@ def spectrum_svg(x_values, mode_series, zero_points,
         raise ValueError("nothing to plot")
     x_lo, x_hi = min(xs), max(xs)
     y_lo, y_hi = min(all_y), max(all_y)
-    if x_hi == x_lo:
-        x_hi = x_lo + 1.0
+    if x_hi == x_lo:  # one x; past 2**53 adding 1.0 leaves it unchanged
+        x_hi = max(x_lo + 1.0, math.nextafter(x_lo, math.inf))
     pad = 0.05 * (y_hi - y_lo) or 1.0
     y_lo -= pad
     y_hi += pad

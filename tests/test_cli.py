@@ -219,6 +219,30 @@ class TestSpectrumCommand:
         assert "cannot be told from rounding noise" in err
         assert err.rstrip().endswith("set n_floquet (--n-floquet) to solve at a fixed N_F")
 
+    def test_nf_search_stops_before_a_probe_over_the_cap_exit_1(self, tmp_path, capsys,
+                                                                 monkeypatch):
+        # N = 856: N_F = 2 fits in DIM_CAP = 7700 rows, but its partner N_F = 4 needs 7704
+        import floquet_ssh.floquet as floquet
+
+        solved = []
+
+        def counting(params, n_floquet):
+            solved.append(n_floquet)
+            raise SolverError("no extended solve expected")
+
+        monkeypatch.setattr(floquet, "quasi_energies_extended", counting)
+        out = tmp_path / "x.csv"
+        code = main(["spectrum", "--n-sites", "856", "--lambda", "0.4", "--impurity-site", "2",
+                     "--kappa-omega", "0.05", "--omega", "0.2pi", "--gamma", "0.2",
+                     "-o", str(out)])
+        assert code == 1
+        assert solved == []
+        err = capsys.readouterr().err
+        assert ("at N_F=2 the matrix at N_F+2 would have 7704 rows, "
+                "more than DIM_CAP = 7700") in err
+        assert err.rstrip().endswith("set n_floquet (--n-floquet) to solve at a fixed N_F")
+        assert not out.exists()
+
     # the preset's N=40 at gamma=2.5: cond(V) = 2.4e10 from the gain/loss, far from any guard
     # on U's rounding, so only the even chain's relation check stops it
     @pytest.mark.parametrize("n_sites, gamma, message", [

@@ -42,6 +42,7 @@ from floquet_ssh.floquet import (
     NF_TOL,
     PROPAGATOR_SITE_CAP,
     SELECTION_GAP,
+    _block_shift_overlap,
     _min_cost_assignment,
     _select_physical_modes,
     compute_spectrum,
@@ -253,6 +254,21 @@ class TestSelectPhysicalModes:
         sel, _, flags = self._select(0.3, 0.3 - SELECTION_GAP / 10)
         assert list(sel) == [0, 2]
         assert flags == ("ambiguous_selection",)
+
+    def test_block_shift_overlap_equals_the_zero_filled_shift(self):
+        # oracle: shift `selected` by whole blocks into a zero-filled copy
+        n_sites, n_blocks = 3, 5
+        rng = np.random.default_rng(3)
+        candidate, selected = rng.normal(size=(2, n_blocks * n_sites, 2)) @ [1, 1j]
+        blocks = selected.reshape(n_blocks, n_sites)
+        for shift in range(-n_blocks - 1, n_blocks + 2):
+            shifted = np.zeros_like(blocks)
+            for b in range(n_blocks):
+                if 0 <= b - shift < n_blocks:
+                    shifted[b] = blocks[b - shift]
+            want = abs(np.vdot(candidate, shifted.ravel()))
+            got = _block_shift_overlap(candidate, selected, shift, n_sites)
+            assert got == pytest.approx(want, rel=1e-14, abs=0.0)
 
 
 class TestQuasiEnergiesPropagator:
@@ -841,17 +857,24 @@ class TestMatchedDistance:
 class TestConvergeNf:
     @staticmethod
     def _scripted(monkeypatch, stable):
-        """Stub solves that return their N_F; delta(N_F) is 0 where stable(N_F), else 1."""
+        """Stub solves that return their N_F; delta(N_F) is 0 where stable(N_F), else 1.
+
+        The solves refuse a matrix above ``DIM_CAP`` rows, as the real one does.
+        The returned dict maps each solved N_F to whether a delta has used it.
+        """
         import floquet_ssh.floquet as floquet
-        solved = []
+        solved = {}
 
         def solve(params, n_floquet):
             assert n_floquet not in solved
-            solved.append(n_floquet)
+            if params.n_sites * (2 * n_floquet + 1) > floquet.DIM_CAP:
+                raise DimensionCapError(f"N_F={n_floquet} exceeds the cap")
+            solved[n_floquet] = False
             return n_floquet
 
         def distance(a, b):
             assert b == a + 2
+            solved[a] = solved[b] = True
             return 0.0 if stable(a) else 1.0
 
         monkeypatch.setattr(floquet, "quasi_energies_extended", solve)
@@ -876,11 +899,20 @@ class TestConvergeNf:
     def test_failure_path_probes_powers_of_two(self, monkeypatch):
         import floquet_ssh.floquet as floquet
         solved = self._scripted(monkeypatch, lambda nf: False)
-        monkeypatch.setattr(floquet, "NF_CAP", 64)
-        with pytest.raises(ConvergenceCapError, match=r"cap 64; last delta 1\.000e\+00 at N_F=64; "
-                                                      r"set n_floquet \(--n-floquet\)"):
+        monkeypatch.setattr(floquet, "DIM_CAP", 4 * (2 * 66 + 1))  # N_F = 130 is over
+        with pytest.raises(ConvergenceCapError,
+                           match=r"at N_F=128 the matrix at N_F\+2 would have 1044 rows, "
+                                 r"more than DIM_CAP = 532 .*set n_floquet \(--n-floquet\)"):
             converge_nf(ModelParams(n_sites=4), 1e-8)
         assert sorted(nf for nf in solved if nf > 18) == [32, 34, 64, 66]
+
+    @pytest.mark.parametrize("n_sites", [2, 3, 7, 8, 15, 40, 58, 115, 200, 800, 856, 1540])
+    def test_failing_search_solves_no_probe_without_its_partner(self, monkeypatch, n_sites):
+        solved = self._scripted(monkeypatch, lambda nf: False)
+        with pytest.raises(ConvergenceCapError,
+                           match=rf"more than DIM_CAP = {DIM_CAP} .*\(--n-floquet\)"):
+            converge_nf(ModelParams(n_sites=n_sites), 1e-8)
+        assert [nf for nf, paired in solved.items() if not paired] == []
 
     def test_undriven_returns_minimum(self):
         p = ModelParams(n_sites=4, lam=0.4, phi_dim=0.5, gamma=0.1,
@@ -933,9 +965,9 @@ class TestConvergeNf:
 
     def test_cap(self, monkeypatch):
         import floquet_ssh.floquet as floquet
-        monkeypatch.setattr(floquet, "NF_CAP", 8)
+        monkeypatch.setattr(floquet, "DIM_CAP", 8 * (2 * 10 + 1))  # N_F = 10 is the last to fit
         p = ModelParams(n_sites=8, lam=0.4, kappa=3.0, omega=0.05)
-        with pytest.raises((ConvergenceCapError, DimensionCapError)):
+        with pytest.raises(ConvergenceCapError, match=r"at N_F=9 .*more than DIM_CAP = 168"):
             converge_nf(p, 1e-12)
 
     def test_compute_spectrum_solves_each_nf_once(self, monkeypatch):
