@@ -14,7 +14,7 @@ compare only when that line matches.
 
 ``--src`` names the directory that holds the ``floquet_ssh`` package
 (default: ``src`` next to this script).  The phase-diagram command takes
-about a minute and a half on two cores.
+about 45 s on two cores.
 """
 
 from __future__ import annotations

@@ -137,7 +137,8 @@ def parse_grid(text: str) -> tuple[float, ...]:
         raise ParameterError(f"grid count must be an integer, got {parts[2]!r}") from None
     if not 1 <= count <= MAX_GRID_POINTS:
         raise ParameterError(f"grid count must be between 1 and {MAX_GRID_POINTS}, got {count}")
-    return tuple(np.linspace(start, stop, count).tolist())
+    with np.errstate(over="ignore", invalid="ignore"):  # SweepSpec reports non-finite values
+        return tuple(np.linspace(start, stop, count).tolist())
 
 
 def fmt(value: float) -> str:

@@ -30,7 +30,6 @@ from __future__ import annotations
 
 import enum
 import math
-from collections.abc import Iterator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -360,28 +359,19 @@ def _pt_reflection_applies(params: ModelParams) -> bool:
     return params.n_sites % 2 == 0
 
 
-def _s6_product(params: ModelParams, h_static: np.ndarray, d_diags: list[np.ndarray],
-                n_steps: int) -> Iterator[np.ndarray]:
-    """Yield the time-ordered S6 product over [0, Z_p/4] in ``n_steps`` steps for each diagonal."""
-    z_end = params.drive_period / 4
-    dz = z_end / n_steps
-    half = [expm(-1j * a * dz * h_static) for a in _S6_STAGES[:3]]
-    flush = any([_flush_tiny(e) for e in half])  # a list, so that all three are flushed
-    stages = half + half[::-1]
-    s = np.concatenate(([0.0], ((np.arange(n_steps)[:, None] + _S6_NODES) * dz).ravel(),
-                        [z_end]))
-    phase_args = -1j * np.diff(params.kappa * (1.0 - np.cos(params.omega * s)))
-    product = np.empty_like(half[0])  # with u, the only N x N array a product allocates
-    for d in d_diags:
-        u = np.diag(np.exp(phase_args[0] * d))
-        for start in range(0, len(stages) * n_steps, _PHASE_CHUNK):
-            rows = np.exp(np.multiply.outer(phase_args[start + 1:start + 1 + _PHASE_CHUNK], d))
-            for k, row in enumerate(rows[:, :, None], start):
-                np.matmul(stages[k % len(stages)], u, out=product)
-                np.multiply(product, row, out=u)
-                if flush:
-                    _flush_tiny(u)
-        yield u
+def _quarter_product(stages: list[np.ndarray], phase_args: np.ndarray, d: np.ndarray,
+                     flush: bool) -> np.ndarray:
+    """Time-ordered product of phase rows exp(phase_args * d) around ``stages``, in chunks."""
+    u = np.diag(np.exp(phase_args[0] * d))
+    product = np.empty_like(u)  # with u, the only N x N array a product allocates
+    for start in range(0, len(phase_args) - 1, _PHASE_CHUNK):
+        rows = np.exp(np.multiply.outer(phase_args[start + 1:start + 1 + _PHASE_CHUNK], d))
+        for k, row in enumerate(rows[:, :, None], start):
+            np.matmul(stages[k % len(stages)], u, out=product)
+            np.multiply(product, row, out=u)
+            if flush:
+                _flush_tiny(u)
+    return u
 
 
 def one_period_propagator(params: ModelParams, n_steps: int) -> np.ndarray:
@@ -395,10 +385,10 @@ def one_period_propagator(params: ModelParams, n_steps: int) -> np.ndarray:
     (J. Comput. Appl. Math. 142, 313 (2002)), fourth order in dz: seven
     phases with weights b1 b2 b3 b4 b3 b2 b1 around six static
     exponentials with weights a1 a2 a3 a3 a2 a1, the last phase of a step
-    merged with the first of the next.  The three distinct static
-    exponentials are computed once per call.  The phases are applied as
-    row scalings, their rows computed a bounded chunk at a time, so
-    memory beyond O(n_steps) scalars is independent of n_steps.
+    merged with the first of the next.  The three distinct static exponentials
+    and the phase arguments are computed once per call; ``_quarter_product``
+    applies the phases as row scalings, their rows computed a bounded chunk at
+    a time, so memory beyond O(n_steps) scalars is independent of n_steps.
 
     Symmetries of the drive fix the period from its first quarter
     (Asboth, Tarasinski & Delplace, PRB 90, 125143 (2014); Bender,
@@ -427,14 +417,23 @@ def one_period_propagator(params: ModelParams, n_steps: int) -> np.ndarray:
     h_static = build_static_hamiltonian(params)
     d = np.diag(drive_operator(params))  # a view that holds the N x N D
     d = d - d.mean()  # a copy, so D is freed; on an odd chain the mean is 0.0 exactly
-    quarters = _s6_product(params, h_static, [d] if _pt_reflection_applies(params) else [d, -d],
-                           -(-n_steps // 4))
+    quarter_steps = -(-n_steps // 4)
+    z_end = params.drive_period / 4
+    dz = z_end / quarter_steps
+    half = [expm(-1j * a * dz * h_static) for a in _S6_STAGES[:3]]
+    flush = any([_flush_tiny(e) for e in half])  # a list, so that all three are flushed
+    stages = half + half[::-1]
+    s = np.concatenate(([0.0], ((np.arange(quarter_steps)[:, None] + _S6_NODES) * dz).ravel(),
+                        [z_end]))
+    phase_args = -1j * np.diff(params.kappa * (1.0 - np.cos(params.omega * s)))
+    v1 = _quarter_product(stages, phase_args, d, flush)
     # a contiguous copy of the transpose: numpy sends q.T @ q to BLAS syrk,
     # which OpenBLAS threads even at N=40, and its idle worker then spins
-    half, *second = [np.ascontiguousarray(q.T) @ q for q in quarters]
-    if second:  # an odd chain: its second half period is the first for -D
-        return second[0] @ half
-    return np.linalg.solve(half.conj(), half[::-1])[::-1]
+    v = np.ascontiguousarray(v1.T) @ v1
+    if _pt_reflection_applies(params):
+        return np.linalg.solve(v.conj(), v[::-1])[::-1]
+    w1 = _quarter_product(stages, phase_args, -d, flush)  # the second half period is V for -D
+    return np.ascontiguousarray(w1.T) @ w1 @ v
 
 
 def _cayley(u: np.ndarray) -> tuple[float, np.ndarray, float]:

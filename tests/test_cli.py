@@ -399,6 +399,21 @@ class TestSweepConfigErrors:
         assert message in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("argv, axis", [
+        (["sweep-phi", "--preset", "fig1-highfreq", "--phi-grid=-1e308:1e308:2"], "phi_dim"),
+        (["phase-diagram", "--n-sites", "8", "--kappa", "0.1", "--omega", "1:2:2",
+          "--gamma=-1e308:1e308:2"], "gamma"),
+    ], ids=["sweep-phi", "phase-diagram"])
+    def test_overflowing_grid_exit_2_without_warnings(self, tmp_path, capsys, argv, axis):
+        # stop - start overflows inside linspace; the axis message is the only output
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main([*argv, "-o", str(tmp_path / "out.csv")]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (f"configuration error: axis '{axis}' has non-finite "
+                                f"grid values\n")
+
     @pytest.mark.parametrize("argv, n_axes", [
         (["sweep-phi", "--n-sites", "2", "--phi-grid", "0:2pi:1000"], 1),
         (["phase-diagram", "--n-sites", "6", "--lambda", "0.4", "--impurity-site", "2",

@@ -137,8 +137,6 @@ class TestBuildFloquetMatrix:
             quasi_energies_extended(p, 2)
 
     def test_dimension_just_above_cap_raises_without_allocating(self, monkeypatch):
-        import tracemalloc
-
         import floquet_ssh.floquet as floquet
 
         def assemble(params):
@@ -317,10 +315,7 @@ class TestQuasiEnergiesPropagator:
         assert ext.max_imag > 0.09  # impurity pair decoupled at J0's zero
 
     def test_high_frequency_tracks_static_spectrum(self):
-        omega = 45 * math.pi
-        driven = ModelParams(n_sites=40, tunneling=1.0, lam=0.4, phi_dim=0.0,
-                             gamma=0.2, impurity_site=2, kappa=0.05 / omega,
-                             omega=omega)
+        driven = _fig1_chain(phi_dim=0.0, omega=45 * math.pi)
         undriven = ModelParams(n_sites=40, tunneling=1.0, lam=0.4, phi_dim=0.0,
                                gamma=0.2, impurity_site=2)
         ext = quasi_energies_extended(driven, 2)
@@ -394,6 +389,20 @@ class TestQuasiEnergiesPropagator:
         with pytest.raises(ParameterError, match="converge_tol must be positive and finite"):
             quasi_energies_propagator(p, converge_tol=converge_tol)
 
+    def test_step_doubling_stops_at_the_cap(self, monkeypatch):
+        # no step count settles below 1e-300, so the doubling runs into the (lowered) cap
+        import floquet_ssh.floquet as floquet
+
+        steps, propagator = [], floquet.one_period_propagator
+        monkeypatch.setattr(floquet, "MAX_PROPAGATOR_STEPS", 80)
+        monkeypatch.setattr(floquet, "one_period_propagator",
+                            lambda params, n: steps.append(n) or propagator(params, n))
+        p = ModelParams(n_sites=6, lam=0.4, impurity_site=2, kappa=0.3, omega=3.0)
+        with pytest.raises(ConvergenceCapError,
+                           match=r"propagator did not stabilize below 1e-300 within 80 steps"):
+            quasi_energies_propagator(p, 40, converge_tol=1e-300)
+        assert steps == [40, 80]
+
     def test_split_step_is_fourth_order_against_midpoint_product(self):
         # oracle: time-ordered product of scipy.linalg.expm steps sampled at
         # the step midpoints, fine enough that its own error is negligible;
@@ -422,18 +431,14 @@ class TestQuasiEnergiesPropagator:
         (0.3, 3.0, 2.0, 1.3e-8),
     ])
     def test_default_step_count_accuracy(self, phi, omega, kappa, bound):
-        p = ModelParams(n_sites=40, tunneling=1.0, lam=0.4, phi_dim=phi,
-                        gamma=0.2, impurity_site=2, kappa=kappa, omega=omega)
+        p = _fig1_chain(phi_dim=phi, omega=omega, kappa=kappa)
         steps = default_n_steps(p)
         error = np.abs(one_period_propagator(p, steps)
                        - one_period_propagator(p, 8 * steps)).max()
         assert error <= bound
 
     def test_default_step_count_at_low_frequency(self):
-        omega = 0.2 * math.pi
-        p = ModelParams(n_sites=40, tunneling=1.0, lam=0.4, phi_dim=0.35,
-                        gamma=0.2, impurity_site=2, kappa=0.05 / omega, omega=omega)
-        assert default_n_steps(p) <= 200
+        assert default_n_steps(_fig1_chain()) <= 200
 
     @settings(max_examples=300, deadline=None)
     @given(n_sites=st.integers(2, 80), lam=st.floats(-1.0, 1.0), phi=st.floats(0.0, 7.0),
@@ -459,12 +464,8 @@ class TestQuasiEnergiesPropagator:
         import floquet_ssh.floquet as floquet
 
         calls = []
-
-        def counting(z, params):
-            calls.append(z)
-            return hamiltonian_at(z, params)
-
-        monkeypatch.setattr(floquet, "hamiltonian_at", counting)
+        monkeypatch.setattr(floquet, "hamiltonian_at",
+                            lambda z, params: calls.append(z) or hamiltonian_at(z, params))
         quasi_energies_propagator(_fig1_chain())
         assert len(calls) == 1
 
@@ -483,9 +484,8 @@ class TestQuasiEnergiesPropagator:
         steps = default_n_steps(p)
         got = one_period_propagator(p, steps)
         flushes = []
-        monkeypatch.setattr(floquet, "_s6_product", lambda params, h, d_diags, n: [
-            _plain_s6_product(params, h, d, params.drive_period / 4, n, flushes)
-            for d in d_diags])
+        monkeypatch.setattr(floquet, "_quarter_product", lambda stages, args, d, flush: (
+            flushes.append(flush) or _plain_quarter_product(stages, args, d, flush)))
         want = one_period_propagator(p, steps)
         assert flushes == [flushed] * (1 + n_sites % 2)
         assert got.tobytes() == want.tobytes()
@@ -506,11 +506,7 @@ class TestQuasiEnergiesPropagator:
                 return getattr(ufunc, method)(*(np.asarray(x) for x in inputs), **kwargs)
 
         monkeypatch.setattr(floquet, "expm", lambda m: expm(m).view(Counting))
-        # the chain and drive of the propagator_sweep benchmark workload
-        omega = 0.2 * math.pi
-        p = ModelParams(n_sites=40, tunneling=1.0, lam=0.4, phi_dim=0.35,
-                        gamma=0.2, impurity_site=2, kappa=0.05 / omega, omega=omega)
-        quasi_energies_propagator(p)
+        quasi_energies_propagator(_fig1_chain())  # the propagator_sweep benchmark chain
         assert 0 < products <= 70
 
     def test_flushed_product_matches_unflushed_on_long_chain(self):
@@ -519,9 +515,7 @@ class TestQuasiEnergiesPropagator:
         from floquet_ssh.floquet import _S6_NODES, _S6_STAGES
         from floquet_ssh.linalg import expm
 
-        omega = 0.2 * math.pi
-        p = ModelParams(n_sites=140, tunneling=1.0, lam=0.4, phi_dim=0.35,
-                        gamma=0.2, impurity_site=2, kappa=0.05 / omega, omega=omega)
+        p = _fig1_chain(n_sites=140)
         n_steps = 40
         dz = p.drive_period / n_steps
         stages = [expm(-1j * a * dz * build_static_hamiltonian(p)) for a in _S6_STAGES]
@@ -530,9 +524,7 @@ class TestQuasiEnergiesPropagator:
         s = np.concatenate(([0.0], ((np.arange(n_steps)[:, None] + _S6_NODES) * dz).ravel(),
                             [p.drive_period]))
         increments = np.diff(p.kappa * (1.0 - np.cos(p.omega * s)))
-        plain = np.diag(np.exp(-1j * increments[0] * d))
-        for k, delta in enumerate(increments[1:]):
-            plain = np.exp(-1j * delta * d)[:, None] * (stages[k % len(stages)] @ plain)
+        plain = _plain_quarter_product(stages, -1j * increments, d, flush=False)
         assert np.abs(one_period_propagator(p, n_steps) - plain).max() < 1e-13
 
 
@@ -548,27 +540,16 @@ def _scanned_n_steps(params):
     return max(MIN_PROPAGATOR_STEPS, math.ceil(steps))
 
 
-def _plain_s6_product(params, h_static, d_diag, z_end, n_steps, flushes):
-    """The S6 product with a new array per stage, u = stage @ u and u *= row."""
-    from floquet_ssh.floquet import _PHASE_CHUNK, _S6_NODES, _S6_STAGES, _flush_tiny
-    from floquet_ssh.linalg import expm
+def _plain_quarter_product(stages, phase_args, d_diag, flush):
+    """The S6 product with a new array and one phase row per stage, u = stage @ u, u *= row."""
+    from floquet_ssh.floquet import _flush_tiny
 
-    dz = z_end / n_steps
-    half = [expm(-1j * a * dz * h_static) for a in _S6_STAGES[:3]]
-    flush = any([_flush_tiny(e) for e in half])
-    flushes.append(flush)
-    stages = half + half[::-1]
-    s = np.concatenate(([0.0], ((np.arange(n_steps)[:, None] + _S6_NODES) * dz).ravel(),
-                        [z_end]))
-    phase_args = -1j * np.diff(params.kappa * (1.0 - np.cos(params.omega * s)))
     u = np.diag(np.exp(phase_args[0] * d_diag))
-    for start in range(0, len(stages) * n_steps, _PHASE_CHUNK):
-        rows = np.exp(np.multiply.outer(phase_args[start + 1:start + 1 + _PHASE_CHUNK], d_diag))
-        for k, row in enumerate(rows, start):
-            u = stages[k % len(stages)] @ u
-            u *= row[:, None]
-            if flush:
-                _flush_tiny(u)
+    for k, arg in enumerate(phase_args[1:]):
+        u = stages[k % len(stages)] @ u
+        u *= np.exp(arg * d_diag)[:, None]
+        if flush:
+            _flush_tiny(u)
     return u
 
 
@@ -587,9 +568,17 @@ def _fig1_chain(**changes):
 
 def _full_period_product(params, n_steps):
     """Reference U: the plain S6 product over the whole period in ``n_steps`` steps."""
-    return _plain_s6_product(params, build_static_hamiltonian(params),
-                             np.diag(drive_operator(params)), z_end=params.drive_period,
-                             n_steps=n_steps, flushes=[])
+    from floquet_ssh.floquet import _S6_NODES, _S6_STAGES, _flush_tiny
+    from floquet_ssh.linalg import expm
+
+    dz = params.drive_period / n_steps
+    half = [expm(-1j * a * dz * build_static_hamiltonian(params)) for a in _S6_STAGES[:3]]
+    flush = any([_flush_tiny(e) for e in half])
+    s = np.concatenate(([0.0], ((np.arange(n_steps)[:, None] + _S6_NODES) * dz).ravel(),
+                        [params.drive_period]))
+    phase_args = -1j * np.diff(params.kappa * (1.0 - np.cos(params.omega * s)))
+    return _plain_quarter_product(half + half[::-1], phase_args,
+                                  np.diag(drive_operator(params)), flush)
 
 
 def _full_period(monkeypatch):
@@ -635,17 +624,16 @@ class TestQuarterPeriodPropagator:
         import floquet_ssh.floquet as floquet
 
         calls, dtypes = [], []
-        product, solve = floquet._s6_product, floquet.eig_dense
-        monkeypatch.setattr(floquet, "_s6_product",
-                            lambda params, h, d_diags, n: calls.append((d_diags, n))
-                            or product(params, h, d_diags, n))
+        product, solve = floquet._quarter_product, floquet.eig_dense
+        monkeypatch.setattr(floquet, "_quarter_product", lambda stages, args, d, flush: (
+            calls.append((len(stages), len(args), d)) or product(stages, args, d, flush)))
         monkeypatch.setattr(floquet, "eig_dense", lambda m: dtypes.append(m.dtype) or solve(m))
         p = _fig1_chain(**changes)
         fs = quasi_energies_propagator(p, 40)
-        [(d_diags, n)] = calls
-        assert n == 10 and len(d_diags) == (1 if reflected else 2)
+        # 10 steps of six stages each, with a phase row before each stage and one after them
+        assert [call[:2] for call in calls] == [(6, 6 * 10 + 1)] * (1 if reflected else 2)
         if not reflected:
-            assert np.array_equal(d_diags[1], -d_diags[0])
+            assert np.array_equal(calls[1][2], -calls[0][2])
         assert dtypes == [np.float64 if reflected else np.complex128]
         # same spectrum as the full period at the same step count
         _full_period(monkeypatch)
@@ -709,6 +697,24 @@ class TestQuarterPeriodPropagator:
             deviation = np.abs(np.exp(-1j * z_period * fs.quasi_energies[:, None])
                                - np.exp(-1j * z_period * energies[None, :])).min(axis=1)
             assert deviation.max() < 1e-10
+
+    def test_cayley_falls_back_to_the_smallest_norm(self):
+        # eigenvalue k sits 1e-5 from -e^{-i alpha_k}, so every rotation's ||C||_1 is near 2e5;
+        # the offsets point in eight directions pi/8 apart, so the norms differ by 3.8e-7 relative
+        # or more, and the smallest is neither the first rotation tried nor the last
+        from floquet_ssh.floquet import _CAYLEY_NORM_MAX, _EDGE_ROTATIONS, _cayley
+
+        turns = np.pi / 8 * np.array([2, 5, 0, 7, 3, 6, 1, 4])
+        mu = -np.exp(-1j * _EDGE_ROTATIONS) * (1.0 + 1e-5 * np.exp(1j * turns))
+        m = np.exp(1j * _EDGE_ROTATIONS)[:, None] * mu[None, :]  # row: the rotated eigenvalues
+        norms = np.abs((1.0 - m) / (1.0 + m)).max(axis=1)  # diagonal C: the largest |entry|
+        assert norms.min() > _CAYLEY_NORM_MAX
+        alpha, c, norm = _cayley(np.diag(mu))
+        assert alpha == _EDGE_ROTATIONS[np.argmin(norms)]
+        assert norm == pytest.approx(norms.min(), rel=1e-9)
+        rotated = np.exp(1j * alpha) * np.diag(mu)
+        rhs = 1j * (np.eye(8) - rotated)
+        assert np.abs(c @ (np.eye(8) + rotated) - rhs).max() <= 1e-12 * np.abs(rhs).max()
 
     def test_ill_conditioned_half_period(self, monkeypatch):
         # cond(V) ~ 4e5 here; the reflection still agrees with the full period
@@ -847,7 +853,6 @@ class TestMatchedDistance:
         order_a = np.lexsort((a.imag, a.real))
         order_b = np.lexsort((b.imag, b.real))
         weights = np.full((4, 4), 0.25)
-        from floquet_ssh import FloquetSpectrum
         fa = FloquetSpectrum(a[order_a], weights, Method.PROPAGATOR, 0, base)
         fb = FloquetSpectrum(b[order_b], weights, Method.PROPAGATOR, 0, base)
         assert spectral_distance(fa, fb) < 1e-11
@@ -948,14 +953,9 @@ class TestConvergeNf:
 
         p = ModelParams(n_sites=8, lam=0.4, phi_dim=0.3, gamma=0.2, impurity_site=2,
                         kappa=0.05 / omega, omega=omega)
-        calls = []
-        original = floquet.quasi_energies_extended
-
-        def counting(params, n_floquet):
-            calls.append(n_floquet)
-            return original(params, n_floquet)
-
-        monkeypatch.setattr(floquet, "quasi_energies_extended", counting)
+        calls, original = [], floquet.quasi_energies_extended
+        monkeypatch.setattr(floquet, "quasi_energies_extended",
+                            lambda params, nf: calls.append(nf) or original(params, nf))
         if solved:
             assert converge_nf(p, tol) == 2
         else:
@@ -974,14 +974,9 @@ class TestConvergeNf:
         import floquet_ssh.floquet as floquet
         p = ModelParams(n_sites=8, lam=0.4, phi_dim=0.3, gamma=0.2, impurity_site=2,
                         kappa=0.05 / (0.2 * math.pi), omega=0.2 * math.pi)
-        solved = []
-        original = floquet.quasi_energies_extended
-
-        def counting(params, n_floquet, **kwargs):
-            solved.append(n_floquet)
-            return original(params, n_floquet, **kwargs)
-
-        monkeypatch.setattr(floquet, "quasi_energies_extended", counting)
+        solved, original = [], floquet.quasi_energies_extended
+        monkeypatch.setattr(floquet, "quasi_energies_extended",
+                            lambda params, nf: solved.append(nf) or original(params, nf))
         got = compute_spectrum(p, Method.EXTENDED)
         assert len(solved) == len(set(solved))
         monkeypatch.undo()
@@ -995,14 +990,9 @@ class TestConvergeNf:
         import floquet_ssh.floquet as floquet
         p = ModelParams(n_sites=6, lam=0.4, phi_dim=0.3, gamma=0.1, impurity_site=2,
                         kappa=0.3, omega=2 * math.pi)
-        tols = []
-        original = floquet.converge_nf
-
-        def spy(params, tol, spectra=None):
-            tols.append(tol)
-            return original(params, tol, spectra=spectra)
-
-        monkeypatch.setattr(floquet, "converge_nf", spy)
+        tols, original = [], floquet.converge_nf
+        monkeypatch.setattr(floquet, "converge_nf", lambda params, tol, spectra=None: (
+            tols.append(tol) or original(params, tol, spectra=spectra)))
         compute_spectrum(p, Method.EXTENDED)
         run_sweep(SweepSpec(base=p, axes=(("phi_dim", (0.1, 0.2)),)))
         gamma_pt_threshold(p, gamma_max=0.2, tol_gamma=0.05, method=Method.EXTENDED)
