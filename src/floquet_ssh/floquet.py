@@ -255,8 +255,9 @@ def _select_physical_modes(spectrum: Spectrum, params: ModelParams,
     selected: list[int] = []
 
     def is_replica(idx) -> bool:
-        for s in selected:
-            shift = int(round((evals[idx].real - evals[s].real) / params.omega))
+        # np.rint rounds half to even, as Python's round does.
+        shifts = np.rint((evals[idx].real - evals[selected].real) / params.omega)
+        for s, shift in zip(selected, shifts.astype(int).tolist()):
             if shift != 0 and _block_shift_overlap(
                     vectors[:, idx], vectors[:, s], shift, n) > REPLICA_OVERLAP:
                 return True

@@ -12,8 +12,11 @@ says whether the floor or the amplitude is the one to change.
 
 import math
 import os
+import subprocess
+import sys
 import time
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -313,25 +316,30 @@ def test_criterion_8_numerics_invariants():
 
 
 def test_criterion_9_threaded_determinism(tmp_path):
-    """Criterion-1 sweep emits byte-identical CSV for any worker count."""
+    """Criterion-1 sweep emits byte-identical CSV for any BLAS thread setting.
+
+    The same sweep runs as three ``python -m floquet_ssh`` children, since
+    OpenBLAS reads its settings only when it loads: with the thread
+    variables unset, with ``OPENBLAS_NUM_THREADS=1``, and with a 2^4-cycle
+    idle timeout.
+    """
     start = time.perf_counter()
+    base = {key: value for key, value in os.environ.items() if key not in
+            ("OPENBLAS_THREAD_TIMEOUT", "OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")}
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    base["PYTHONPATH"] = os.pathsep.join(filter(None, [src, base.get("PYTHONPATH")]))
     outputs = []
-    for threads in ("1", "4"):
-        path = tmp_path / f"sweep_{threads}.csv"
-        env_before = os.environ.get("FLOQUET_SSH_THREADS")
-        os.environ["FLOQUET_SSH_THREADS"] = threads
-        try:
-            code = main(["sweep-phi", "--preset", "fig1-static", "--phi-grid",
-                         "0:2pi:201", "-o", str(path)])
-        finally:
-            if env_before is None:
-                os.environ.pop("FLOQUET_SSH_THREADS", None)
-            else:
-                os.environ["FLOQUET_SSH_THREADS"] = env_before
-        assert code == 0
+    for name, setting in (("unset", {}), ("threads_1", {"OPENBLAS_NUM_THREADS": "1"}),
+                          ("timeout_4", {"OPENBLAS_THREAD_TIMEOUT": "4"})):
+        path = tmp_path / f"sweep_{name}.csv"
+        result = subprocess.run(
+            [sys.executable, "-m", "floquet_ssh", "sweep-phi", "--preset", "fig1-static",
+             "--phi-grid", "0:2pi:201", "-o", str(path)],
+            env={**base, **setting}, capture_output=True, text=True)
+        assert result.returncode == 0, result.stderr
         outputs.append(path.read_bytes())
     elapsed = time.perf_counter() - start
-    ok = outputs[0] == outputs[1]
+    ok = outputs[0] == outputs[1] == outputs[2]
     detail = _report(9, ok, elapsed,
-                     f"{len(outputs[0])} bytes, identical={outputs[0] == outputs[1]}")
+                     f"{len(outputs[0])} bytes, identical={ok} over 3 BLAS settings")
     assert ok, detail

@@ -1,9 +1,13 @@
 import csv
 import json
 import math
+import os
+import subprocess
+import sys
 import time
 import tracemalloc
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -875,3 +879,41 @@ class TestValidateCommand:
         bad = tmp_path / "bad.csv"
         bad.write_text("a,b,c\n1,2,3\n")
         assert main(["validate", "--from-csv", str(bad)]) == 2
+
+
+_SRC = str(Path(__file__).resolve().parents[1] / "src")
+
+
+def _child_env(**settings: str) -> dict[str, str]:
+    """This process's environment without the BLAS thread variables, plus ``settings``."""
+    env = {key: value for key, value in os.environ.items()
+           if key not in ("OPENBLAS_THREAD_TIMEOUT", "OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [_SRC, env.get("PYTHONPATH")]))
+    return {**env, **settings}
+
+
+class TestBlasIdleTimeout:
+    @pytest.mark.parametrize("settings, expected", [({}, "24"),
+                                                    ({"OPENBLAS_THREAD_TIMEOUT": "28"}, "28")],
+                             ids=["unset", "user-28"])
+    def test_import_sets_the_timeout_unless_set(self, settings, expected):
+        code = "import os, floquet_ssh; print(os.environ['OPENBLAS_THREAD_TIMEOUT'])"
+        result = subprocess.run([sys.executable, "-c", code], env=_child_env(**settings),
+                                capture_output=True, text=True, check=True)
+        assert result.stdout.strip() == expected
+
+    @pytest.mark.skipif((os.cpu_count() or 1) < 2, reason="needs a second core to bill")
+    @pytest.mark.skipif("openblas" not in str(np.show_config(mode="dicts")
+                                               ["Build Dependencies"]["blas"].get("name")),
+                        reason="numpy's BLAS is not OpenBLAS")
+    def test_propagator_spectrum_bills_about_one_core(self, tmp_path):
+        # With OpenBLAS's default 2^28-cycle timeout the idle worker spins
+        # beside the small serial products and cpu/wall reads about 1.7.
+        start = time.perf_counter()
+        proc = subprocess.Popen([sys.executable, "-m", "floquet_ssh", "spectrum", "--preset",
+                                 "fig1-lowfreq", "--method", "propagator"],
+                                cwd=tmp_path, env=_child_env(), stdout=subprocess.DEVNULL)
+        _, status, usage = os.wait4(proc.pid, 0)
+        wall = time.perf_counter() - start
+        assert os.waitstatus_to_exitcode(status) == 0
+        assert (usage.ru_utime + usage.ru_stime) / wall < 1.4
