@@ -8,9 +8,11 @@ stderr and of each file the command wrote.  Two checkouts that print the
 same lines produced the same bytes.  The first line, starting with
 ``#``, records OPENBLAS_NUM_THREADS, OMP_NUM_THREADS and the CPU count:
 the eigensolver's last bits depend on the BLAS thread count, so digests
-compare only when that line matches.
+compare only when that line matches.  Each command's wall time goes to
+stderr, one ``<seconds> s  $ <command>`` line per command, so that the
+digest on stdout stays comparable.
 
-    python scripts/readme_digest.py [--src DIR] > digest.txt
+    python scripts/readme_digest.py [--src DIR] > digest.txt 2> times.txt
 
 ``--src`` names the directory that holds the ``floquet_ssh`` package
 (default: ``src`` next to this script).  The phase-diagram command takes
@@ -26,6 +28,7 @@ import pathlib
 import subprocess
 import sys
 import tempfile
+import time
 
 COMMANDS = (
     ("spectrum", "--preset", "fig1-static", "--phi", "0.3", "-o", "spectrum.csv",
@@ -57,8 +60,10 @@ def main(argv=None) -> int:
         work = pathlib.Path(tmp)
         for command in COMMANDS:
             before = set(work.iterdir())
+            start = time.perf_counter()
             result = subprocess.run([sys.executable, "-m", "floquet_ssh", *command],
                                     cwd=work, env=env, capture_output=True)
+            elapsed = time.perf_counter() - start
             print("$ " + " ".join(command))
             print(f"  exit {result.returncode}")
             print(f"  stdout {sha256(result.stdout)}")
@@ -66,6 +71,7 @@ def main(argv=None) -> int:
             for path in sorted(set(work.iterdir()) - before):
                 print(f"  {path.name} {sha256(path.read_bytes())}")
             sys.stdout.flush()
+            print(f"{elapsed:.2f} s  $ {' '.join(command)}", file=sys.stderr, flush=True)
     return 0
 
 

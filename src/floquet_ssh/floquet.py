@@ -36,7 +36,8 @@ import numpy as np
 
 from .effective import effective_hamiltonian, effective_tunneling
 from .errors import (AliasingError, ConvergenceCapError, DimensionCapError, ParameterError,
-                     PropagatorCollapseError, SolverError, require_positive_finite)
+                     PropagatorCollapseError, SolverError, require_integer,
+                     require_positive_finite)
 from .linalg import Spectrum, eig_dense, expm, matrix_norm_1
 from .model import (ModelParams, build_static_hamiltonian, drive_operator, drive_value,
                     hamiltonian_at)
@@ -204,6 +205,7 @@ def build_floquet_matrix(params: ModelParams, n_floquet: int) -> np.ndarray:
     f(z) = c_plus e^{i omega z} + c_minus e^{-i omega z}.  Blocks are
     stored in ascending-m order.
     """
+    n_floquet = require_integer("n_floquet", n_floquet)
     if n_floquet < 1:
         raise ParameterError(f"n_floquet must be >= 1, got {n_floquet}")
     n = params.n_sites
@@ -298,6 +300,7 @@ def quasi_energies_extended(params: ModelParams, n_floquet: int) -> FloquetSpect
     by more than REPLICA_OVERLAP).  Mode weights are the renormalized
     m=0 site marginals.
     """
+    n_floquet = require_integer("n_floquet", n_floquet)
     hf = build_floquet_matrix(params, n_floquet)
     spectrum = eig_dense(hf)
     sel, marginals, flags = _select_physical_modes(spectrum, params, n_floquet)
@@ -336,11 +339,13 @@ def default_n_steps(params: ModelParams) -> int:
     return max(MIN_PROPAGATOR_STEPS, math.ceil(steps))
 
 
-def require_propagator_steps(n_steps: int) -> None:
-    """Raise ParameterError unless MIN_PROPAGATOR_STEPS <= n_steps <= MAX_PROPAGATOR_STEPS."""
+def require_propagator_steps(n_steps: int) -> int:
+    """``n_steps`` as an int; ParameterError unless MIN_ <= n_steps <= MAX_PROPAGATOR_STEPS."""
+    n_steps = require_integer("n_steps", n_steps)
     if not MIN_PROPAGATOR_STEPS <= n_steps <= MAX_PROPAGATOR_STEPS:
         raise ParameterError(f"n_steps must be between {MIN_PROPAGATOR_STEPS} and "
                              f"{MAX_PROPAGATOR_STEPS}, got {n_steps}")
+    return n_steps
 
 
 def _flush_tiny(m: np.ndarray) -> bool:
@@ -414,7 +419,7 @@ def one_period_propagator(params: ModelParams, n_steps: int) -> np.ndarray:
     ParameterError, both before anything is allocated.
     """
     _require_sites_within(params, PROPAGATOR_SITE_CAP)
-    require_propagator_steps(n_steps)
+    n_steps = require_propagator_steps(n_steps)
     h_static = build_static_hamiltonian(params)
     d = np.diag(drive_operator(params))  # a view that holds the N x N D
     d = d - d.mean()  # a copy, so D is freed; on an odd chain the mean is 0.0 exactly
@@ -514,8 +519,7 @@ def quasi_energies_propagator(params: ModelParams, n_steps: int | None = None,
     and the step count are checked by ``default_n_steps`` and
     ``one_period_propagator``, before anything is stepped.
     """
-    if n_steps is None:
-        n_steps = default_n_steps(params)
+    n_steps = default_n_steps(params) if n_steps is None else require_integer("n_steps", n_steps)
     if converge_tol is not None:
         require_positive_finite("converge_tol", converge_tol)
 
@@ -537,49 +541,38 @@ def quasi_energies_propagator(params: ModelParams, n_steps: int | None = None,
 
 
 def _min_cost_assignment(cost: np.ndarray) -> np.ndarray:
-    """Column assigned to each row minimizing total cost (O(n^3) Hungarian)."""
+    """Column assigned to each row minimizing total cost (O(n^3) Hungarian).
+
+    Shortest augmenting paths with row and column potentials u, v.  Each
+    step of a row's search scans the free columns as arrays: their reduced
+    costs, the update of ``least`` and ``path`` where a cost improves, and
+    the first minimum.  Python loops over rows and steps, O(n^2) of them;
+    the O(n^3) arithmetic stays in numpy.
+    """
     n = cost.shape[0]
-    u = np.zeros(n + 1)
-    v = np.zeros(n + 1)
-    row_of_col = np.zeros(n + 1, dtype=int)
-    path = np.zeros(n + 1, dtype=int)
+    u, v = np.zeros(n + 1), np.zeros(n + 1)
+    row_of_col, path = np.zeros((2, n + 1), dtype=int)
     for i in range(1, n + 1):
-        row_of_col[0] = i
-        j0 = 0
+        row_of_col[0], j0 = i, 0
         least = np.full(n + 1, np.inf)
         used = np.zeros(n + 1, dtype=bool)
-        while True:
+        while row_of_col[j0]:
             used[j0] = True
+            free = np.flatnonzero(~used)
             i0 = row_of_col[j0]
-            delta = np.inf
-            j1 = 0
-            for j in range(1, n + 1):
-                if used[j]:
-                    continue
-                cur = cost[i0 - 1, j - 1] - u[i0] - v[j]
-                if cur < least[j]:
-                    least[j] = cur
-                    path[j] = j0
-                if least[j] < delta:
-                    delta = least[j]
-                    j1 = j
-            for j in range(n + 1):
-                if used[j]:
-                    u[row_of_col[j]] += delta
-                    v[j] -= delta
-                else:
-                    least[j] -= delta
-            j0 = j1
-            if row_of_col[j0] == 0:
-                break
-        while j0 != 0:
+            cur = cost[i0 - 1, free - 1] - u[i0] - v[free]
+            better = cur < least[free]
+            least[free[better]] = cur[better]
+            path[free[better]] = j0
+            j0 = free[np.argmin(least[free])]
+            delta = least[j0]
+            u[row_of_col[used]] += delta
+            v[used] -= delta
+            least[free] -= delta
+        while j0:  # flip the augmenting path
             j1 = path[j0]
-            row_of_col[j0] = row_of_col[j1]
-            j0 = j1
-    result = np.empty(n, dtype=int)
-    for j in range(1, n + 1):
-        result[row_of_col[j] - 1] = j - 1
-    return result
+            row_of_col[j0], j0 = row_of_col[j1], j1
+    return np.argsort(row_of_col[1:])  # the inverse of the permutation row_of_col[1:] - 1
 
 
 def _matched_deviations(a: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ParameterError
+from .errors import ParameterError, require_integer
 
 
 @dataclass(frozen=True)
@@ -56,12 +56,7 @@ class ModelParams:
 
     def __post_init__(self):
         for name in ("n_sites", "impurity_site"):
-            value = getattr(self, name)
-            integral = ((isinstance(value, (int, np.integer)) and not isinstance(value, bool))
-                        or (isinstance(value, float) and value.is_integer()))
-            if not integral:
-                raise ParameterError(f"{name} must be an integer, got {value!r}")
-            object.__setattr__(self, name, int(value))
+            object.__setattr__(self, name, require_integer(name, getattr(self, name)))
         if self.n_sites < 1:
             raise ParameterError(f"n_sites must be positive, got {self.n_sites}")
         for name in ("tunneling", "lam", "phi_dim", "gamma", "kappa", "omega"):

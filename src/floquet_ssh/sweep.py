@@ -21,7 +21,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .analysis import Phase, PhasePoint, classify_pt, edge_weight
-from .errors import ParameterError, SolverError
+from .errors import ParameterError, SolverError, require_integer
 from .floquet import FloquetSpectrum, Method, compute_spectrum, require_propagator_steps
 from .model import ModelParams
 
@@ -50,9 +50,9 @@ class SweepSpec:
     smallest-omega grid corner, reused for the whole sweep.  That corner
     is the worst case in omega only; another Phi or gamma at the same
     omega can need a larger N_F.
-    The solver sizes are checked only for the method that uses them:
-    ``n_floquet`` must be >= 1 on the extended route, and ``n_steps``
-    must pass ``require_propagator_steps``.
+    The solver sizes are checked, and stored as ints, only for the method
+    that uses them: ``n_floquet`` must be an integer >= 1 on the extended
+    route, and ``n_steps`` must pass ``require_propagator_steps``.
     """
 
     base: ModelParams
@@ -84,11 +84,12 @@ class SweepSpec:
         count = self.n_points()
         if count > MAX_GRID_POINTS:
             raise ParameterError(f"the grid has {count} points, more than {MAX_GRID_POINTS}")
-        if (self.method is Method.EXTENDED and self.n_floquet is not None
-                and self.n_floquet < 1):
-            raise ParameterError(f"n_floquet must be >= 1, got {self.n_floquet}")
+        if self.method is Method.EXTENDED and self.n_floquet is not None:
+            object.__setattr__(self, "n_floquet", require_integer("n_floquet", self.n_floquet))
+            if self.n_floquet < 1:
+                raise ParameterError(f"n_floquet must be >= 1, got {self.n_floquet}")
         if self.method is Method.PROPAGATOR and self.n_steps is not None:
-            require_propagator_steps(self.n_steps)
+            object.__setattr__(self, "n_steps", require_propagator_steps(self.n_steps))
 
     def n_points(self) -> int:
         return math.prod(len(grid) for _, grid in self.axes)

@@ -917,3 +917,20 @@ class TestBlasIdleTimeout:
         wall = time.perf_counter() - start
         assert os.waitstatus_to_exitcode(status) == 0
         assert (usage.ru_utime + usage.ru_stime) / wall < 1.4
+
+
+def test_cli_never_loads_scipy(tmp_path):
+    # SciPy is a test dependency only: neither importing the CLI nor a solve may load it
+    code = ("import sys\n"
+            "loaded = lambda: sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')\n"
+            "import floquet_ssh.cli\n"
+            "print('after import', loaded(), file=sys.stderr)\n"
+            "status = floquet_ssh.cli.main(['spectrum', '--preset', 'fig1-lowfreq',"
+            " '--n-sites', '6'])\n"
+            "print('after spectrum', loaded(), file=sys.stderr)\n"
+            "sys.exit(status)\n")
+    result = subprocess.run([sys.executable, "-c", code], cwd=tmp_path, env=_child_env(),
+                            capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr
+    assert result.stderr.splitlines() == ["after import []", "after spectrum []"]
+    assert (tmp_path / "spectrum.csv").exists()

@@ -5,6 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.optimize
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
@@ -845,6 +846,30 @@ class TestMatchedDistance:
                        for perm in itertools.permutations(range(n)))
             assert got == pytest.approx(best, abs=1e-12)
 
+    @staticmethod
+    def _working_costs(n, rng):
+        """Cost matrices of the kinds a spectrum comparison meets, by name."""
+        a = rng.normal(size=n) + 1j * rng.normal(size=n)
+        conjugates = np.concatenate([a[:n // 2], a[:n // 2].conj()])  # real parts tie in pairs
+
+        def pair(x, noise):
+            y = rng.permutation(x + noise * (rng.normal(size=n) + 1j * rng.normal(size=n)))
+            return np.abs(x[:, None] - y[None, :])
+
+        return {"near-equal": pair(a, 1e-9), "unconverged": pair(a, 0.3),
+                "integer ties": np.round(rng.uniform(0.0, 4.0, (n, n))),
+                "conjugate pairs": pair(conjugates, 1e-12)}
+
+    @pytest.mark.parametrize("n", [40, 200])
+    def test_assignment_solver_against_scipy_at_working_sizes(self, n):
+        rng = np.random.default_rng(n)
+        for kind, cost in self._working_costs(n, rng).items():
+            cols = _min_cost_assignment(cost)
+            assert np.array_equal(np.sort(cols), np.arange(n)), kind
+            rows, best = scipy.optimize.linear_sum_assignment(cost)
+            assert cost[np.arange(n), cols].sum() == pytest.approx(
+                cost[rows, best].sum(), rel=1e-12), kind
+
     def test_robust_to_tied_real_parts(self):
         # sorted (Re, Im) pairing scrambles these; the matcher must not
         base = ModelParams(n_sites=4, lam=0.4, omega=2.0)
@@ -997,3 +1022,52 @@ class TestConvergeNf:
         run_sweep(SweepSpec(base=p, axes=(("phi_dim", (0.1, 0.2)),)))
         gamma_pt_threshold(p, gamma_max=0.2, tol_gamma=0.05, method=Method.EXTENDED)
         assert tols == [NF_TOL] * 3
+
+
+class TestIntegerSolverSizes:
+    """n_floquet and n_steps follow ModelParams' integer rule on every route."""
+
+    P = ModelParams(n_sites=6, lam=0.4, phi_dim=0.3, gamma=0.1, impurity_site=2,
+                    kappa=0.3, omega=2 * math.pi)
+
+    @pytest.mark.parametrize("n_floquet", [2.0, np.int64(2), np.float64(2.0)])
+    def test_integral_n_floquet_solves_as_an_int(self, n_floquet):
+        want = quasi_energies_extended(self.P, 2)
+        for got in (quasi_energies_extended(self.P, n_floquet),
+                    compute_spectrum(self.P, Method.EXTENDED, n_floquet=n_floquet)):
+            assert type(got.n_floquet) is int and got.n_floquet == 2
+            assert np.array_equal(got.quasi_energies, want.quasi_energies)
+        assert np.array_equal(build_floquet_matrix(self.P, n_floquet),
+                              build_floquet_matrix(self.P, 2))
+        threshold = [gamma_pt_threshold(self.P, gamma_max=0.2, tol_gamma=0.05,
+                                        method=Method.EXTENDED, n_floquet=nf)
+                     for nf in (n_floquet, 2)]
+        assert threshold[0] == threshold[1]
+
+    @pytest.mark.parametrize("n_floquet", [2.5, True, math.nan, "2"])
+    def test_fractional_n_floquet_raises(self, n_floquet):
+        message = "n_floquet must be an integer"
+        with pytest.raises(ParameterError, match=message):
+            build_floquet_matrix(self.P, n_floquet)
+        with pytest.raises(ParameterError, match=message):
+            compute_spectrum(self.P, Method.EXTENDED, n_floquet=n_floquet)
+        with pytest.raises(ParameterError, match=message):
+            gamma_pt_threshold(self.P, gamma_max=0.2, method=Method.EXTENDED,
+                               n_floquet=n_floquet)
+
+    def test_integral_n_steps_steps_as_an_int(self):
+        want = one_period_propagator(self.P, 40)
+        for n_steps in (40.0, np.int64(40)):
+            assert np.array_equal(one_period_propagator(self.P, n_steps), want)
+            assert np.array_equal(quasi_energies_propagator(self.P, n_steps).quasi_energies,
+                                  quasi_energies_propagator(self.P, 40).quasi_energies)
+
+    @pytest.mark.parametrize("n_steps", [40.5, True, "40"])
+    def test_fractional_n_steps_raises(self, n_steps):
+        # unchecked, a fraction would be rounded up to a multiple of 4 steps without a word
+        message = "n_steps must be an integer"
+        for route in (quasi_energies_propagator, one_period_propagator):
+            with pytest.raises(ParameterError, match=message):
+                route(self.P, n_steps)
+        with pytest.raises(ParameterError, match=message):
+            gamma_pt_threshold(self.P, gamma_max=0.2, method=Method.PROPAGATOR, n_steps=n_steps)

@@ -6,6 +6,8 @@ import os
 import pathlib
 import re
 import shlex
+import subprocess
+import types
 
 from floquet_ssh import cli, floquet, sweep
 
@@ -110,3 +112,29 @@ def test_readme_python_example_runs_and_prints_its_claims():
     distance, phase = out.getvalue().splitlines()
     assert float(distance) < 1e-7
     assert phase == "Phase.UNBROKEN"
+
+
+def test_digest_prints_command_times_to_stderr_only(monkeypatch, capsys):
+    digest = _load_digest()
+    commands = (("spectrum", "-o", "a.csv"), ("validate", "--from-csv", "a.csv"))
+    monkeypatch.setattr(digest, "COMMANDS", commands)
+    written = b"1,2\n"
+    clock = iter([10.0, 10.25, 20.0, 21.5])
+    monkeypatch.setattr(digest, "time", types.SimpleNamespace(perf_counter=lambda: next(clock)))
+
+    def fake_run(argv, cwd, env, capture_output):
+        assert argv[1:3] == ["-m", "floquet_ssh"] and capture_output
+        if argv[3] == "spectrum":
+            pathlib.Path(cwd, "a.csv").write_bytes(written)
+        return subprocess.CompletedProcess(argv, 0, stdout=b"out", stderr=b"")
+
+    monkeypatch.setattr(digest, "subprocess", types.SimpleNamespace(run=fake_run))
+    assert digest.main([]) == 0
+    out, err = capsys.readouterr()
+    assert out.splitlines()[1:] == [
+        "$ spectrum -o a.csv", "  exit 0", f"  stdout {digest.sha256(b'out')}",
+        f"  stderr {digest.sha256(b'')}", f"  a.csv {digest.sha256(written)}",
+        "$ validate --from-csv a.csv", "  exit 0", f"  stdout {digest.sha256(b'out')}",
+        f"  stderr {digest.sha256(b'')}"]
+    assert err.splitlines() == ["0.25 s  $ spectrum -o a.csv",
+                                "1.50 s  $ validate --from-csv a.csv"]

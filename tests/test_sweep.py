@@ -82,6 +82,19 @@ class TestSweepSpec:
         SweepSpec(base=_base(), axes=(("gamma", (0.1,)),),
                   method=Method.PROPAGATOR, n_steps=20)
 
+    @pytest.mark.parametrize("method, field", [(Method.EXTENDED, "n_floquet"),
+                                               (Method.PROPAGATOR, "n_steps")])
+    @pytest.mark.parametrize("value", [40.5, True, "40"])
+    def test_solver_sizes_must_be_integers(self, method, field, value):
+        with pytest.raises(ParameterError, match=f"{field} must be an integer"):
+            SweepSpec(base=_base(), axes=(("gamma", (0.1,)),), method=method, **{field: value})
+
+    def test_integral_solver_sizes_are_stored_as_ints(self):
+        spec = SweepSpec(base=_base(), axes=(), method=Method.EXTENDED, n_floquet=2.0)
+        assert type(spec.n_floquet) is int and spec.n_floquet == 2
+        spec = SweepSpec(base=_base(), axes=(), method=Method.PROPAGATOR, n_steps=np.int64(40))
+        assert type(spec.n_steps) is int and spec.n_steps == 40
+
     def test_grid_points_row_major(self):
         spec = SweepSpec(base=_base(),
                          axes=(("gamma", (0.0, 0.1)), ("omega", (1.0, 2.0, 3.0))))
@@ -108,6 +121,14 @@ class TestRunSweep:
         assert_allclose([r.re_eps for r in result.rows],
                         standalone.quasi_energies.real, atol=1e-14)
         assert result.failures == ()
+
+    def test_integral_float_n_floquet_sweeps_as_the_int(self):
+        # a float size reaching np.zeros would raise TypeError past the per-point handler
+        runs = [run_sweep(SweepSpec(base=_base(kappa=0.3), axes=(("phi_dim", (0.1, 0.2)),),
+                                    n_floquet=nf))
+                for nf in (2.0, 2)]
+        assert runs[0].failures == () and runs[0].rows == runs[1].rows
+        assert {type(r.n_floquet) for r in runs[0].rows} == {int}
 
     def test_zero_axes_solve_the_base_point(self):
         spec = SweepSpec(base=_base(), axes=(), method=Method.STATIC)
