@@ -10,7 +10,8 @@ same lines produced the same bytes.  The first line, starting with
 the eigensolver's last bits depend on the BLAS thread count, so digests
 compare only when that line matches.  Each command's wall time goes to
 stderr, one ``<seconds> s  $ <command>`` line per command, so that the
-digest on stdout stays comparable.
+digest on stdout stays comparable; a first ``# loadavg <1m> <5m> <15m>``
+stderr line records the host load that the times were taken under.
 
     python scripts/readme_digest.py [--src DIR] > digest.txt 2> times.txt
 
@@ -56,6 +57,8 @@ def main(argv=None) -> int:
     env = dict(os.environ, PYTHONPATH=os.path.abspath(args.src))
     print(f"# OPENBLAS_NUM_THREADS={os.environ.get('OPENBLAS_NUM_THREADS')} "
           f"OMP_NUM_THREADS={os.environ.get('OMP_NUM_THREADS')} cpu_count={os.cpu_count()}")
+    print("# loadavg " + " ".join(f"{load:.2f}" for load in os.getloadavg()),
+          file=sys.stderr, flush=True)
     with tempfile.TemporaryDirectory(prefix="readme_digest_") as tmp:
         work = pathlib.Path(tmp)
         for command in COMMANDS:

@@ -21,7 +21,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import ParameterError, require_positive_finite
-from .floquet import FloquetSpectrum, Method, compute_spectrum
+from .floquet import DIM_CAP, FloquetSpectrum, Method, _require_sites_within, compute_spectrum
 from .model import ModelParams, hamiltonian_at
 
 #: Max |Im eps| below which a spectrum counts as PT-unbroken.
@@ -168,14 +168,15 @@ def check_pt_symmetry(params: ModelParams) -> float:
     Evaluates R(z) = P conj(H(-z)) P - H(z) at 64 evenly spaced z, where
     P is site reversal and z = 0 is an odd point of the drive, subtracts
     the trace part of R (scalar drive terms are pure gauge), and returns
-    the largest remaining entry magnitude.
+    the largest remaining entry magnitude, one z at a time (about 64 B per
+    N^2).  Chains over DIM_CAP sites raise DimensionCapError before any H(z).
     For even N this is zero up to rounding; odd N breaks the relation
     through its hopping texture.
     """
-    n = params.n_sites
-    z = np.linspace(0.0, params.drive_period, 64, endpoint=False)
-    reflected = np.conj(hamiltonian_at(-z, params))[:, ::-1, ::-1]
-    residual = reflected - hamiltonian_at(z, params)
-    sites = np.arange(n)
-    residual[:, sites, sites] -= np.trace(residual, axis1=1, axis2=2)[:, None] / n
-    return float(np.abs(residual).max())
+    _require_sites_within(params, DIM_CAP)
+    peaks = []
+    for z in np.linspace(0.0, params.drive_period, 64, endpoint=False):
+        residual = np.conj(hamiltonian_at(-z, params))[::-1, ::-1] - hamiltonian_at(z, params)
+        residual[np.diag_indices_from(residual)] -= np.trace(residual) / params.n_sites
+        peaks.append(np.abs(residual).max())
+    return float(np.max(peaks))

@@ -40,7 +40,7 @@ from typing import get_type_hints
 import numpy as np
 
 from .analysis import TOL_GAMMA, classify_pt, gamma_pt_threshold, is_zero_mode
-from .errors import ParameterError, SolverError
+from .errors import ParameterError, SolverError, require_integer
 from .floquet import Method, compare_with_effective, compute_spectrum
 from .model import ModelParams
 from .svgplot import spectrum_svg
@@ -97,10 +97,8 @@ def _parse_float(value) -> float:
 
 
 def _parse_int(value) -> int:
-    """Parse 6, 6.0 or '6'; fractions, '6.0' and booleans are rejected."""
-    if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
-        raise ValueError("not an integer")
-    return int(value)
+    """6, 6.0 or '6' as an int; '6.0', 6.5 and booleans raise ValueError (``require_integer``)."""
+    return require_integer("value", int(value) if isinstance(value, str) else value)
 
 
 # Config-file key -> (flag, parser, help).  The flag's argparse dest is the

@@ -44,8 +44,8 @@ from .model import (ModelParams, build_static_hamiltonian, drive_operator, drive
 
 #: Hard cap on the extended matrix dimension N*(2*N_F+1).  A solve peaks at
 #: about 68 B per dim^2 (+65 MiB at dim 1000, +141 MiB at 1480), so one at the
-#: cap stays near 3.8 GiB, inside a 7 GB machine.  A static or effective
-#: solve peaks at about 65 B per N^2, so it takes chains up to DIM_CAP sites.
+#: cap stays near 3.8 GiB, inside a 7 GB machine.  A static or effective solve
+#: (65 B per N^2) or the PT check (64 B) takes chains up to DIM_CAP sites.
 DIM_CAP = 7700
 #: Longest chain the propagator route takes.  A solve peaks at about 192 B
 #: per N^2 (the Pade temporaries; tracemalloc at N = 200-401, even and odd,
@@ -318,7 +318,7 @@ def default_n_steps(params: ModelParams) -> int:
     is monotone in |f(z)|, so ||H(z)||_1 never falls as |f(z)| grows and
     the maximum over the 16 z is, to the last bit, the norm at the z with
     the largest |f|.  That one H(z) is assembled, picked by the scalar f
-    that ``hamiltonian_at`` computes.  The count is of fourth-order
+    from ``drive_value``.  The count is of fourth-order
     splitting steps (six static products each, see
     ``one_period_propagator``).  Chains longer than PROPAGATOR_SITE_CAP
     raise DimensionCapError before H(z) is assembled, and a count above
@@ -650,16 +650,17 @@ def converge_nf(params: ModelParams, tol: float,
 
     Stable means that delta(N_F), the ``matched_distance`` between the
     spectra at N_F and N_F+2, is below ``tol``.  N_F steps by one up to
-    _NF_UNIT_STEPS, then doubles (32, 64, ...) and bisects the last
-    doubling, assuming that delta falls monotonically.  Up to 16 a unit
-    step costs less than doubling's overshoot (eigensolve work 0.72x at
-    N_F = 7, 0.25-0.35x at 9-10, at most 1.20x at 16).  Above 16 the
-    probes are powers of two.  It raises ConvergenceCapError before a probe
-    whose N_F + 2 matrix would exceed ``DIM_CAP`` rows, so a search that
-    never converges solves nothing it cannot pair.  It raises it too before
-    a probe whose delta cannot fall below ``tol``: delta never fell below
-    _NF_ROUNDING_FLOOR * eps * ||H_F||_1, with ||H_F||_1 bounded from
-    the parameters (at omega = 1e8, delta stays near 1e-7), and after a
+    _NF_UNIT_STEPS, then doubles (32, 64, ...) up to the largest N_F whose
+    N_F + 2 matrix fits, and bisects the last step, assuming that delta
+    falls monotonically.  Up to 16 a unit step costs less than doubling's
+    overshoot (eigensolve work 0.72x at N_F = 7, 0.25-0.35x at 9-10, at
+    most 1.20x at 16); a search failing at N = 40 also solves N_F = 93 and
+    95, 3.5x the work of doubling alone.  It raises ConvergenceCapError
+    before a probe whose N_F + 2 matrix would exceed ``DIM_CAP`` rows, so
+    a search that never converges solves nothing it cannot pair.  It raises
+    it too before a probe whose delta cannot fall below ``tol``: delta never
+    fell below _NF_ROUNDING_FLOOR * eps * ||H_F||_1, with ||H_F||_1 bounded
+    from the parameters (at omega = 1e8, delta stays near 1e-7), and after a
     probe whose delta >= tol is below _NF_ROUNDING_TOP in those units, where
     one probe cannot tell it from rounding noise, so it may still be falling.
     Every spectrum solved, the returned N_F's included, goes into ``spectra`` by N_F.
@@ -686,11 +687,12 @@ def converge_nf(params: ModelParams, tol: float,
             raise unreachable(nf, f"rounding alone moves the spectrum by {floor:.1e} or more")
         return matched_distance(spectrum(nf), spectrum(nf + 2))
 
+    top = (DIM_CAP // params.n_sites - 5) // 2  # the last N_F whose N_F+2 matrix fits
     lo, hi = 1, 2  # hi is the probe; delta(lo) >= tol once lo >= 2
     while (last := delta(hi)) >= tol:
         if last <= _NF_ROUNDING_TOP * np.finfo(float).eps * _extended_norm_bound(params, hi + 2):
             raise unreachable(hi, f"delta = {last:.1e} cannot be told from rounding noise")
-        lo, hi = hi, hi + 1 if hi < _NF_UNIT_STEPS else 2 * hi
+        lo, hi = hi, hi + 1 if hi < _NF_UNIT_STEPS else max(hi + 1, min(2 * hi, top))
     while hi - lo > 1:
         mid = (lo + hi) // 2
         if delta(mid) < tol:

@@ -134,13 +134,6 @@ def drive_value(z, params: ModelParams):
     return params.kappa * params.omega * np.sin(params.omega * np.asarray(z))
 
 
-def hamiltonian_at(z, params: ModelParams) -> np.ndarray:
-    """Full Hamiltonian H(z) = H_static + f(z) * D.
-
-    For an array of z the matrices are stacked: the shape is z.shape + (N, N).
-    """
-    f = drive_value(z, params)
-    h = np.broadcast_to(build_static_hamiltonian(params), f.shape + (params.n_sites,) * 2).copy()
-    sites = np.arange(params.n_sites)
-    h[..., sites, sites] += f[..., None] * np.diag(drive_operator(params))
-    return h
+def hamiltonian_at(z: float, params: ModelParams) -> np.ndarray:
+    """Full Hamiltonian H(z) = H_static + f(z) * D at one z; an array z raises TypeError."""
+    return build_static_hamiltonian(params) + drive_value(float(z), params) * drive_operator(params)

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -211,6 +212,19 @@ class TestCheckPtSymmetry:
         p = ModelParams(n_sites=9, lam=0.4, phi_dim=0.7, gamma=0.2,
                         impurity_site=2, kappa=0.5, omega=2.0)
         assert check_pt_symmetry(p) > 1e-3
+
+    @pytest.mark.parametrize("n_sites", [200, 201])
+    def test_peak_memory_is_a_few_matrices(self, n_sites):
+        # one H(z) at a time: about 64 B per N^2 (the 64 stacked copies took 3072)
+        p = ModelParams(n_sites=n_sites, lam=0.4, phi_dim=0.7, gamma=0.2,
+                        impurity_site=2, kappa=0.5, omega=2.0)
+        tracemalloc.start()
+        try:
+            check_pt_symmetry(p)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 80 * n_sites ** 2
 
 
 class TestClassificationConsistency:

@@ -22,6 +22,7 @@ from floquet_ssh import (
 )
 from floquet_ssh.cli import (
     _PHASE_FIELDS,
+    _SETTINGS,
     _SPECTRUM_FIELDS,
     MAX_PLOT_ROWS,
     PHASE_HEADER,
@@ -563,21 +564,29 @@ class TestSettingsTable:
 class TestConfigValues:
     @pytest.mark.parametrize("config", [{"gamma": "abc"}, {"n_sites": "x"},
                                         {"n_floquet": 2.5}, {"n_sites": 6.7},
-                                        {"n_sites": True}, {"impurity_site": True}])
+                                        {"n_sites": True}, {"impurity_site": True},
+                                        {"n_sites": "6.0"}, {"n_sites": [6]},
+                                        {"n_sites": math.inf},  # JSON's Infinity
+                                        "--n-sites=6.0"])  # a flag, not a config file
     def test_bad_value_exit_2(self, tmp_path, capsys, config):
-        cfg = tmp_path / "run.json"
-        cfg.write_text(json.dumps(config))
         out = tmp_path / "out.csv"
-        assert main(["spectrum", "--config", str(cfg), "-o", str(out)]) == 2
-        err = capsys.readouterr().err
-        assert "configuration error" in err
-        assert next(iter(config)) in err  # the message names the key
+        if isinstance(config, str):
+            argv, config = [config], {"n_sites": "6.0"}
+        else:
+            cfg = tmp_path / "run.json"
+            cfg.write_text(json.dumps(config))
+            argv = ["--config", str(cfg)]
+        assert main(["spectrum", *argv, "-o", str(out)]) == 2
+        (key, value), = config.items()
+        assert capsys.readouterr().err == (f"configuration error: bad value {value!r} "
+                                           f"for {key} ({_SETTINGS[key][0]})\n")
         assert not out.exists()
 
     @pytest.mark.parametrize("value, flag_value", [
         ({"omega": "0.8pi"}, {"omega": "0.8pi"}),
         ({"n_floquet": "3"}, {"n_floquet": 3}),
         ({"n_sites": 6.0}, {"n_sites": 6}),  # an integral JSON number
+        ({"n_sites": " 6 "}, {"n_sites": 6}),
     ])
     def test_value_parses_like_its_flag(self, tmp_path, value, flag_value):
         from_file = _spectrum_csv(tmp_path, "file", [], {**_DRIVEN_CHAIN, **value})

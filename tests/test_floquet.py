@@ -22,6 +22,7 @@ from floquet_ssh import (
     SweepSpec,
     build_floquet_matrix,
     build_static_hamiltonian,
+    check_pt_symmetry,
     classify_pt,
     converge_nf,
     drive_operator,
@@ -364,9 +365,11 @@ class TestQuasiEnergiesPropagator:
         (quasi_energies_propagator, PROPAGATOR_SITE_CAP),
         (lambda p: one_period_propagator(p, 20), PROPAGATOR_SITE_CAP),
         (default_n_steps, PROPAGATOR_SITE_CAP),
+        (check_pt_symmetry, DIM_CAP),
     ], ids=["static", "effective", "propagator", "default-steps", "one-period-propagator",
-            "default-n-steps"])
+            "default-n-steps", "pt-check"])
     def test_chain_length_cap_raises_without_allocating(self, monkeypatch, route, cap):
+        import floquet_ssh.analysis as analysis
         import floquet_ssh.effective as effective
         import floquet_ssh.floquet as floquet
 
@@ -377,7 +380,8 @@ class TestQuasiEnergiesPropagator:
             raise Assembled
 
         for module, name in [(floquet, "build_static_hamiltonian"), (floquet, "hamiltonian_at"),
-                             (effective, "build_static_hamiltonian")]:
+                             (effective, "build_static_hamiltonian"),
+                             (analysis, "hamiltonian_at")]:
             monkeypatch.setattr(module, name, assemble)
         with pytest.raises(DimensionCapError, match=f"N={cap + 1} exceeds"):
             route(ModelParams(n_sites=cap + 1, kappa=0.1))
@@ -931,10 +935,17 @@ class TestConvergeNf:
         solved = self._scripted(monkeypatch, lambda nf: False)
         monkeypatch.setattr(floquet, "DIM_CAP", 4 * (2 * 66 + 1))  # N_F = 130 is over
         with pytest.raises(ConvergenceCapError,
-                           match=r"at N_F=128 the matrix at N_F\+2 would have 1044 rows, "
+                           match=r"at N_F=65 the matrix at N_F\+2 would have 540 rows, "
                                  r"more than DIM_CAP = 532 .*set n_floquet \(--n-floquet\)"):
             converge_nf(ModelParams(n_sites=4), 1e-8)
         assert sorted(nf for nf in solved if nf > 18) == [32, 34, 64, 66]
+
+    def test_last_doubling_stops_at_the_largest_nf_that_fits(self, monkeypatch):
+        # N = 40: N_F = 93 is the last whose N_F + 2 matrix fits (7640 rows); 128 would not
+        solved = self._scripted(monkeypatch, lambda nf: nf >= 70)
+        assert converge_nf(ModelParams(n_sites=40), 1e-8) == 70
+        assert sorted(nf for nf in solved if nf > 18) == [32, 34, 64, 66, 67, 69, 70, 71, 72,
+                                                          73, 78, 80, 93, 95]
 
     @pytest.mark.parametrize("n_sites", [2, 3, 7, 8, 15, 40, 58, 115, 200, 800, 856, 1540])
     def test_failing_search_solves_no_probe_without_its_partner(self, monkeypatch, n_sites):

@@ -136,16 +136,17 @@ def test_hamiltonian_at_reduces_to_static():
                     atol=1e-15)
 
 
-def test_hamiltonian_at_stacks_an_array_of_z():
+def test_hamiltonian_at_adds_the_drive_on_the_diagonal():
     p = ModelParams(n_sites=6, lam=0.4, phi_dim=0.9, gamma=0.1, impurity_site=2,
                     kappa=0.7, omega=1.9)
-    z = np.linspace(-2.0, 5.0, 12).reshape(3, 4)
-    stacked = hamiltonian_at(z, p)
-    assert stacked.shape == (3, 4, 6, 6)
-    for index in np.ndindex(z.shape):
-        assert np.array_equal(stacked[index], hamiltonian_at(float(z[index]), p))
-        assert np.array_equal(np.diag(stacked[index] - build_static_hamiltonian(p)),
-                              drive_value(float(z[index]), p) * np.diag(drive_operator(p)))
+    for z in np.linspace(-2.0, 5.0, 12):
+        assert np.array_equal(np.diag(hamiltonian_at(z, p) - build_static_hamiltonian(p)),
+                              drive_value(float(z), p) * np.diag(drive_operator(p)))
+
+
+def test_hamiltonian_at_takes_one_z():
+    with pytest.raises(TypeError):
+        hamiltonian_at(np.zeros(6), ModelParams(n_sites=6, kappa=0.7))
 
 
 def test_hamiltonian_at_diagonal_arithmetic():

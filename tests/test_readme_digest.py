@@ -129,6 +129,7 @@ def test_digest_prints_command_times_to_stderr_only(monkeypatch, capsys):
         return subprocess.CompletedProcess(argv, 0, stdout=b"out", stderr=b"")
 
     monkeypatch.setattr(digest, "subprocess", types.SimpleNamespace(run=fake_run))
+    monkeypatch.setattr(digest.os, "getloadavg", lambda: (0.5, 1.25, 2.0))
     assert digest.main([]) == 0
     out, err = capsys.readouterr()
     assert out.splitlines()[1:] == [
@@ -136,5 +137,6 @@ def test_digest_prints_command_times_to_stderr_only(monkeypatch, capsys):
         f"  stderr {digest.sha256(b'')}", f"  a.csv {digest.sha256(written)}",
         "$ validate --from-csv a.csv", "  exit 0", f"  stdout {digest.sha256(b'out')}",
         f"  stderr {digest.sha256(b'')}"]
-    assert err.splitlines() == ["0.25 s  $ spectrum -o a.csv",
+    assert err.splitlines() == ["# loadavg 0.50 1.25 2.00",
+                                "0.25 s  $ spectrum -o a.csv",
                                 "1.50 s  $ validate --from-csv a.csv"]
