@@ -8,7 +8,8 @@ their weight on the outer EDGE_FRACTION of sites at each edge.
 unbroken-to-broken transition, and ``check_pt_symmetry`` verifies the
 antiunitary relation of the driven Hamiltonian directly: site reversal
 plus conjugation plus reflection of z about z = 0, an odd point of the
-drive, with scalar (trace) parts discounted as gauge.
+drive, with scalar (trace) parts discounted as gauge, at the two drive
+times where |f(z)| peaks, which bound its residual over the period.
 """
 
 from __future__ import annotations
@@ -165,17 +166,17 @@ def gamma_pt_threshold(params: ModelParams, gamma_max: float,
 def check_pt_symmetry(params: ModelParams) -> float:
     """Max residual of the PT relation over one drive period.
 
-    Evaluates R(z) = P conj(H(-z)) P - H(z) at 64 evenly spaced z, where
-    P is site reversal and z = 0 is an odd point of the drive, subtracts
-    the trace part of R (scalar drive terms are pure gauge), and returns
-    the largest remaining entry magnitude, one z at a time (about 64 B per
-    N^2).  Chains over DIM_CAP sites raise DimensionCapError before any H(z).
-    For even N this is zero up to rounding; odd N breaks the relation
-    through its hopping texture.
+    R(z) = P conj(H(-z)) P - H(z), with P site reversal and z = 0 an odd
+    point of the drive, less its trace part (scalar drive terms are gauge),
+    is affine in f(z), so each entry's magnitude is convex in f and peaks at
+    f = +/-kappa*omega: the largest one is read at z = Z_p/4 and 3Z_p/4, one
+    z at a time (about 64 B per N^2).  Chains over DIM_CAP sites raise
+    DimensionCapError before any H(z).  For even N this is zero up to
+    rounding; odd N breaks the relation through its hopping texture.
     """
     _require_sites_within(params, DIM_CAP)
     peaks = []
-    for z in np.linspace(0.0, params.drive_period, 64, endpoint=False):
+    for z in (params.drive_period / 4, 3 * params.drive_period / 4):
         residual = np.conj(hamiltonian_at(-z, params))[::-1, ::-1] - hamiltonian_at(z, params)
         residual[np.diag_indices_from(residual)] -= np.trace(residual) / params.n_sites
         peaks.append(np.abs(residual).max())

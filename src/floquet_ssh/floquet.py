@@ -216,9 +216,9 @@ def build_floquet_matrix(params: ModelParams, n_floquet: int) -> np.ndarray:
             f"extended matrix dimension {dim} = {n}*(2*{n_floquet}+1) "
             f"exceeds cap {DIM_CAP}"
         )
-    if not n_floquet * params.omega < math.inf:
-        raise SolverError(f"the diagonal N_F*omega = {n_floquet}*{params.omega:.3g} of the "
-                          f"extended matrix overflows")
+    if not _extended_norm_bound(params, n_floquet) < math.inf:
+        raise SolverError(f"the extended matrix at N_F = {n_floquet} overflows: its norm bound "
+                          f"||H_static||_1 + N_F*omega + kappa*omega*max|n - n0| is infinite")
     h_static = build_static_hamiltonian(params)
     d = drive_operator(params)
     c_plus = params.kappa * params.omega / 2j
@@ -330,7 +330,7 @@ def default_n_steps(params: ModelParams) -> int:
     grid = (np.arange(16) + 0.5) * (z_period / 16)
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow is reported below
         z_peak = max(grid, key=lambda z: abs(drive_value(z, params)))
-        norm = float(matrix_norm_1(hamiltonian_at(z_peak, params)))
+        norm = matrix_norm_1(hamiltonian_at(z_peak, params))
     steps = 1.35 * norm * z_period
     if not steps <= MAX_PROPAGATOR_STEPS:  # also inf and nan
         raise ParameterError(f"the default step count ceil(1.35 * ||H||_1 * Z_p) = {steps:.3g} "
@@ -457,7 +457,7 @@ def _cayley(u: np.ndarray) -> tuple[float, np.ndarray, float]:
             c = np.linalg.solve(eye + m, 1j * (eye - m))
         except np.linalg.LinAlgError:  # an eigenvalue of M at -1 to the last bit
             continue
-        norm = float(matrix_norm_1(c))
+        norm = matrix_norm_1(c)
         if norm <= _CAYLEY_NORM_MAX:
             return alpha, c, norm
         tried.append((alpha, c, norm))
@@ -498,7 +498,7 @@ def _propagator_modes(u: np.ndarray, params: ModelParams) -> tuple[np.ndarray, n
             log_mu = np.log(mu_abs) + 1j * np.angle(spectrum.eigenvalues)
         eps = 1j * log_mu / params.drive_period
         vectors = spectrum.eigenvectors
-    rounding = np.finfo(float).eps * float(matrix_norm_1(u))
+    rounding = np.finfo(float).eps * matrix_norm_1(u)
     if (smallest := float(mu_abs.min())) <= rounding:
         raise PropagatorCollapseError(f"an eigenvalue of U is lost in its rounding: min |mu| = "
                                       f"{smallest:.3e} <= eps * ||U||_1 = {rounding:.3e}")
@@ -683,7 +683,7 @@ def converge_nf(params: ModelParams, tol: float,
             raise unreachable(nf, f"the matrix at N_F+2 would have {rows} rows, "
                                   f"more than DIM_CAP = {DIM_CAP}")
         floor = _NF_ROUNDING_FLOOR * np.finfo(float).eps * _extended_norm_bound(params, nf + 2)
-        if tol < floor < math.inf:  # an overflowing diagonal is build_floquet_matrix's error
+        if tol < floor < math.inf:  # an overflowing bound is build_floquet_matrix's error
             raise unreachable(nf, f"rounding alone moves the spectrum by {floor:.1e} or more")
         return matched_distance(spectrum(nf), spectrum(nf + 2))
 

@@ -54,9 +54,9 @@ def _check_square(m: np.ndarray) -> np.ndarray:
     return m
 
 
-def matrix_norm_1(m: np.ndarray) -> np.ndarray:
-    """Matrix 1-norm (max column absolute sum), batched over leading dims."""
-    return np.abs(m).sum(axis=-2).max(axis=-1)
+def matrix_norm_1(m: np.ndarray) -> float:
+    """Matrix 1-norm (max column absolute sum) of one 2-D matrix."""
+    return float(np.abs(m).sum(axis=0).max())
 
 
 def eig_dense(m: np.ndarray) -> Spectrum:
@@ -66,8 +66,8 @@ def eig_dense(m: np.ndarray) -> Spectrum:
     its real eigenvalues come out with imaginary part 0.0 exactly.  The
     eigenvalues are returned complex; the eigenvectors are real when m and
     its spectrum are.  Raises EigenConvergenceError if LAPACK fails to
-    converge or if the residual exceeds TOL_EIG * ||m||_1 (never returns
-    silent garbage).
+    converge, if ||m||_1 overflows, or if the residual exceeds
+    TOL_EIG * ||m||_1 (never returns silent garbage).
     """
     m = _check_square(m)
     try:
@@ -82,11 +82,12 @@ def eig_dense(m: np.ndarray) -> Spectrum:
     w = w[order]
     v = v[:, order]
     v = v / np.linalg.norm(v, axis=0, keepdims=True)
-    residual = float(np.linalg.norm(m @ v - v * w, axis=0).max())
-    scale = float(matrix_norm_1(m))
-    if residual > TOL_EIG * scale:
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow fails the bound below
+        residual = float(np.linalg.norm(m @ v - v * w, axis=0).max())
+        scale = matrix_norm_1(m)
+    if not residual <= TOL_EIG * scale < np.inf:
         raise EigenConvergenceError(
-            f"eigendecomposition residual {residual:.3e} exceeds "
+            f"eigendecomposition residual {residual:.3e} is not within "
             f"{TOL_EIG:g} * ||m||_1 = {TOL_EIG * scale:.3e} (dim={m.shape[0]})"
         )
     return Spectrum(eigenvalues=w, eigenvectors=v, max_residual=residual)
@@ -114,7 +115,7 @@ def expm(m: np.ndarray) -> np.ndarray:
     and SolverError on overflow (non-finite result) or an absurd norm.
     """
     a = _check_square(m)
-    mu = float(matrix_norm_1(a))
+    mu = matrix_norm_1(a)
     if not mu <= _THETA13 * 2.0 ** _MAX_SQUARINGS:
         raise SolverError(
             f"matrix norm {mu:.3e} too large for expm (over {_MAX_SQUARINGS} squarings)"

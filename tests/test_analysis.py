@@ -17,6 +17,7 @@ from floquet_ssh import (
     edge_weight,
     find_zero_modes,
     gamma_pt_threshold,
+    hamiltonian_at,
     quasi_energies_extended,
     quasi_energies_propagator,
     static_spectrum,
@@ -202,7 +203,54 @@ class TestGammaPtThreshold:
             gamma_pt_threshold(p, gamma_max=0.5, tol_gamma=math.inf)
 
 
+def _pt_residual_64_samples(params):
+    """The PT residual read at 64 evenly spaced drive times, as a reference."""
+    peaks = []
+    for z in np.linspace(0.0, params.drive_period, 64, endpoint=False):
+        residual = np.conj(hamiltonian_at(-z, params))[::-1, ::-1] - hamiltonian_at(z, params)
+        residual[np.diag_indices_from(residual)] -= np.trace(residual) / params.n_sites
+        peaks.append(np.abs(residual).max())
+    return float(np.max(peaks))
+
+
 class TestCheckPtSymmetry:
+    def test_two_drive_times_per_check(self, monkeypatch):
+        import floquet_ssh.analysis as analysis
+
+        times = []
+
+        def counting(z, params):
+            times.append(z)
+            return hamiltonian_at(z, params)
+
+        monkeypatch.setattr(analysis, "hamiltonian_at", counting)
+        p = ModelParams(n_sites=9, lam=0.4, phi_dim=0.7, gamma=0.2,
+                        impurity_site=2, kappa=0.5, omega=2.0)
+        check_pt_symmetry(p)
+        # H(-z) and H(z) at the drive's extremes z = Z_p/4 and 3Z_p/4
+        assert len(times) == 4
+        assert [abs(np.sin(p.omega * z)) for z in times] == pytest.approx([1.0] * 4)
+
+    @pytest.mark.parametrize("n_sites", [6, 7, 20])
+    def test_broken_drive_matches_64_samples(self, monkeypatch, n_sites):
+        # D = diag(n^2) breaks the relation on every chain; the peak over the
+        # period is still read at one of the two extremes, bit for bit
+        import floquet_ssh.model as model
+
+        monkeypatch.setattr(model, "drive_operator",
+                            lambda params: np.diag(np.arange(1.0, params.n_sites + 1) ** 2))
+        p = ModelParams(n_sites=n_sites, lam=0.4, phi_dim=0.7, gamma=0.2,
+                        impurity_site=2, kappa=0.5, omega=2.0)
+        residual = check_pt_symmetry(p)
+        assert residual > 1.0
+        assert residual == _pt_residual_64_samples(p)
+
+    @pytest.mark.parametrize("n_sites", [3, 9, 21])
+    def test_odd_chain_matches_64_samples(self, n_sites):
+        p = ModelParams(n_sites=n_sites, lam=0.3, phi_dim=1.1, gamma=0.4,
+                        impurity_site=1, kappa=1.7, omega=0.8)
+        assert check_pt_symmetry(p) == _pt_residual_64_samples(p)
+
     def test_even_chain_integer_rule_gauged(self):
         p = ModelParams(n_sites=8, lam=0.4, phi_dim=0.7, gamma=0.3,
                         impurity_site=2, kappa=0.5, omega=2.0)

@@ -377,6 +377,22 @@ class TestSweepConfigErrors:
         assert "configuration error" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", [
+        # ||m||_1 overflows, so no residual bound holds
+        ["--n-sites", "4", "--tunneling", "1.5e308", "--lambda", "0.1", "--method", "static"],
+        # kappa*omega*max|n - n0| overflows in the drive blocks
+        ["--n-sites", "40", "--kappa", "1e307", "--omega", "3", "--method", "extended"],
+        ["--n-sites", "40", "--kappa", "1e307", "--omega", "3", "--method", "extended",
+         "--n-floquet", "1"],
+    ], ids=["static", "extended", "extended-nf1"])
+    def test_overflowing_matrix_is_one_solver_failure_line(self, tmp_path, capsys, command):
+        out = tmp_path / "out.csv"
+        assert main(["spectrum", *command, "-o", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("solver failure: ")
+        assert err.count("\n") == 1 and err.endswith("\n")
+        assert not out.exists()
+
     @pytest.mark.parametrize("method", ["extended", "propagator"])
     def test_subnormal_omega_exit_2(self, tmp_path, capsys, method):
         # 2*pi/omega overflows: no finite drive period on either route

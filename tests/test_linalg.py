@@ -83,6 +83,11 @@ class TestEigDense:
             norms = np.linalg.norm(spectrum.eigenvectors, axis=0)
             assert_allclose(norms, 1.0, atol=1e-12)
 
+    def test_overflowing_norm_raises(self):
+        # ||m||_1 overflows to inf, so no residual bound can hold
+        with pytest.raises(EigenConvergenceError):
+            eig_dense(np.full((2, 2), 1e308))
+
     def test_ordering_convention(self):
         rng = np.random.default_rng(11)
         m = _random_complex(rng, 24)
