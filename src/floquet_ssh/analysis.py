@@ -21,7 +21,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import ParameterError, require_positive_finite
+from .errors import ParameterError, SolverError, require_positive_finite
 from .floquet import DIM_CAP, FloquetSpectrum, Method, _require_sites_within, compute_spectrum
 from .model import ModelParams, hamiltonian_at
 
@@ -172,12 +172,16 @@ def check_pt_symmetry(params: ModelParams) -> float:
     f = +/-kappa*omega: the largest one is read at z = Z_p/4 and 3Z_p/4, one
     z at a time (about 64 B per N^2).  Chains over DIM_CAP sites raise
     DimensionCapError before any H(z).  For even N this is zero up to
-    rounding; odd N breaks the relation through its hopping texture.
+    rounding; odd N breaks the relation through its hopping texture.  A
+    drive whose H(z) overflows raises SolverError.
     """
     _require_sites_within(params, DIM_CAP)
     peaks = []
     for z in (params.drive_period / 4, 3 * params.drive_period / 4):
-        residual = np.conj(hamiltonian_at(-z, params))[::-1, ::-1] - hamiltonian_at(z, params)
-        residual[np.diag_indices_from(residual)] -= np.trace(residual) / params.n_sites
+        with np.errstate(over="ignore", invalid="ignore"):  # an overflow fails the check below
+            residual = np.conj(hamiltonian_at(-z, params))[::-1, ::-1] - hamiltonian_at(z, params)
+            residual[np.diag_indices_from(residual)] -= np.trace(residual) / params.n_sites
         peaks.append(np.abs(residual).max())
+    if not np.max(peaks) < math.inf:
+        raise SolverError("H(z) overflows, so the PT residual is not finite")
     return float(np.max(peaks))

@@ -276,8 +276,8 @@ def _with_axes(spec: SweepSpec, *axes) -> SweepSpec:
     Only each axis's smallest and largest value are built.  The axes are
     phi_dim, gamma and omega, and every ModelParams check on them is
     monotone in the value: Phi must only be finite, which SweepSpec
-    checks; gamma >= 0; omega > 0 with a finite Z_p and a finite
-    kappa = kappa_omega/omega.
+    checks; gamma >= 0, and gamma = 0 when j is the middle site N-j+1;
+    omega > 0 with a finite Z_p and a finite kappa = kappa_omega/omega.
     """
     spec = replace(spec, axes=axes)
     for name, grid in spec.axes:

@@ -115,7 +115,8 @@ def expm(m: np.ndarray) -> np.ndarray:
     and SolverError on overflow (non-finite result) or an absurd norm.
     """
     a = _check_square(m)
-    mu = matrix_norm_1(a)
+    with np.errstate(over="ignore"):  # an overflowing norm fails the bound below
+        mu = matrix_norm_1(a)
     if not mu <= _THETA13 * 2.0 ** _MAX_SQUARINGS:
         raise SolverError(
             f"matrix norm {mu:.3e} too large for expm (over {_MAX_SQUARINGS} squarings)"

@@ -42,7 +42,10 @@ class ModelParams:
     dimensionless drive strength; the physical drive amplitude is
     ``kappa * omega``.  ``n_sites`` and ``impurity_site`` take ints,
     numpy ints and integral floats (stored as int); fractions and
-    booleans raise ParameterError.
+    booleans raise ParameterError.  So do N < 2, a non-finite float,
+    gamma < 0, kappa < 0, omega <= 0, an infinite 2*pi/omega or
+    |T|*(1+|lam|) (which bounds every hopping at every Phi), j outside
+    1 <= j <= N-j+1, and gamma != 0 with gain and loss on one site, j = N-j+1.
     """
 
     n_sites: int
@@ -57,8 +60,8 @@ class ModelParams:
     def __post_init__(self):
         for name in ("n_sites", "impurity_site"):
             object.__setattr__(self, name, require_integer(name, getattr(self, name)))
-        if self.n_sites < 1:
-            raise ParameterError(f"n_sites must be positive, got {self.n_sites}")
+        if self.n_sites < 2:
+            raise ParameterError(f"need at least 2 sites, got N={self.n_sites}")
         for name in ("tunneling", "lam", "phi_dim", "gamma", "kappa", "omega"):
             value = getattr(self, name)
             if not math.isfinite(value):
@@ -73,11 +76,15 @@ class ModelParams:
         if not math.isfinite(self.drive_period):
             raise ParameterError(
                 f"omega must give a finite drive period 2*pi/omega, got omega={self.omega!r}")
+        if not math.isfinite(abs(self.tunneling) * (1.0 + abs(self.lam))):
+            raise ParameterError("tunneling and lambda must give a finite |T|*(1+|lambda|), "
+                                 f"got T={self.tunneling!r}, lambda={self.lam!r}")
         j, n = self.impurity_site, self.n_sites
         if not (1 <= j <= n - j + 1):
+            raise ParameterError(f"impurity_site must satisfy 1 <= j <= N-j+1, got j={j} for N={n}")
+        if self.gamma != 0.0 and j == n - j + 1:
             raise ParameterError(
-                f"impurity_site must satisfy 1 <= j <= N-j+1, got j={j} for N={n}"
-            )
+                f"degenerate impurity placement: gain site j={j} equals loss site N-j+1")
 
     @property
     def n0(self) -> float:
@@ -98,20 +105,8 @@ def hopping_amplitudes(params: ModelParams) -> np.ndarray:
 
 
 def build_static_hamiltonian(params: ModelParams) -> np.ndarray:
-    """Static chain: staggered hopping plus the +/-i*gamma impurity pair.
-
-    The z-dependent gradient term is excluded.  Rejects N < 2 and the
-    degenerate placement j = N-j+1 with gamma != 0 (gain and loss on the
-    same site would cancel).
-    """
-    n = params.n_sites
-    if n < 2:
-        raise ParameterError(f"need at least 2 sites, got N={n}")
-    j = params.impurity_site
-    if params.gamma != 0.0 and j == n - j + 1:
-        raise ParameterError(
-            f"degenerate impurity placement: gain site j={j} equals loss site N-j+1"
-        )
+    """Static chain (no gradient term): staggered hopping plus the +/-i*gamma impurity pair."""
+    n, j = params.n_sites, params.impurity_site
     h = np.zeros((n, n), dtype=np.complex128)
     hop = hopping_amplitudes(params)
     idx = np.arange(n - 1)

@@ -11,6 +11,7 @@ from floquet_ssh import (
     ModelParams,
     ParameterError,
     Phase,
+    SolverError,
     check_pt_symmetry,
     classify_pt,
     converge_nf,
@@ -260,6 +261,13 @@ class TestCheckPtSymmetry:
         p = ModelParams(n_sites=9, lam=0.4, phi_dim=0.7, gamma=0.2,
                         impurity_site=2, kappa=0.5, omega=2.0)
         assert check_pt_symmetry(p) > 1e-3
+
+    @pytest.mark.parametrize("n_sites", [40, 41])
+    def test_overflowing_drive_raises_without_warning(self, n_sites):
+        # kappa*omega*max|n - n0| overflows in H(z), so the residual is inf - inf = NaN
+        p = ModelParams(n_sites=n_sites, lam=0.4, kappa=1e307, omega=3.0)
+        with pytest.raises(SolverError, match="PT residual is not finite"):
+            check_pt_symmetry(p)
 
     @pytest.mark.parametrize("n_sites", [200, 201])
     def test_peak_memory_is_a_few_matrices(self, n_sites):

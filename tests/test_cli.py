@@ -393,6 +393,37 @@ class TestSweepConfigErrors:
         assert err.count("\n") == 1 and err.endswith("\n")
         assert not out.exists()
 
+    @pytest.mark.parametrize("argv", [
+        ["sweep-phi", "--n-sites", "1", "--phi-grid", "0:1:3"],
+        # N=5, j=3 puts gain and loss on one site: gamma > 0 in the base, then on the grid
+        ["sweep-phi", "--n-sites", "5", "--lambda", "0.4", "--impurity-site", "3",
+         "--gamma", "0.1", "--phi-grid", "0:1:3"],
+        ["phase-diagram", "--n-sites", "5", "--lambda", "0.4", "--impurity-site", "3",
+         "--kappa-omega", "0.05", "--gamma", "0:0.2:3", "--omega", "1:2:2"],
+    ], ids=["one-site", "sweep-phi-same-site", "phase-diagram-same-site"])
+    def test_invalid_chain_exit_2_before_any_solve(self, tmp_path, capsys, argv):
+        out = tmp_path / "out.csv"
+        assert main([*argv, "-o", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error: ")
+        assert err.count("\n") == 1 and err.endswith("\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", [
+        ["--method", "static"],
+        ["--kappa", "0.1", "--method", "effective"],
+        ["--kappa", "0.1", "--method", "propagator", "--n-steps", "20"],
+    ], ids=["static", "effective", "propagator"])
+    def test_overflowing_hopping_exit_2(self, tmp_path, capsys, command):
+        # |T|*(1+|lambda|) = 2.1e308 overflows, so the hopping at Phi = 0 would be inf
+        out = tmp_path / "out.csv"
+        assert main(["spectrum", "--n-sites", "4", "--tunneling", "1.5e308", "--lambda", "0.4",
+                     *command, "-o", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error: tunneling and lambda must give a finite ")
+        assert err.count("\n") == 1 and err.endswith("\n")
+        assert not out.exists()
+
     @pytest.mark.parametrize("method", ["extended", "propagator"])
     def test_subnormal_omega_exit_2(self, tmp_path, capsys, method):
         # 2*pi/omega overflows: no finite drive period on either route

@@ -155,6 +155,11 @@ class TestExpm:
         with pytest.raises(SolverError):
             expm(np.diag([2000.0 + 0j, 0.0]))
 
+    def test_overflowing_norm_raises_without_warning(self):
+        # each column sums to 2e308, so ||m||_1 overflows to inf before the norm bound
+        with pytest.raises(SolverError, match="too large for expm"):
+            expm(np.full((2, 2), 1e308))
+
 
 class TestLogmEig:
     """The propagator's rounding guard on its eigenvalues."""

@@ -58,6 +58,25 @@ def test_rejects_degenerate_impurity_collision():
     build_static_hamiltonian(ModelParams(n_sites=5, gamma=0.0, impurity_site=3))
 
 
+@pytest.mark.parametrize("fields, message", [
+    (dict(n_sites=0), "need at least 2 sites, got N=0"),
+    (dict(n_sites=1), "need at least 2 sites, got N=1"),
+    # N=5, j=3 puts gain and loss on the same site
+    (dict(n_sites=5, gamma=0.1, impurity_site=3), "degenerate impurity placement"),
+    # |T|*(1+|lambda|) = 2.1e308 overflows
+    (dict(n_sites=4, tunneling=1.5e308, lam=0.4), r"finite \|T\|\*\(1\+\|lambda\|\)"),
+], ids=["zero-sites", "one-site", "same-site", "hopping-overflow"])
+def test_construction_rejects_invalid_chain(fields, message):
+    with pytest.raises(ParameterError, match=message):
+        ModelParams(**fields)
+
+
+def test_construction_accepts_boundary_chains():
+    ModelParams(n_sites=5, gamma=0.0, impurity_site=3)
+    # |T|*(1+|lambda|) = 1.65e308 is finite
+    ModelParams(n_sites=4, tunneling=1.5e308, lam=0.1)
+
+
 def test_impurity_site_range_validation():
     with pytest.raises(ParameterError):
         ModelParams(n_sites=10, impurity_site=0)
