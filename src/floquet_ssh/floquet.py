@@ -61,6 +61,17 @@ NF_TOL = 1e-8
 _NF_ROUNDING_FLOOR = 0.25
 #: Top of that band: a delta(N_F) at or below it, in the same units, may be rounding noise.
 _NF_ROUNDING_TOP = 16.0
+#: Smallest |y^T x| of a mode (unit right and left eigenvectors) at which the
+#: truncation estimate is formed; below it the mode is near an exceptional point.
+_EP_OVERLAP_MIN = 1e-3
+#: Largest condition number of H_static's eigenvectors at which the estimate
+#: applies the resolvents in that eigenbasis.
+_EIGENBASIS_COND_MAX = 1e8
+#: Widest factor between the truncation estimate and the N_F - 1 -> N_F distance
+#: at which the estimate still decides an N_F probe.
+_ESTIMATE_CALIBRATION = 2.0
+#: Factor by which the estimate must clear tol, on either side, to decide it.
+_ESTIMATE_MARGIN = 1.25
 #: Most propagator steps per period, requested or reached by doubling.
 MAX_PROPAGATOR_STEPS = 1 << 21
 #: Fewest propagator steps per period a caller may request.
@@ -114,6 +125,11 @@ class FloquetSpectrum:
     normalized to 1.  The driven routes fold by ``params.omega``; the
     static methods do not fold.  ``params`` are the model inputs;
     ``flags`` carries diagnostics such as ambiguous physical-mode selection.
+    ``truncation_error`` is set on the extended route only: the largest
+    first-order shift of a mode that the next harmonic blocks +-(N_F+1)
+    would make (``_truncation_error``), which tracks the N_F -> N_F+2
+    distance once it falls geometrically.  It is None on the other routes,
+    and on the extended route when a mode is near an exceptional point.
     """
 
     quasi_energies: np.ndarray
@@ -122,6 +138,7 @@ class FloquetSpectrum:
     n_floquet: int
     params: ModelParams
     flags: tuple[str, ...] = field(default=())
+    truncation_error: float | None = None
 
     @property
     def n_modes(self) -> int:
@@ -133,7 +150,8 @@ class FloquetSpectrum:
 
 
 def _package(eps: np.ndarray, probs: np.ndarray, method: Method, params: ModelParams,
-             n_floquet: int = 0, flags: tuple[str, ...] = ()) -> FloquetSpectrum:
+             n_floquet: int = 0, flags: tuple[str, ...] = (),
+             truncation_error: float | None = None) -> FloquetSpectrum:
     """Sort modes by (Re, Im) and normalize each row of ``probs`` (mode, site) to 1."""
     totals = probs.sum(axis=1, keepdims=True)
     if np.any(totals <= 0.0):
@@ -146,6 +164,7 @@ def _package(eps: np.ndarray, probs: np.ndarray, method: Method, params: ModelPa
         n_floquet=n_floquet,
         params=params,
         flags=flags,
+        truncation_error=truncation_error,
     )
 
 
@@ -306,7 +325,49 @@ def quasi_energies_extended(params: ModelParams, n_floquet: int) -> FloquetSpect
     sel, marginals, flags = _select_physical_modes(spectrum, params, n_floquet)
     eps = fold_real(spectrum.eigenvalues[sel].real, params.omega) \
         + 1j * spectrum.eigenvalues[sel].imag
-    return _package(eps, marginals, Method.EXTENDED, params, n_floquet, flags)
+    return _package(eps, marginals, Method.EXTENDED, params, n_floquet, flags,
+                    _truncation_error(params, n_floquet, spectrum.eigenvalues[sel],
+                                      spectrum.eigenvectors[:, sel]))
+
+
+def _truncation_error(params: ModelParams, n_floquet: int, lam: np.ndarray,
+                      x: np.ndarray) -> float | None:
+    """max_k |d lam_k|, the first-order shift of the modes (lam, x) from the blocks +-(N_F+1).
+
+    Eliminating the first dropped block on each side of the extended
+    matrix (one level of Loewdin partitioning of Shirley's matrix) gives
+
+        d lam = [y+^T c-D G+ c+D x+  +  y-^T c+D G- c-D x-] / (y^T x),
+
+    G+- = (lam -+ (N_F+1) omega - H_static)^-1, with x+- the blocks of x at
+    m = +-N_F and y the left eigenvector.  c- = -c+ and H_static is complex
+    symmetric, so H_F^T = S H_F S with S = diag((-1)^m) (x) I, and y = S x
+    costs nothing, and y+- = (-1)^N_F x+- (a common sign, dropped here).  The
+    resolvents act in one eigenbasis W of H_static.  None near an exceptional
+    point of the extended matrix, where some |y^T x| (x and y have unit norm)
+    is below _EP_OVERLAP_MIN, or of H_static, where cond(W) exceeds
+    _EIGENBASIS_COND_MAX; and None when the shift is not finite.
+    """
+    n = params.n_sites
+    signs = np.repeat((-1.0) ** np.arange(-n_floquet, n_floquet + 1), n)
+    ytx = np.einsum("ik,ik->k", signs[:, None] * x, x)
+    if np.abs(ytx).min() < _EP_OVERLAP_MIN:
+        return None
+    static = eig_dense(build_static_hamiltonian(params))
+    d = np.diag(drive_operator(params))[:, None]
+    c = params.kappa * params.omega / 2.0  # |c+| = |c-|, and c+ c- = c^2
+    shift = np.zeros_like(lam)
+    with np.errstate(all="ignore"):  # a non-finite shift returns None below
+        if not np.linalg.cond(static.eigenvectors) <= _EIGENBASIS_COND_MAX:
+            return None
+        for block, step in ((x[-n:], -(n_floquet + 1)), (x[:n], n_floquet + 1)):
+            dx = c * d * block
+            left = static.eigenvectors.T @ dx
+            right = np.linalg.solve(static.eigenvectors, dx)
+            shift += (left * right / (lam + step * params.omega
+                                      - static.eigenvalues[:, None])).sum(axis=0)
+        error = float(np.abs(shift / ytx).max())
+    return error if math.isfinite(error) else None
 
 
 def default_n_steps(params: ModelParams) -> int:
@@ -517,11 +578,19 @@ def quasi_energies_propagator(params: ModelParams, n_steps: int | None = None,
     refined spectrum is returned; ``converge_tol`` must be positive and
     finite.  ``n_steps`` None means ``default_n_steps``.  The chain length
     and the step count are checked by ``default_n_steps`` and
-    ``one_period_propagator``, before anything is stepped.
+    ``one_period_propagator``, before anything is stepped.  A chain with
+    0 < Z_p * ||H_static||_1 <= eps raises SolverError before stepping:
+    U is then the identity to rounding and eps would be rounding noise
+    divided by Z_p (a chain with H_static = 0 keeps its exact eps = 0).
     """
     n_steps = default_n_steps(params) if n_steps is None else require_integer("n_steps", n_steps)
     if converge_tol is not None:
         require_positive_finite("converge_tol", converge_tol)
+    _require_sites_within(params, PROPAGATOR_SITE_CAP)  # before H_static is assembled
+    phase = params.drive_period * matrix_norm_1(build_static_hamiltonian(params))
+    if 0.0 < phase <= np.finfo(float).eps:
+        raise SolverError(f"Z_p * ||H_static||_1 = {phase:.3e} is at most eps: U is the identity "
+                          f"to rounding, so no digit of its quasi-energies survives")
 
     def compute(steps: int) -> FloquetSpectrum:
         eps, vectors = _propagator_modes(one_period_propagator(params, steps), params)
@@ -655,14 +724,27 @@ def converge_nf(params: ModelParams, tol: float,
     falls monotonically.  Up to 16 a unit step costs less than doubling's
     overshoot (eigensolve work 0.72x at N_F = 7, 0.25-0.35x at 9-10, at
     most 1.20x at 16); a search failing at N = 40 also solves N_F = 93 and
-    95, 3.5x the work of doubling alone.  It raises ConvergenceCapError
-    before a probe whose N_F + 2 matrix would exceed ``DIM_CAP`` rows, so
-    a search that never converges solves nothing it cannot pair.  It raises
-    it too before a probe whose delta cannot fall below ``tol``: delta never
-    fell below _NF_ROUNDING_FLOOR * eps * ||H_F||_1, with ||H_F||_1 bounded
-    from the parameters (at omega = 1e8, delta stays near 1e-7), and after a
-    probe whose delta >= tol is below _NF_ROUNDING_TOP in those units, where
-    one probe cannot tell it from rounding noise, so it may still be falling.
+    95, 3.5x the work of doubling alone.
+
+    A unit-step probe reads delta(N_F) off its own solve when it can: the
+    spectrum's ``truncation_error`` estimates the shift that the next
+    blocks would make, and the step before calibrates it for free, as
+    ratio = est(N_F - 1) / ``matched_distance``(N_F - 1, N_F) (the floor
+    probe N_F = 2 solves N_F = 1 for this).  The estimate decides the probe
+    when the ratio lies within a factor _ESTIMATE_CALIBRATION of 1 and both
+    est(N_F) and est(N_F) / ratio lie on one side of ``tol`` by a factor
+    _ESTIMATE_MARGIN.  Otherwise, and whenever either spectrum has no
+    estimate (a mode near an exceptional point), the probe solves N_F + 2
+    and measures delta as above; doubling and bisection probes always do.
+
+    It raises ConvergenceCapError before a probe whose N_F + 2 matrix would
+    exceed ``DIM_CAP`` rows, so a search that never converges solves
+    nothing it could not pair.  It raises it too before a probe whose delta
+    cannot fall below ``tol``: delta never fell below
+    _NF_ROUNDING_FLOOR * eps * ||H_F||_1, with ||H_F||_1 bounded from the
+    parameters (at omega = 1e8, delta stays near 1e-7), and after a probe
+    whose delta >= tol is below _NF_ROUNDING_TOP in those units, where one
+    probe cannot tell it from rounding noise, so it may still be falling.
     Every spectrum solved, the returned N_F's included, goes into ``spectra`` by N_F.
     """
     require_positive_finite("tol", tol)
@@ -678,6 +760,22 @@ def converge_nf(params: ModelParams, tol: float,
                                    f"(omega = {params.omega:.3g}); "
                                    f"set n_floquet (--n-floquet) to solve at a fixed N_F")
 
+    def estimated(nf: int) -> float | None:
+        """The calibrated estimate of delta(nf) where it decides the probe, else None."""
+        if (est := spectrum(nf).truncation_error) is None:
+            return None
+        if not (prev := spectrum(nf - 1).truncation_error):  # None, or 0.0 when undriven
+            return None
+        step = matched_distance(spectrum(nf - 1), spectrum(nf))
+        if not step / _ESTIMATE_CALIBRATION <= prev <= _ESTIMATE_CALIBRATION * step:
+            return None
+        low, high = sorted((est, est * step / prev))
+        if high * _ESTIMATE_MARGIN < tol:
+            return high
+        if low > _ESTIMATE_MARGIN * tol:
+            return low
+        return None
+
     def delta(nf: int) -> float:
         if (rows := params.n_sites * (2 * nf + 5)) > DIM_CAP:
             raise unreachable(nf, f"the matrix at N_F+2 would have {rows} rows, "
@@ -685,6 +783,8 @@ def converge_nf(params: ModelParams, tol: float,
         floor = _NF_ROUNDING_FLOOR * np.finfo(float).eps * _extended_norm_bound(params, nf + 2)
         if tol < floor < math.inf:  # an overflowing bound is build_floquet_matrix's error
             raise unreachable(nf, f"rounding alone moves the spectrum by {floor:.1e} or more")
+        if nf <= _NF_UNIT_STEPS and (guess := estimated(nf)) is not None:
+            return guess
         return matched_distance(spectrum(nf), spectrum(nf + 2))
 
     top = (DIM_CAP // params.n_sites - 5) // 2  # the last N_F whose N_F+2 matrix fits

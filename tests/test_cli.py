@@ -202,7 +202,9 @@ class TestSpectrumCommand:
 
     def test_nf_search_stops_on_rounding_noise_exit_1(self, tmp_path, capsys, monkeypatch):
         # at omega = 1e7 delta(2) is about 1.3e-8: above NF_TOL, but inside the band
-        # rounding alone reaches, so the search stops after its first probe
+        # rounding alone reaches, so the search stops after its first probe.  Rounding in
+        # the N_F = 1 -> 2 distance also throws out the truncation estimate, so the probe
+        # solves its partner N_F = 4 after the N_F = 1 solve meant to calibrate it
         import floquet_ssh.floquet as floquet
 
         solved = []
@@ -218,7 +220,7 @@ class TestSpectrumCommand:
                      "-o", str(tmp_path / "x.csv")])
         assert code == 1
         assert time.perf_counter() - start < 3
-        assert solved == [2, 4]
+        assert solved == [2, 1, 4]
         err = capsys.readouterr().err
         assert "N_F search cannot reach tol 1e-08: at N_F=2 delta = " in err
         assert "cannot be told from rounding noise" in err
@@ -431,6 +433,17 @@ class TestSweepConfigErrors:
         assert main(["spectrum", "--n-sites", "6", "--lambda", "0.4", "--kappa", "0.1",
                      "--omega", "1e-320", "--method", method, "-o", str(out)]) == 2
         assert "finite drive period" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("n_sites", ["6", "7"])
+    def test_propagator_identity_to_rounding_exit_1(self, tmp_path, capsys, n_sites):
+        # Z_p * ||H_static||_1 = 1.3e-299: a Hermitian chain was labelled broken
+        out = tmp_path / "out.csv"
+        assert main(["spectrum", "--n-sites", n_sites, "--lambda", "0.4", "--kappa", "0.3",
+                     "--omega", "1e300", "--method", "propagator", "-o", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("solver failure: Z_p * ||H_static||_1 = 1.257e-299 is at most eps")
+        assert err.count("\n") == 1
         assert not out.exists()
 
     @pytest.mark.parametrize("grids, message", [
@@ -681,7 +694,7 @@ class TestEffectiveCompareCommand:
         monkeypatch.setattr(floquet, "quasi_energies_extended", counting)
         assert main(["effective-compare", "--preset", "fig1-highfreq", "--phi", "0.3"]) == 0
         assert "n_floquet = 2" in capsys.readouterr().out
-        assert solved == [2, 4]
+        assert solved == [2, 1]  # the estimate at N_F = 2, calibrated on N_F = 1, decides
 
 
 class TestPtThresholdCommand:

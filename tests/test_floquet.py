@@ -1,6 +1,7 @@
 import math
 import re
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -811,6 +812,18 @@ class TestRoundingGuard:
                                     Method.PROPAGATOR, 0, p)
         assert matched_distance(quasi_energies_propagator(p, steps), reference) < 1e-12
 
+    @pytest.mark.parametrize("n_sites", [6, 7])
+    def test_propagator_that_is_the_identity_to_rounding_raises(self, n_sites):
+        # Z_p * ||H_static||_1 = 1.3e-299: U = I to rounding, and eps was noise / Z_p (~1e265)
+        p = ModelParams(n_sites=n_sites, lam=0.4, kappa=0.3, omega=1e300)
+        with pytest.raises(SolverError, match=r"U is the identity to rounding"):
+            quasi_energies_propagator(p)
+
+    @pytest.mark.parametrize("omega", [2.0, 1e300])
+    def test_zero_static_hamiltonian_keeps_its_exact_zero(self, omega):
+        fs = quasi_energies_propagator(ModelParams(n_sites=6, tunneling=0.0, omega=omega))
+        assert np.all(fs.quasi_energies == 0.0)
+
 
 class TestRouteFuzz:
     """The two driven routes as oracles of each other on random small chains."""
@@ -890,25 +903,38 @@ class TestMatchedDistance:
 
 class TestConvergeNf:
     @staticmethod
-    def _scripted(monkeypatch, stable):
-        """Stub solves that return their N_F; delta(N_F) is 0 where stable(N_F), else 1.
+    def _scripted(monkeypatch, stable, estimated=True):
+        """Stub solves; delta(N_F) is 0 where stable(N_F), else 1.
 
-        The solves refuse a matrix above ``DIM_CAP`` rows, as the real one does.
-        The returned dict maps each solved N_F to whether a delta has used it.
+        A stub spectrum is a ``FloquetSpectrum`` whose ``n_floquet`` is its N_F.
+        With ``estimated``, its truncation estimate is 1e-12 where stable(N_F)
+        and 1 elsewhere, and the N_F - 1 -> N_F distance equals est(N_F - 1),
+        so each calibration ratio is 1 and the estimate decides every unit
+        step.  Without it, no spectrum carries an estimate and every probe
+        solves its N_F + 2 partner.  The solves refuse a matrix above
+        ``DIM_CAP`` rows, as the real one does.  The returned dict maps each
+        solved N_F to whether a distance has used it.
         """
         import floquet_ssh.floquet as floquet
         solved = {}
+
+        def estimate(nf):
+            return (1e-12 if stable(nf) else 1.0) if estimated else None
 
         def solve(params, n_floquet):
             assert n_floquet not in solved
             if params.n_sites * (2 * n_floquet + 1) > floquet.DIM_CAP:
                 raise DimensionCapError(f"N_F={n_floquet} exceeds the cap")
             solved[n_floquet] = False
-            return n_floquet
+            return FloquetSpectrum(np.zeros(1), np.ones((1, 1)), Method.EXTENDED, n_floquet,
+                                   params, truncation_error=estimate(n_floquet))
 
         def distance(a, b):
-            assert b == a + 2
+            a, b = a.n_floquet, b.n_floquet
+            assert b in (a + 1, a + 2)
             solved[a] = solved[b] = True
+            if b == a + 1:
+                return estimate(a)
             return 0.0 if stable(a) else 1.0
 
         monkeypatch.setattr(floquet, "quasi_energies_extended", solve)
@@ -918,17 +944,29 @@ class TestConvergeNf:
     def test_unit_steps_solve_no_overshoot(self, monkeypatch):
         solved = self._scripted(monkeypatch, lambda nf: nf >= 7)
         assert converge_nf(ModelParams(n_sites=4), 1e-8) == 7
-        assert sorted(solved) == list(range(2, 10))
+        assert sorted(solved) == list(range(1, 8))
 
     def test_unit_steps_stay_below_doubling(self, monkeypatch):
         solved = self._scripted(monkeypatch, lambda nf: nf >= 10)
         assert converge_nf(ModelParams(n_sites=4), 1e-8) == 10
-        assert max(solved) == 12
+        assert max(solved) == 10
 
     def test_returns_first_stable_nf(self, monkeypatch):
         solved = self._scripted(monkeypatch, lambda nf: nf == 3 or nf >= 8)
         assert converge_nf(ModelParams(n_sites=4), 1e-8) == 3
-        assert sorted(solved) == [2, 3, 4, 5]
+        assert sorted(solved) == [1, 2, 3]
+
+    @pytest.mark.parametrize("stable, want, solves", [
+        (lambda nf: nf >= 7, 7, list(range(2, 10))),
+        (lambda nf: nf >= 10, 10, list(range(2, 13))),
+        (lambda nf: nf == 3 or nf >= 8, 3, [2, 3, 4, 5]),
+    ], ids=["no-overshoot", "below-doubling", "first-stable"])
+    def test_without_an_estimate_every_probe_solves_its_partner(self, monkeypatch, stable,
+                                                                 want, solves):
+        solved = self._scripted(monkeypatch, stable, estimated=False)
+        assert converge_nf(ModelParams(n_sites=4), 1e-8) == want
+        assert sorted(solved) == solves
+        assert all(solved.values())
 
     def test_failure_path_probes_powers_of_two(self, monkeypatch):
         import floquet_ssh.floquet as floquet
@@ -941,7 +979,8 @@ class TestConvergeNf:
         assert sorted(nf for nf in solved if nf > 18) == [32, 34, 64, 66]
 
     def test_last_doubling_stops_at_the_largest_nf_that_fits(self, monkeypatch):
-        # N = 40: N_F = 93 is the last whose N_F + 2 matrix fits (7640 rows); 128 would not
+        # N = 40: N_F = 93 is the last whose N_F + 2 matrix fits (7640 rows); 128 would not.
+        # Doubling and bisection probes solve their partners whatever the estimate says.
         solved = self._scripted(monkeypatch, lambda nf: nf >= 70)
         assert converge_nf(ModelParams(n_sites=40), 1e-8) == 70
         assert sorted(nf for nf in solved if nf > 18) == [32, 34, 64, 66, 67, 69, 70, 71, 72,
@@ -949,11 +988,44 @@ class TestConvergeNf:
 
     @pytest.mark.parametrize("n_sites", [2, 3, 7, 8, 15, 40, 58, 115, 200, 800, 856, 1540])
     def test_failing_search_solves_no_probe_without_its_partner(self, monkeypatch, n_sites):
+        # a partner is the N_F - 1 solve that calibrates an estimate, or the N_F + 2 solve
+        # of a measured delta; the cap stops the search before a probe whose N_F + 2 would
+        # not fit, so a probe the estimate cannot decide can always be measured
         solved = self._scripted(monkeypatch, lambda nf: False)
         with pytest.raises(ConvergenceCapError,
                            match=rf"more than DIM_CAP = {DIM_CAP} .*\(--n-floquet\)"):
             converge_nf(ModelParams(n_sites=n_sites), 1e-8)
         assert [nf for nf, paired in solved.items() if not paired] == []
+
+    @pytest.mark.parametrize("prev, est, step, want, solves", [
+        (1.0, 1e-12, 1.0, 2, [1, 2]),       # calibrated and far below tol: decides
+        (1.0, 7e-9, 1.0, 2, [1, 2]),        # 7e-9 * 1.25 is below 1e-8: decides
+        (1.0, 8.5e-9, 1.0, 2, [1, 2, 4]),   # 8.5e-9 * 1.25 is not: measures delta(2)
+        (1.0, 7e-9, 1.2, 2, [1, 2, 4]),     # calibrated up to 8.4e-9: too close to tol
+        (1.0, 1e-12, 0.6, 2, [1, 2]),       # ratio 1.67 is near enough to 1
+        (1.0, 1e-12, 0.4, 2, [1, 2, 4]),    # ratio 2.5 is too far from 1
+        (1.0, 1e-12, 2.5, 2, [1, 2, 4]),    # ratio 0.4 is too far from 1
+        (None, 1e-12, 1.0, 2, [1, 2, 4]),   # N_F = 1 has no estimate
+        (0.0, 1e-12, 0.0, 2, [1, 2, 4]),    # an undriven chain's exact 0 calibrates nothing
+        (1.0, None, 1.0, 2, [2, 4]),        # no estimate at the probe: N_F = 1 is not solved
+        (1.0, 1.0, 1.0, 3, [1, 2, 3, 5]),   # far above tol: decides, and the search steps on
+    ])
+    def test_when_the_estimate_decides_the_floor_probe(self, monkeypatch, prev, est, step,
+                                                        want, solves):
+        # every measured delta is 0, and N_F = 3 carries no estimate
+        import floquet_ssh.floquet as floquet
+        solved = []
+
+        def solve(params, n_floquet):
+            solved.append(n_floquet)
+            return FloquetSpectrum(np.zeros(1), np.ones((1, 1)), Method.EXTENDED, n_floquet,
+                                   params, truncation_error={1: prev, 2: est}.get(n_floquet))
+
+        monkeypatch.setattr(floquet, "quasi_energies_extended", solve)
+        monkeypatch.setattr(floquet, "matched_distance", lambda a, b: (
+            step if b.n_floquet == a.n_floquet + 1 else 0.0))
+        assert converge_nf(ModelParams(n_sites=4), 1e-8) == want
+        assert sorted(solved) == solves
 
     def test_undriven_returns_minimum(self):
         p = ModelParams(n_sites=4, lam=0.4, phi_dim=0.5, gamma=0.1,
@@ -981,7 +1053,9 @@ class TestConvergeNf:
 
     @pytest.mark.parametrize("omega, tol, solved", [
         (1e8, 1e-8, []),         # delta(2) near 1e-7: fails before any solve
-        (1e8, 1e-6, [2, 4]),     # within reach: converges at the first probe
+        # within reach: converges at the first probe, after solving N_F = 1 for an
+        # estimate that rounding in the N_F = 1 -> 2 distance (~1e-8) throws out
+        (1e8, 1e-6, [2, 1, 4]),
         (45 * math.pi, 1e-14, []),
     ])
     def test_tolerance_below_rounding_fails_fast(self, monkeypatch, omega, tol, solved):
@@ -1082,3 +1156,70 @@ class TestIntegerSolverSizes:
                 route(self.P, n_steps)
         with pytest.raises(ParameterError, match=message):
             gamma_pt_threshold(self.P, gamma_max=0.2, method=Method.PROPAGATOR, n_steps=n_steps)
+
+
+@pytest.fixture(scope="module")
+def lowfreq_search():
+    """fig1-lowfreq at Phi = 0.35: converge_nf's answer and every spectrum it solved."""
+    spectra = {}
+    return converge_nf(_fig1_chain(), NF_TOL, spectra=spectra), spectra
+
+
+class TestTruncationEstimate:
+    """FloquetSpectrum.truncation_error and the N_F search that reads it."""
+
+    @pytest.mark.parametrize("n_sites, n_floquet", [(6, 1), (6, 4), (7, 2), (40, 3), (41, 3)])
+    def test_transpose_is_the_sign_similarity(self, n_sites, n_floquet):
+        # H_F^T = S H_F S to the bit, so S x is the left eigenvector of x
+        p = _fig1_chain(n_sites=n_sites, gamma=0.3, omega=0.8 * math.pi)
+        hf = build_floquet_matrix(p, n_floquet)
+        sigma = np.repeat((-1.0) ** np.arange(-n_floquet, n_floquet + 1), n_sites)
+        assert np.array_equal(hf.T, sigma[:, None] * hf * sigma[None, :])
+
+    @pytest.mark.parametrize("omega, nfs", [(0.2 * math.pi, range(4, 9)),
+                                            (0.8 * math.pi, range(2, 5))])
+    def test_estimate_is_within_a_factor_2_of_delta(self, lowfreq_search, omega, nfs):
+        _, spectra = lowfreq_search
+        p = _fig1_chain(omega=omega)
+        cache = dict(spectra) if p == _fig1_chain() else {}
+
+        def spectrum(nf):
+            if nf not in cache:
+                cache[nf] = quasi_energies_extended(p, nf)
+            return cache[nf]
+
+        for nf in nfs:
+            delta = matched_distance(spectrum(nf), spectrum(nf + 2))
+            assert 0.5 * delta < spectrum(nf).truncation_error < 2.0 * delta, nf
+
+    def test_lowfreq_search_solves_nothing_above_its_answer(self, lowfreq_search):
+        n_floquet, spectra = lowfreq_search
+        assert n_floquet == 7
+        assert sorted(spectra) == list(range(1, 8))
+
+    def test_borderline_estimate_measures_delta(self):
+        # the phase-diagram corner at seed 7: est(7) is just below tol, delta(7) is not
+        p = ModelParams(n_sites=40, lam=0.4, impurity_site=2, phi_dim=0.0,
+                        gamma=0.11943748178193478, kappa=0.05 / (0.2 * math.pi),
+                        omega=0.2 * math.pi)
+        spectra = {}
+        assert converge_nf(p, NF_TOL, spectra=spectra) == 8
+        assert spectra[7].truncation_error < NF_TOL <= matched_distance(spectra[7], spectra[9])
+
+    def test_only_the_extended_route_carries_an_estimate(self):
+        p = _fig1_chain(n_sites=8, omega=0.8 * math.pi)
+        assert quasi_energies_extended(p, 2).truncation_error > 0.0
+        for method in (Method.PROPAGATOR, Method.STATIC, Method.STATIC_EFFECTIVE):
+            assert compute_spectrum(p, method).truncation_error is None
+
+    def test_no_estimate_near_an_exceptional_point(self, monkeypatch):
+        # |y^T x| <= 1 for unit x and y, so a floor above 1 treats every mode as near one
+        import floquet_ssh.floquet as floquet
+        monkeypatch.setattr(floquet, "_EP_OVERLAP_MIN", 1.5)
+        assert quasi_energies_extended(_fig1_chain(n_sites=8), 2).truncation_error is None
+
+    def test_no_estimate_at_a_static_exceptional_point(self):
+        # H_static = [[i, -1], [-1, -i]] is a Jordan block: its eigenvectors are parallel
+        at_ep = ModelParams(n_sites=2, gamma=1.0, kappa=0.1, omega=3.0)
+        assert quasi_energies_extended(at_ep, 2).truncation_error is None
+        assert quasi_energies_extended(replace(at_ep, gamma=0.9), 2).truncation_error > 0.0
