@@ -1,6 +1,6 @@
 """Check converge_nf's answers against the N_F -> N_F+2 distance on seeded random chains.
 
-    python scripts/nf_scan.py --seed S --cases K [--max-dim D] [--src DIR]
+    PYTHONPATH=src python scripts/nf_scan.py --seed S --cases K
 
 Each case draws a chain as the route fuzz does: N = 4-16; omega
 log-uniform in [0.5, 60]; kappa uniform in [0, 3] in 30% of draws, else
@@ -15,30 +15,36 @@ returned N_F is checked with two more solves:
 
 One line is printed for each such case and for each search that raised,
 then one line of tallies.  The exit code is 1 if any case is a breach.
-
-``--max-dim`` lowers ``floquet.DIM_CAP`` for the scan (default 1200).
-At the package's 7700 a search that fails on a 4-site chain doubles to
-N_F = 960 and solves matrices of 7700 rows, minutes and about 4 GB each.
-Every unit-step probe (N_F <= 16, where the truncation estimate may
-decide) of every drawn chain fits under 600 rows, so the cap moves only
-doubling probes; a search it stops prints a ``RAISED`` line.
 """
 
 from __future__ import annotations
 
 import argparse
 import math
-import pathlib
 import sys
 import time
 
+import floquet_ssh.floquet as floquet
+from floquet_ssh import ModelParams, SolverError, converge_nf, matched_distance
+from floquet_ssh.floquet import NF_TOL, quasi_energies_extended
 
-def draw(rng, params_type):
+import numpy as np  # after floquet_ssh, which sets OpenBLAS's idle timeout before numpy loads
+
+#: ``floquet.DIM_CAP`` for the scan's searches.  At the package's 7700 a
+#: search that fails on a 4-site chain doubles to N_F = 960 and solves
+#: matrices of 7700 rows, minutes and about 4 GB each.  Every unit-step
+#: probe (N_F <= 16, where the truncation estimate may decide) of every
+#: drawn chain fits under 600 rows, so the cap moves only doubling probes;
+#: a search it stops prints a ``RAISED`` line.
+SCAN_DIM_CAP = 1200
+
+
+def draw(rng: np.random.Generator) -> ModelParams:
     """One chain of the route-fuzz shape."""
     n = int(rng.integers(4, 17))
     omega = math.exp(rng.uniform(math.log(0.5), math.log(60.0)))
     kappa = rng.uniform(0.0, 3.0) if rng.random() < 0.3 else rng.uniform(0.0, 0.5) / omega
-    return params_type(n_sites=n, lam=rng.uniform(-0.9, 0.9),
+    return ModelParams(n_sites=n, lam=rng.uniform(-0.9, 0.9),
                        phi_dim=rng.uniform(0.0, 2 * math.pi), gamma=rng.uniform(0.0, 0.6),
                        impurity_site=int(rng.integers(1, n // 2 + 1)), kappa=kappa, omega=omega)
 
@@ -47,24 +53,13 @@ def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--seed", type=int, required=True)
     parser.add_argument("--cases", type=int, required=True)
-    parser.add_argument("--max-dim", type=int, default=1200,
-                        help="extended-matrix row cap for the scan's searches")
-    parser.add_argument("--src", default=str(pathlib.Path(__file__).resolve().parents[1] / "src"),
-                        help="directory that holds the floquet_ssh package")
     args = parser.parse_args(argv)
-    sys.path.insert(0, args.src)
-    import floquet_ssh.floquet as floquet
-    from floquet_ssh import ModelParams, SolverError, converge_nf, matched_distance
-    from floquet_ssh.floquet import NF_TOL, quasi_energies_extended
-
-    import numpy as np  # after floquet_ssh, which sets OpenBLAS's idle timeout before numpy loads
-
-    floquet.DIM_CAP = args.max_dim
+    floquet.DIM_CAP = SCAN_DIM_CAP
     rng = np.random.default_rng(args.seed)
     tallies = dict(cases=0, converged=0, raised=0, breach=0, earlier=0)
     start = time.perf_counter()
     for case in range(args.cases):
-        params = draw(rng, ModelParams)
+        params = draw(rng)
         tallies["cases"] += 1
         spectra = {}
         try:
@@ -89,7 +84,7 @@ def main(argv: list[str] | None = None) -> int:
             print(f"EARLIER case={case} N_F={nf} delta(N_F-1)={before:.3e} {params}")
     elapsed = time.perf_counter() - start
     counts = " ".join(f"{key}={value}" for key, value in tallies.items())
-    print(f"seed={args.seed} tol={NF_TOL:g} max_dim={args.max_dim} {counts} seconds={elapsed:.1f}")
+    print(f"seed={args.seed} tol={NF_TOL:g} max_dim={SCAN_DIM_CAP} {counts} seconds={elapsed:.1f}")
     return 1 if tallies["breach"] else 0
 
 

@@ -437,12 +437,12 @@ class TestSweepConfigErrors:
 
     @pytest.mark.parametrize("n_sites", ["6", "7"])
     def test_propagator_identity_to_rounding_exit_1(self, tmp_path, capsys, n_sites):
-        # Z_p * ||H_static||_1 = 1.3e-299: a Hermitian chain was labelled broken
+        # Z_p * ||H_static||_1 <= 1.8e-299: a Hermitian chain was labelled broken
         out = tmp_path / "out.csv"
         assert main(["spectrum", "--n-sites", n_sites, "--lambda", "0.4", "--kappa", "0.3",
                      "--omega", "1e300", "--method", "propagator", "-o", str(out)]) == 1
         err = capsys.readouterr().err
-        assert err.startswith("solver failure: Z_p * ||H_static||_1 = 1.257e-299 is at most eps")
+        assert err.startswith("solver failure: Z_p * ||H_static||_1 <= 1.759e-299, at most eps")
         assert err.count("\n") == 1
         assert not out.exists()
 

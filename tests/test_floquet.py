@@ -814,7 +814,7 @@ class TestRoundingGuard:
 
     @pytest.mark.parametrize("n_sites", [6, 7])
     def test_propagator_that_is_the_identity_to_rounding_raises(self, n_sites):
-        # Z_p * ||H_static||_1 = 1.3e-299: U = I to rounding, and eps was noise / Z_p (~1e265)
+        # Z_p * ||H_static||_1 <= 1.8e-299: U = I to rounding, and eps was noise / Z_p (~1e265)
         p = ModelParams(n_sites=n_sites, lam=0.4, kappa=0.3, omega=1e300)
         with pytest.raises(SolverError, match=r"U is the identity to rounding"):
             quasi_energies_propagator(p)
@@ -1160,9 +1160,17 @@ class TestIntegerSolverSizes:
 
 @pytest.fixture(scope="module")
 def lowfreq_search():
-    """fig1-lowfreq at Phi = 0.35: converge_nf's answer and every spectrum it solved."""
-    spectra = {}
-    return converge_nf(_fig1_chain(), NF_TOL, spectra=spectra), spectra
+    """fig1-lowfreq at Phi = 0.35: converge_nf's answer, every spectrum it solved and
+    the size of every matrix it diagonalized."""
+    import floquet_ssh.floquet as floquet
+
+    spectra, sizes = {}, []
+    solve = floquet.eig_dense
+    floquet._static_eigenbasis.cache_clear()
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(floquet, "eig_dense", lambda m: sizes.append(len(m)) or solve(m))
+        n_floquet = converge_nf(_fig1_chain(), NF_TOL, spectra=spectra)
+    return n_floquet, spectra, sizes
 
 
 class TestTruncationEstimate:
@@ -1179,7 +1187,7 @@ class TestTruncationEstimate:
     @pytest.mark.parametrize("omega, nfs", [(0.2 * math.pi, range(4, 9)),
                                             (0.8 * math.pi, range(2, 5))])
     def test_estimate_is_within_a_factor_2_of_delta(self, lowfreq_search, omega, nfs):
-        _, spectra = lowfreq_search
+        _, spectra, _ = lowfreq_search
         p = _fig1_chain(omega=omega)
         cache = dict(spectra) if p == _fig1_chain() else {}
 
@@ -1193,9 +1201,11 @@ class TestTruncationEstimate:
             assert 0.5 * delta < spectrum(nf).truncation_error < 2.0 * delta, nf
 
     def test_lowfreq_search_solves_nothing_above_its_answer(self, lowfreq_search):
-        n_floquet, spectra = lowfreq_search
+        n_floquet, spectra, sizes = lowfreq_search
         assert n_floquet == 7
         assert sorted(spectra) == list(range(1, 8))
+        # the probes' estimates share one eigendecomposition of the 40 x 40 H_static
+        assert sorted(sizes) == [40] + [40 * (2 * nf + 1) for nf in range(1, 8)]
 
     def test_borderline_estimate_measures_delta(self):
         # the phase-diagram corner at seed 7: est(7) is just below tol, delta(7) is not
