@@ -28,7 +28,7 @@ import floquet_ssh.floquet as floquet
 from floquet_ssh import ModelParams, SolverError, converge_nf, matched_distance
 from floquet_ssh.floquet import NF_TOL, quasi_energies_extended
 
-import numpy as np  # after floquet_ssh, which sets OpenBLAS's idle timeout before numpy loads
+import numpy as np  # after floquet_ssh, which sets OpenBLAS's thread count before numpy loads
 
 #: ``floquet.DIM_CAP`` for the scan's searches.  At the package's 7700 a
 #: search that fails on a 4-site chain doubles to N_F = 960 and solves

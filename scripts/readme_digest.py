@@ -8,16 +8,18 @@ stderr and of each file the command wrote.  Two checkouts that print the
 same lines produced the same bytes.  The first line, starting with
 ``#``, records OPENBLAS_NUM_THREADS, OMP_NUM_THREADS and the CPU count:
 the eigensolver's last bits depend on the BLAS thread count, so digests
-compare only when that line matches.  Each command's wall time goes to
-stderr, one ``<seconds> s  $ <command>`` line per command, so that the
-digest on stdout stays comparable; a first ``# loadavg <1m> <5m> <15m>``
-stderr line records the host load that the times were taken under.
+compare only at equal thread variables.  Unset, the package runs one
+BLAS thread, so a default digest does not depend on the CPU count.
+Each command's wall time goes to stderr, one ``<seconds> s  $ <command>``
+line per command, so that the digest on stdout stays comparable; a first
+``# loadavg <1m> <5m> <15m>`` stderr line records the host load that the
+times were taken under.
 
     python scripts/readme_digest.py [--src DIR] > digest.txt 2> times.txt
 
 ``--src`` names the directory that holds the ``floquet_ssh`` package
 (default: ``src`` next to this script).  The phase-diagram command takes
-about 45 s on two cores.
+about 70 s at one BLAS thread on a 2.1 GHz Xeon.
 """
 
 from __future__ import annotations

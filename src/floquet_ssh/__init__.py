@@ -2,11 +2,14 @@
 
 import os
 
-# An idle OpenBLAS worker spins for 2^28 cycles (about 0.13 s at 2.1 GHz) after
-# each threaded call, billing a second core beside the small serial solves; at
-# 2^24 cycles (about 8 ms) a propagator sweep takes 40% less CPU at the same wall
-# time and bits.  Read once when numpy loads OpenBLAS, so only if imported first.
-os.environ.setdefault("OPENBLAS_THREAD_TIMEOUT", "24")
+# One OpenBLAS thread: the dense extended-matrix eigensolves that dominate the
+# run gain little or nothing from a second thread up to dimension 440 and at
+# most a quarter at 600-760, yet it doubles the CPU billed, two commands side by
+# side then slow each other more than tenfold, and the last bits of the eigensolve
+# depend on the thread count.  OpenBLAS reads the variable once when numpy loads
+# it, so it holds only if this package is imported first; a value already set
+# wins, so OPENBLAS_NUM_THREADS=2 opts back into threads.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 from .analysis import (
     GammaThreshold,

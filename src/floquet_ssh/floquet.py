@@ -486,10 +486,14 @@ def one_period_propagator(params: ModelParams, n_steps: int) -> np.ndarray:
     U by far less than rounding does.  The propagator stays in the lab
     frame.  Chains longer than PROPAGATOR_SITE_CAP raise DimensionCapError
     and an ``n_steps`` that fails ``require_propagator_steps`` raises
-    ParameterError, both before anything is allocated.
+    ParameterError, both before anything is allocated.  With T = 0 and
+    gamma = 0, H(z) = f(z)*D is diagonal and F(Z_p) = F(0), so U is the
+    identity, returned exactly rather than stepped to rounding.
     """
     _require_sites_within(params, PROPAGATOR_SITE_CAP)
     n_steps = require_propagator_steps(n_steps)
+    if _static_norm_bound(params) == 0.0:
+        return np.eye(params.n_sites, dtype=np.complex128)
     h_static = build_static_hamiltonian(params)
     d = np.diag(drive_operator(params))  # a view that holds the N x N D
     d = d - d.mean()  # a copy, so D is freed; on an odd chain the mean is 0.0 exactly
@@ -503,8 +507,9 @@ def one_period_propagator(params: ModelParams, n_steps: int) -> np.ndarray:
                         [z_end]))
     phase_args = -1j * np.diff(params.kappa * (1.0 - np.cos(params.omega * s)))
     v1 = _quarter_product(stages, phase_args, d, flush)
-    # a contiguous copy of the transpose: numpy sends q.T @ q to BLAS syrk,
-    # which OpenBLAS threads even at N=40, and its idle worker then spins
+    # a contiguous copy of the transpose: numpy would send q.T @ q to BLAS
+    # syrk, which rounds differently; the GEMM keeps U's bits, and at N=40 on
+    # one thread both take about 13 us
     v = np.ascontiguousarray(v1.T) @ v1
     if _pt_reflection_applies(params):
         return np.linalg.solve(v.conj(), v[::-1])[::-1]
@@ -591,7 +596,8 @@ def quasi_energies_propagator(params: ModelParams, n_steps: int | None = None,
     0 < Z_p * (2|T|(1+|lambda|) + gamma) <= eps raises SolverError before
     stepping: that bounds Z_p * ||H_static||_1, so U is the identity to
     rounding and eps would be rounding noise divided by Z_p.  A chain with
-    T = 0 and gamma = 0 keeps its exact eps = 0.
+    T = 0 and gamma = 0 keeps its exact eps = 0 on either parity, driven or
+    not, since ``one_period_propagator`` returns its U = I exactly.
     """
     n_steps = default_n_steps(params) if n_steps is None else require_integer("n_steps", n_steps)
     if converge_tol is not None:

@@ -1,13 +1,14 @@
 """Deterministic parameter-grid execution over spectra and phase labels.
 
 Grid points are solved and classified one after another, in grid order,
-on the calling thread; the eigensolves use the cores through LAPACK's
-threaded BLAS.  The output is therefore a pure function of the sweep
-specification.  Per-point failures become failure records carrying a
-machine-readable code instead of aborting the sweep.  A result is its
-rows and failures; each row carries the N_F it was solved at.  The grid
-is walked lazily, and a caller's ``emit`` receives each point's rows as
-the point finishes, so a sweep holds one point's rows at a time.
+on the calling thread, and the package runs OpenBLAS on one thread unless
+``OPENBLAS_NUM_THREADS`` says otherwise.  The output is therefore a pure
+function of the sweep specification and the BLAS thread count.
+Per-point failures become failure records carrying a machine-readable
+code instead of aborting the sweep.  A result is its rows and failures;
+each row carries the N_F it was solved at.  The grid is walked lazily,
+and a caller's ``emit`` receives each point's rows as the point
+finishes, so a sweep holds one point's rows at a time.
 """
 
 from __future__ import annotations

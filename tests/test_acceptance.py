@@ -318,10 +318,10 @@ def test_criterion_8_numerics_invariants():
 def test_criterion_9_threaded_determinism(tmp_path):
     """Criterion-1 sweep emits byte-identical CSV for any BLAS thread setting.
 
-    The same sweep runs as three ``python -m floquet_ssh`` children, since
+    The same sweep runs as four ``python -m floquet_ssh`` children, since
     OpenBLAS reads its settings only when it loads: with the thread
-    variables unset, with ``OPENBLAS_NUM_THREADS=1``, and with a 2^4-cycle
-    idle timeout.
+    variables unset (the package's one thread), with ``OPENBLAS_NUM_THREADS``
+    set to 1 and to 2, and with a 2^4-cycle idle timeout.
     """
     start = time.perf_counter()
     base = {key: value for key, value in os.environ.items() if key not in
@@ -330,6 +330,7 @@ def test_criterion_9_threaded_determinism(tmp_path):
     base["PYTHONPATH"] = os.pathsep.join(filter(None, [src, base.get("PYTHONPATH")]))
     outputs = []
     for name, setting in (("unset", {}), ("threads_1", {"OPENBLAS_NUM_THREADS": "1"}),
+                          ("threads_2", {"OPENBLAS_NUM_THREADS": "2"}),
                           ("timeout_4", {"OPENBLAS_THREAD_TIMEOUT": "4"})):
         path = tmp_path / f"sweep_{name}.csv"
         result = subprocess.run(
@@ -339,7 +340,7 @@ def test_criterion_9_threaded_determinism(tmp_path):
         assert result.returncode == 0, result.stderr
         outputs.append(path.read_bytes())
     elapsed = time.perf_counter() - start
-    ok = outputs[0] == outputs[1] == outputs[2]
+    ok = all(output == outputs[0] for output in outputs)
     detail = _report(9, ok, elapsed,
-                     f"{len(outputs[0])} bytes, identical={ok} over 3 BLAS settings")
+                     f"{len(outputs[0])} bytes, identical={ok} over {len(outputs)} BLAS settings")
     assert ok, detail

@@ -961,31 +961,46 @@ def _child_env(**settings: str) -> dict[str, str]:
     return {**env, **settings}
 
 
+def _cores_billed(args: list[str], cwd: Path) -> float:
+    """CPU time over wall time of one ``python -m floquet_ssh`` child run with ``args``."""
+    start = time.perf_counter()
+    proc = subprocess.Popen([sys.executable, "-m", "floquet_ssh", *args], cwd=cwd,
+                            env=_child_env(), stdout=subprocess.DEVNULL)
+    _, status, usage = os.wait4(proc.pid, 0)
+    wall = time.perf_counter() - start
+    assert os.waitstatus_to_exitcode(status) == 0
+    return (usage.ru_utime + usage.ru_stime) / wall
+
+
+_BLAS_NAME = str(np.show_config(mode="dicts")["Build Dependencies"]["blas"].get("name"))
+_needs_a_second_core_and_openblas = pytest.mark.skipif(
+    (os.cpu_count() or 1) < 2 or "openblas" not in _BLAS_NAME,
+    reason="needs a second core to bill and numpy built on OpenBLAS")
+
+
 class TestBlasIdleTimeout:
-    @pytest.mark.parametrize("settings, expected", [({}, "24"),
-                                                    ({"OPENBLAS_THREAD_TIMEOUT": "28"}, "28")],
-                             ids=["unset", "user-28"])
-    def test_import_sets_the_timeout_unless_set(self, settings, expected):
-        code = "import os, floquet_ssh; print(os.environ['OPENBLAS_THREAD_TIMEOUT'])"
+    @pytest.mark.parametrize("settings, expected", [({}, "1"),
+                                                    ({"OPENBLAS_NUM_THREADS": "2"}, "2")],
+                             ids=["unset", "user-2"])
+    def test_import_sets_one_thread_unless_set(self, settings, expected):
+        code = "import os, floquet_ssh; print(os.environ['OPENBLAS_NUM_THREADS'])"
         result = subprocess.run([sys.executable, "-c", code], env=_child_env(**settings),
                                 capture_output=True, text=True, check=True)
         assert result.stdout.strip() == expected
 
-    @pytest.mark.skipif((os.cpu_count() or 1) < 2, reason="needs a second core to bill")
-    @pytest.mark.skipif("openblas" not in str(np.show_config(mode="dicts")
-                                               ["Build Dependencies"]["blas"].get("name")),
-                        reason="numpy's BLAS is not OpenBLAS")
+    @_needs_a_second_core_and_openblas
     def test_propagator_spectrum_bills_about_one_core(self, tmp_path):
-        # With OpenBLAS's default 2^28-cycle timeout the idle worker spins
-        # beside the small serial products and cpu/wall reads about 1.7.
-        start = time.perf_counter()
-        proc = subprocess.Popen([sys.executable, "-m", "floquet_ssh", "spectrum", "--preset",
-                                 "fig1-lowfreq", "--method", "propagator"],
-                                cwd=tmp_path, env=_child_env(), stdout=subprocess.DEVNULL)
-        _, status, usage = os.wait4(proc.pid, 0)
-        wall = time.perf_counter() - start
-        assert os.waitstatus_to_exitcode(status) == 0
-        assert (usage.ru_utime + usage.ru_stime) / wall < 1.4
+        # At two OpenBLAS threads with the default 2^28-cycle idle timeout, the
+        # idle worker spins beside the small serial products: cpu/wall about 1.7.
+        assert _cores_billed(["spectrum", "--preset", "fig1-lowfreq", "--method", "propagator"],
+                             tmp_path) < 1.4
+
+    @_needs_a_second_core_and_openblas
+    def test_extended_spectrum_bills_about_one_core(self, tmp_path):
+        # At two OpenBLAS threads the eigensolves (dimension 400) bill the second
+        # core for no gain in wall time, and cpu/wall reads about 1.6.
+        assert _cores_billed(["spectrum", "--preset", "fig1-highfreq", "--phi", "0.3",
+                              "--n-sites", "80"], tmp_path) < 1.4
 
 
 def test_cli_never_loads_scipy(tmp_path):

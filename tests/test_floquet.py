@@ -1,3 +1,4 @@
+import itertools
 import math
 import re
 import tracemalloc
@@ -821,8 +822,10 @@ class TestRoundingGuard:
 
     @pytest.mark.parametrize("omega", [2.0, 1e300])
     def test_zero_static_hamiltonian_keeps_its_exact_zero(self, omega):
-        fs = quasi_energies_propagator(ModelParams(n_sites=6, tunneling=0.0, omega=omega))
-        assert np.all(fs.quasi_energies == 0.0)
+        # H(z) = f(z)*D is diagonal, so U = I on either parity, driven or not
+        for n_sites, kappa in itertools.product((6, 7), (0.0, 0.3)):
+            p = ModelParams(n_sites=n_sites, tunneling=0.0, kappa=kappa, omega=omega)
+            assert np.all(quasi_energies_propagator(p).quasi_energies == 0.0), (n_sites, kappa)
 
 
 class TestRouteFuzz:
